@@ -19,7 +19,12 @@ let rec write_all fd s off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
 module Client = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+  type t = {
+    fd : Unix.file_descr;
+    buf : Buffer.t;
+    rbuf : Bytes.t;  (** read scratch, reused by every recv/poll *)
+    mutable eof : bool;
+  }
 
   exception Timeout of string
 
@@ -46,7 +51,8 @@ module Client = struct
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
       match try_connect path with
-      | Some fd -> { fd; buf = Buffer.create 1024; eof = false }
+      | Some fd ->
+        { fd; buf = Buffer.create 1024; rbuf = Bytes.create 4096; eof = false }
       | None ->
         if Unix.gettimeofday () >= deadline then
           raise
@@ -76,7 +82,6 @@ module Client = struct
 
   let recv_line ?(timeout_s = 30.0) t =
     let deadline = Unix.gettimeofday () +. timeout_s in
-    let bytes = Bytes.create 4096 in
     let rec go () =
       match take_line t with
       | Some l -> Some l
@@ -90,9 +95,9 @@ module Client = struct
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | [], _, _ -> ()
           | _ :: _, _, _ -> (
-            match Unix.read t.fd bytes 0 4096 with
+            match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
             | 0 -> t.eof <- true
-            | n -> Buffer.add_subbytes t.buf bytes 0 n
+            | n -> Buffer.add_subbytes t.buf t.rbuf 0 n
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception
                 Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -115,16 +120,15 @@ module Client = struct
     | None ->
       if t.eof then `Eof
       else begin
-        let bytes = Bytes.create 4096 in
         let rec drain () =
           match Unix.select [ t.fd ] [] [] 0.0 with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
           | [], _, _ -> ()
           | _ :: _, _, _ -> (
-            match Unix.read t.fd bytes 0 4096 with
+            match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
             | 0 -> t.eof <- true
             | n ->
-              Buffer.add_subbytes t.buf bytes 0 n;
+              Buffer.add_subbytes t.buf t.rbuf 0 n;
               drain ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
             | exception
@@ -157,6 +161,24 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 16;
   on_ready ();
+  (* The wake pipe: a worker writes one byte per finished job, so the
+     select below returns as soon as a response is ready to write. *)
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  (* EAGAIN means the pipe is full, hence already readable: the wakeup
+     is not lost *)
+  let rec on_complete () =
+    match Unix.single_write_substring wake_w "!" 0 1 with
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> on_complete ()
+  in
+  (* One read buffer for every socket and pipe read of this run: a
+     4096-byte block is too large for the minor heap, so one per read
+     would be malloc'd and freed only at major GC, growing the malloc
+     arena with the request rate. *)
+  let rbuf = Bytes.create 4096 in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
   let pending : (conn * (int * string)) Queue.t = Queue.create () in
   let accepting = ref true in
@@ -189,13 +211,12 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
     go 0
   in
   let read_conn c =
-    let bytes = Bytes.create 4096 in
-    match Unix.read c.fd bytes 0 4096 with
+    match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
       c.eof <- true;
       if c.inflight = 0 then drop c
     | n ->
-      Buffer.add_subbytes c.buf bytes 0 n;
+      Buffer.add_subbytes c.buf rbuf 0 n;
       enqueue_lines c
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       drop c
@@ -207,29 +228,41 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
      orphaned shard keeps listening on an unlinked socket or appending
      to a journal its successor will reopen. *)
   let check_shutdown fd =
-    let b = Bytes.create 16 in
-    match Unix.read fd b 0 16 with
+    match Unix.read fd rbuf 0 (Bytes.length rbuf) with
     | 0 -> ignore (Atomic.compare_and_set drain 0 143)
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (_, _, _) ->
       ignore (Atomic.compare_and_set drain 0 143)
   in
+  (* Empty the wake pipe; the bytes carry no data, only "something
+     finished", and the driver drains every ready response next. *)
+  let rec drain_wake () =
+    match Unix.read wake_r rbuf 0 (Bytes.length rbuf) with
+    | n when n = Bytes.length rbuf -> drain_wake ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain_wake ()
+  in
   let poll_io () =
     let fds =
-      (match shutdown_fd with Some fd -> [ fd ] | None -> [])
+      wake_r
+      :: (match shutdown_fd with Some fd -> [ fd ] | None -> [])
       @ (if !accepting then [ listen_fd ] else [])
       @ Hashtbl.fold (fun fd c acc -> if c.eof then acc else fd :: acc) conns []
     in
-    (* the bounded timeout is what makes [Block] safe: the driver
-       drains finished responses between polls, and a delivered signal
-       (EINTR or the drain flag) is observed within 50ms *)
+    (* Finished jobs and new input both wake this select, so no
+       response waits on the timeout.  The timeout is only the backstop
+       for the drain flag: OCaml 5 may run the signal handler on another
+       domain, so this select need not see EINTR, and a drain is
+       noticed within 50ms. *)
     match Unix.select fds [] [] 0.05 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
       List.iter
         (fun fd ->
-          if shutdown_fd = Some fd then check_shutdown fd
+          if fd = wake_r then drain_wake ()
+          else if shutdown_fd = Some fd then check_shutdown fd
           else if fd = listen_fd then (
             match Unix.accept listen_fd with
             | cfd, _ ->
@@ -287,11 +320,22 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
     c.inflight <- c.inflight - 1;
     if c.eof && c.inflight = 0 then drop c
   in
-  let _count =
-    Pool.stream_poll ~workers:config.Serve.workers
-      ~queue_capacity:config.Serve.queue_capacity ~produce ~consume
-      (fun (c, item) -> (c, handler item))
-  in
+  (* This domain only frames lines and renders responses, so a 32k-word
+     (256 KB) minor heap is enough for it; the 256k-word (2 MB) default
+     is pure resident-set cost here.  OCaml 5 minor heaps are per
+     domain: the workers spawned below keep the default. *)
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 32768 };
+  Fun.protect
+    ~finally:(fun () ->
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = gc.Gc.minor_heap_size };
+      Unix.close wake_r;
+      Unix.close wake_w)
+    (fun () ->
+      ignore
+        (Pool.stream_poll ~workers:config.Serve.workers
+           ~queue_capacity:config.Serve.queue_capacity ~on_complete ~produce
+           ~consume (fun (c, item) -> (c, handler item))));
   stop_accepting ();
   List.iter drop (Hashtbl.fold (fun _ c acc -> c :: acc) conns []);
   {

@@ -14,6 +14,13 @@
     work (a blocked response can wait on an earlier slow request from
     another connection - acceptable for a batch-compilation service).
 
+    {b Latency.}  A worker that finishes a job writes one byte to a
+    self-pipe in the select set, so its response is written as soon as
+    it is ready: a warm request/await round trip costs well under a
+    millisecond, not a poll interval.  The select's 50ms timeout is
+    only the backstop that notices the [drain] flag when no signal
+    interrupts the select.
+
     {b Fault containment.}  A poisoned request line is a structured
     [ok:false] response on its own connection; a client that
     disconnects mid-flight costs an EPIPE on its own writes.  Neither
@@ -23,7 +30,8 @@
     {!Qaoa_journal.Signals.install_drain}), the daemon stops accepting
     (the socket file is unlinked), finishes every submitted request,
     writes the responses out, closes all connections and returns; the
-    caller then flushes its cache journal and exits 130/143.
+    caller then flushes its cache journal and exits 130/143.  An idle
+    daemon notices the flag within 50ms.
 
     Counters: [serve.connections], [serve.inflight] (up-down), plus
     everything {!Serve} counts. *)
@@ -91,7 +99,10 @@ val run :
   Serve.stats
 (** Bind [socket_path] (replacing a stale socket file), serve until
     [drain] goes nonzero, and return the run's stats.  [on_ready] fires
-    once the socket is listening (CI uses it to synchronize).
+    once the socket is listening (CI uses it to synchronize).  While it
+    serves, the calling domain runs with a 32k-word minor heap (it only
+    frames and renders; the workers keep the default), restored on
+    return.
 
     [shutdown_fd], when given, is watched in the select loop; when it
     turns readable at EOF the daemon sets [drain] to 143 itself.  The

@@ -60,11 +60,13 @@ type ('a, 'b) shared = {
    at this instant, but the stream is not over": the driver drains any
    completed results and polls again, so a producer that waits on
    external input (a socket select loop) can keep responses flowing
-   while idle.  A [Block]-returning producer must do its own blocking
-   (e.g. a bounded select timeout) or the driver busy-spins. *)
+   while idle.  A [Block]-returning producer must do its own blocking,
+   or the driver busy-spins; to hand a finished result out at once it
+   should also wake on [on_complete] (see [stream_poll]). *)
 type 'a poll = Item of 'a | Block | Eof
 
-let stream_poll ?workers ?(queue_capacity = 64) ~produce ~consume f =
+let stream_poll ?workers ?(queue_capacity = 64) ?(on_complete = ignore)
+    ~produce ~consume f =
   let w = check_workers workers in
   if queue_capacity < 1 then invalid_arg "Pool.stream: queue_capacity < 1";
   let st =
@@ -96,7 +98,10 @@ let stream_poll ?workers ?(queue_capacity = 64) ~produce ~consume f =
         Mutex.lock st.lock;
         Hashtbl.replace st.completed seq r;
         Condition.signal st.progress;
-        Mutex.unlock st.lock
+        Mutex.unlock st.lock;
+        (* only after the result is visible: a driver woken earlier
+           could find nothing to drain and block again *)
+        on_complete ()
       end
     done
   in

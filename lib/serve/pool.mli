@@ -50,13 +50,17 @@ type 'a poll =
   | Block
       (** no item at this instant, stream not over: the driver drains
           completed results and polls again.  A [Block]-returning
-          producer must do its own bounded blocking (e.g. a select
-          timeout), or the driver busy-spins. *)
+          producer must do its own blocking, or the driver busy-spins.
+          It should block until either new input or an [on_complete]
+          call arrives (the daemon selects on a self-pipe that
+          [on_complete] writes); a producer that only waits out a
+          timeout delays every response by up to that timeout. *)
   | Eof
 
 val stream_poll :
   ?workers:int ->
   ?queue_capacity:int ->
+  ?on_complete:(unit -> unit) ->
   produce:(unit -> 'a poll) ->
   consume:(int -> 'b -> unit) ->
   ('a -> 'b) ->
@@ -65,4 +69,10 @@ val stream_poll :
     (the daemon's socket select loop): [Block] lets completed responses
     flow to [consume] while the producer has nothing to submit, which
     is what keeps a request/await client from deadlocking against a
-    batch-oriented drain. *)
+    batch-oriented drain.
+
+    [on_complete] (default: nothing) runs on the worker domain once per
+    item, after that item's result is visible to the driver, so a
+    driver woken by it always finds the result ready to drain.  It
+    must be safe to call from several domains at once and must not
+    raise. *)

@@ -946,14 +946,16 @@ let run_front ?(on_ready = fun () -> ()) cfg ~socket_path ~drain =
     in
     go 0
   in
+  (* one buffer for every client read: a fresh 4096-byte block per read
+     is malloc'd and freed only at major GC *)
+  let rbuf = Bytes.create 4096 in
   let read_conn c =
-    let bytes = Bytes.create 4096 in
-    match Unix.read c.f_fd bytes 0 4096 with
+    match Unix.read c.f_fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
       c.f_eof <- true;
       if Queue.is_empty c.f_expected then drop c
     | n ->
-      Buffer.add_subbytes c.f_buf bytes 0 n;
+      Buffer.add_subbytes c.f_buf rbuf 0 n;
       frame_lines c
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       drop c

@@ -85,6 +85,56 @@ let test_pool_stream_propagates_job_exception () =
            ~consume:(fun _ _ -> ())
            (fun v -> if v = 17 then failwith "boom" else v)))
 
+(* A request/await producer whose [Block] waits only on a pipe that
+   [on_complete] feeds: each item is submitted after the previous one
+   came back, so the stream finishes fast only if every completion
+   wakes the producer (a lost wakeup costs the 5s safety timeout). *)
+let test_pool_stream_poll_wakes_on_complete () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+  @@ fun () ->
+  let calls = Atomic.make 0 in
+  let on_complete () =
+    Atomic.incr calls;
+    ignore (Unix.write_substring w "!" 0 1)
+  in
+  let n = 100 in
+  let next = ref 0 and seen = ref [] and consumed = ref 0 in
+  let bytes = Bytes.create 64 in
+  let produce () =
+    if !next >= n then Pool.Eof
+    else if !next > !consumed then begin
+      (match Unix.select [ r ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "no completion wakeup within 5s"
+      | _ -> ignore (Unix.read r bytes 0 (Bytes.length bytes)));
+      Pool.Block
+    end
+    else begin
+      let v = !next in
+      incr next;
+      Pool.Item v
+    end
+  in
+  let t0 = Unix.gettimeofday () in
+  let count =
+    Pool.stream_poll ~workers:2 ~on_complete ~produce
+      ~consume:(fun seq v ->
+        incr consumed;
+        seen := (seq, v) :: !seen)
+      (fun v -> v * 3)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "all items processed" n count;
+  Alcotest.(check int) "one callback per item" n (Atomic.get calls);
+  Alcotest.(check (list (pair int int)))
+    "submission order"
+    (List.init n (fun i -> (i, i * 3)))
+    (List.rev !seen);
+  if elapsed >= 1.0 then
+    Alcotest.failf "100 request/await items took %.2fs (limit 1s)" elapsed
+
 (* --- Rng.split ----------------------------------------------------- *)
 
 (* The split stream must not depend on how much the parent has drawn:
@@ -762,7 +812,10 @@ let test_gen_corpus_deterministic () =
 (* --- daemon client ------------------------------------------------- *)
 
 (* Daemon.Client against a live daemon: framed request/reply, the ping
-   and stats control verbs over the wire, and the connect deadline. *)
+   and stats control verbs over the wire, request/await latency (a
+   finished job must wake the daemon's select loop rather than wait out
+   its poll timeout), a drain of an idle daemon, and the connect
+   deadline. *)
 let test_daemon_client_roundtrip () =
   let sock =
     Filename.concat
@@ -780,15 +833,29 @@ let test_daemon_client_roundtrip () =
           (config ~cache:(Cache.create ~capacity:64 ()) ())
           ~socket_path:sock ~drain)
   in
+  let joined = ref false in
+  let join () =
+    if not !joined then begin
+      joined := true;
+      ignore (Domain.join daemon)
+    end
+  in
   Fun.protect ~finally:(fun () ->
       Atomic.compare_and_set drain 0 143 |> ignore;
-      ignore (Domain.join daemon))
+      join ())
   @@ fun () ->
   let c = Daemon.Client.connect ~timeout_s:10.0 sock in
   Alcotest.(check (option string))
     "ping pongs"
     (Some {|{"id":null,"ok":true,"op":"ping"}|})
     (Daemon.Client.request c {|{"op":"ping"}|});
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 50 do
+    ignore (Daemon.Client.request c {|{"op":"ping"}|})
+  done;
+  let pings_s = Unix.gettimeofday () -. t0 in
+  if pings_s >= 1.0 then
+    Alcotest.failf "50 sequential pings took %.2fs (limit 1s)" pings_s;
   List.iteri
     (fun i line ->
       Alcotest.(check (option string))
@@ -819,6 +886,14 @@ let test_daemon_client_roundtrip () =
       | _ -> Alcotest.fail "stats reply has no cache object")
     | _ -> Alcotest.fail "stats reply is not a json object"));
   Daemon.Client.close c;
+  (* the select timeout is the drain flag's backstop: an idle daemon
+     must still notice it *)
+  let t0 = Unix.gettimeofday () in
+  Atomic.set drain 143;
+  join ();
+  let drain_s = Unix.gettimeofday () -. t0 in
+  if drain_s >= 0.5 then
+    Alcotest.failf "idle daemon took %.2fs to drain (limit 0.5s)" drain_s;
   (* nothing listens here: the deadline must fire, not hang *)
   match
     Daemon.Client.connect ~timeout_s:0.2
@@ -1000,6 +1075,9 @@ let suite =
     ( "pool stream propagates job exceptions",
       `Quick,
       test_pool_stream_propagates_job_exception );
+    ( "pool stream_poll wakes on completion",
+      `Quick,
+      test_pool_stream_poll_wakes_on_complete );
     ( "rng split independent of parent draws",
       `Quick,
       test_split_independent_of_draw_position );
