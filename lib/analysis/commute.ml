@@ -1,6 +1,5 @@
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
-module Dag = Qaoa_circuit.Dag
 module Rng = Qaoa_util.Rng
 module Trace = Qaoa_obs.Trace
 
@@ -13,8 +12,6 @@ type t = {
   succs : int list array;
 }
 
-let commutes = Dag.commutes
-
 let build circuit =
   Trace.with_span "analysis.commute.build"
     ~attrs:[ ("gates", Trace.int (Circuit.length circuit)) ]
@@ -25,7 +22,7 @@ let build circuit =
     (* does gate j (later) depend on gate i (earlier)? *)
     match (gates.(i), gates.(j)) with
     | Gate.Barrier, _ | _, Gate.Barrier -> true
-    | a, b -> not (commutes a b)
+    | a, b -> not (Gate.commutes a b)
   in
   let preds = Array.make n [] in
   let succs = Array.make n [] in

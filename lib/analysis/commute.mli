@@ -3,7 +3,7 @@
 
     Nodes are gates (ids in circuit order); an edge [i -> j] exists only
     between {e genuinely non-commuting} pairs under the sound relation
-    of {!Qaoa_circuit.Dag.commutes}: diagonal gates (Z, RZ, U1, CPHASE)
+    of {!Qaoa_circuit.Gate.commutes}: diagonal gates (Z, RZ, U1, CPHASE)
     commute through each other whatever qubits they share (the property
     behind every QAOA cost layer), equal-axis rotations on a shared
     qubit commute, a CNOT commutes with diagonals on its control and
@@ -27,9 +27,6 @@
 type t
 
 type node = { id : int; gate : Qaoa_circuit.Gate.t }
-
-val commutes : Qaoa_circuit.Gate.t -> Qaoa_circuit.Gate.t -> bool
-(** Re-export of {!Qaoa_circuit.Dag.commutes} (sound, not complete). *)
 
 val build : Qaoa_circuit.Circuit.t -> t
 (** Build the transitively-reduced commutation DAG. *)

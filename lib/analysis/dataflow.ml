@@ -1,5 +1,6 @@
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
+module Layering = Qaoa_circuit.Layering
 module Json = Qaoa_obs.Json
 module Trace = Qaoa_obs.Trace
 module Metrics_registry = Qaoa_obs.Metrics_registry
@@ -23,30 +24,6 @@ type t = {
   step : int array;
   summary : summary;
 }
-
-(* Order-tied ASAP layer per gate index, mirroring Layering.schedule
-   (same fence semantics), so max+1 here equals Layering.depth. *)
-let measured_layers circuit =
-  let n = Circuit.num_qubits circuit in
-  let free_at = Array.make n 0 in
-  let fence = ref 0 in
-  let depth = ref 0 in
-  let gates = Array.of_list (Circuit.gates circuit) in
-  Array.map
-    (fun g ->
-      match g with
-      | Gate.Barrier ->
-        fence := !depth;
-        -1
-      | _ ->
-        let qs = Gate.qubits g in
-        let layer =
-          List.fold_left (fun acc q -> max acc free_at.(q)) !fence qs
-        in
-        List.iter (fun q -> free_at.(q) <- layer + 1) qs;
-        depth := max !depth (layer + 1);
-        layer)
-    gates
 
 let of_circuit circuit =
   Trace.with_span "analysis.dataflow.analyze"
@@ -154,9 +131,6 @@ let of_circuit circuit =
   for id = 0 to n - 1 do
     if weight id > 0 then total_slack := !total_slack + slack.(id)
   done;
-  let measured =
-    Array.fold_left (fun acc l -> max acc (l + 1)) 0 (measured_layers circuit)
-  in
   let summary =
     {
       gates = n;
@@ -164,7 +138,7 @@ let of_circuit circuit =
       critical_path;
       busy_bound;
       asap_depth;
-      measured_depth = measured;
+      measured_depth = Layering.depth circuit;
       total_slack = !total_slack;
       live_pressure;
     }

@@ -81,12 +81,6 @@ val critical_edge : t -> int -> int -> bool
 (** DAG edge [(i, j)] on a critical chain: both ends critical and [j]
     starts exactly when [i] finishes (level-wise). *)
 
-val measured_layers : Qaoa_circuit.Circuit.t -> int array
-(** Per-gate ASAP layer of the circuit {e as given} (exactly
-    {!Qaoa_circuit.Layering}'s assignment, in program order); barriers
-    get [-1].  The lint rules use it to talk about layer distances in
-    the order-tied schedule. *)
-
 val summary_to_json : summary -> Qaoa_obs.Json.t
 (** Flat object with the eight summary fields, stable key order (the
     serving layer embeds it verbatim, so bytes must be deterministic). *)

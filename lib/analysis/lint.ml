@@ -1,6 +1,7 @@
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
 module Optimize = Qaoa_circuit.Optimize
+module Layering = Qaoa_circuit.Layering
 module Metrics = Qaoa_circuit.Metrics
 module Decompose = Qaoa_circuit.Decompose
 module Device = Qaoa_hardware.Device
@@ -342,7 +343,7 @@ let missed_packing_gap = 3
 let check_missed_packing ctx =
   let df = Lazy.force ctx.dataflow in
   let dag = Dataflow.dag df in
-  let layers = Dataflow.measured_layers ctx.circuit in
+  let layers = Layering.gate_layers ctx.circuit in
   let gates = Array.of_list (Circuit.gates ctx.circuit) in
   let n = Circuit.num_qubits ctx.circuit in
   let last_on = Array.make n (-1) in
@@ -387,7 +388,7 @@ let check_missed_packing ctx =
 let measure_delay_gap = 5
 
 let check_measure_delay ctx =
-  let layers = Dataflow.measured_layers ctx.circuit in
+  let layers = Layering.gate_layers ctx.circuit in
   let gates = Array.of_list (Circuit.gates ctx.circuit) in
   let n = Circuit.num_qubits ctx.circuit in
   let last_gate = Array.make n (-1) in

@@ -32,6 +32,45 @@ let is_unitary = function
   | Swap _ ->
     true
 
+let shares_qubit a b =
+  let qb = qubits b in
+  List.exists (fun q -> List.mem q qb) (qubits a)
+
+let is_diagonal = function
+  | Z _ | Rz _ | Phase _ | Cphase _ -> true
+  | _ -> false
+
+let is_x_axis = function X _ | Rx _ -> true | _ -> false
+
+(* Sound (not complete) commutation check for gates sharing qubits. *)
+let commutes a b =
+  if not (shares_qubit a b) then true
+  else if not (is_unitary a) || not (is_unitary b) then false
+  else if is_diagonal a && is_diagonal b then true
+  else
+    let same_axis =
+      match (a, b) with
+      | Rx (p, _), Rx (q, _)
+      | Ry (p, _), Ry (q, _)
+      | Rz (p, _), Rz (q, _)
+      | Phase (p, _), Phase (q, _) ->
+        p = q
+      | X p, X q | Y p, Y q | Z p, Z q -> p = q
+      | _ -> false
+    in
+    if same_axis then true
+    else
+      (* CNOT vs 1q gates: diagonal commutes through the control, X-axis
+         through the target.  Check both argument orders. *)
+      let cnot_commutes cnot other =
+        match cnot with
+        | Cnot (c, t) ->
+          let qs = qubits other in
+          (is_diagonal other && qs = [ c ]) || (is_x_axis other && qs = [ t ])
+        | _ -> false
+      in
+      cnot_commutes a b || cnot_commutes b a
+
 let map_qubits f = function
   | H q -> H (f q)
   | X q -> X (f q)

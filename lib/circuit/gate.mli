@@ -34,6 +34,30 @@ val is_two_qubit : t -> bool
 val is_unitary : t -> bool
 (** False for [Barrier] and [Measure]. *)
 
+val shares_qubit : t -> t -> bool
+(** Do the two gates act on a common qubit? *)
+
+val is_diagonal : t -> bool
+(** Z-basis diagonal: [Z], [Rz], [Phase], [Cphase]. *)
+
+val commutes : t -> t -> bool
+(** Sound (not complete) commutation relation - the paper notes (Sec. I)
+    that exploiting gate reordering requires the compiler to "check for
+    the commutative gates in the given circuit".  Two gates may be
+    reordered iff they act on disjoint qubits {i or} they commute
+    algebraically.  The relation recognised here:
+
+    - diagonal gates (Z, RZ, U1, CPHASE) pairwise commute - the property
+      behind every QAOA cost layer;
+    - equal-axis rotations on the same qubit commute (RX-RX, ...);
+    - a CNOT commutes with diagonal gates on its control, and with
+      X/RX on its target;
+    - non-unitary gates ([Barrier], [Measure]) and everything else on
+      overlapping qubits are ordered conservatively.
+
+    It depends only on gate shape (constructor and qubits), never on
+    rotation angles. *)
+
 val map_qubits : (int -> int) -> t -> t
 (** Rename qubit indices. *)
 

@@ -1,33 +1,44 @@
-let schedule circuit =
-  (* ASAP: each gate lands in layer 1 + max(finish time of its qubits).
-     Returns (assignments in program order, total depth). *)
-  let n = Circuit.num_qubits circuit in
-  let free_at = Array.make n 0 in
+(* The one order-tied ASAP pass: each gate lands in layer
+   max(fence, finish time of its qubits); a barrier moves the fence to
+   the current depth.  Calls [f index gate layer] in program order
+   ([layer = -1] for barriers) and returns the depth. *)
+let scan circuit f =
+  let free_at = Array.make (Circuit.num_qubits circuit) 0 in
   let fence = ref 0 in
   let depth = ref 0 in
-  let assign = ref [] in
-  List.iter
-    (fun g ->
+  List.iteri
+    (fun i g ->
       match g with
       | Gate.Barrier ->
-        fence := !depth
+        fence := !depth;
+        f i g (-1)
       | _ ->
         let qs = Gate.qubits g in
-        let start =
+        let layer =
           List.fold_left (fun acc q -> max acc free_at.(q)) !fence qs
         in
-        let layer = start in
         List.iter (fun q -> free_at.(q) <- layer + 1) qs;
         depth := max !depth (layer + 1);
-        assign := (g, layer) :: !assign)
+        f i g layer)
     (Circuit.gates circuit);
-  (List.rev !assign, !depth)
+  !depth
+
+let gate_layers circuit =
+  let out = Array.make (Circuit.length circuit) (-1) in
+  ignore (scan circuit (fun i _ layer -> out.(i) <- layer));
+  out
+
+let depth circuit = scan circuit (fun _ _ _ -> ())
 
 let layers circuit =
-  let assign, depth = schedule circuit in
+  let placed = ref [] in
+  let depth =
+    scan circuit (fun _ g layer -> if layer >= 0 then placed := (g, layer) :: !placed)
+  in
+  (* [placed] is in reverse program order, so consing restores it *)
   let buckets = Array.make depth [] in
-  List.iter (fun (g, l) -> buckets.(l) <- g :: buckets.(l)) assign;
-  Array.to_list (Array.map List.rev buckets)
+  List.iter (fun (g, l) -> buckets.(l) <- g :: buckets.(l)) !placed;
+  Array.to_list buckets
 
 let alap_layers circuit =
   (* ALAP = ASAP of the reversed circuit, layers then read back to front.
@@ -38,16 +49,6 @@ let alap_layers circuit =
       (List.rev (Circuit.gates circuit))
   in
   List.rev (layers reversed)
-
-let depth circuit = snd (schedule circuit)
-
-let qubit_busy_time circuit =
-  let n = Circuit.num_qubits circuit in
-  let busy = Array.make n 0 in
-  List.iter
-    (fun (g, _) -> List.iter (fun q -> busy.(q) <- busy.(q) + 1) (Gate.qubits g))
-    (fst (schedule circuit));
-  busy
 
 let check_layers_disjoint layers =
   List.for_all

@@ -51,14 +51,8 @@ let push buf g =
 
 let kill buf i = buf.gates.(i) <- None
 
-(* Z-basis-diagonal gates all commute with each other, whatever qubits
-   they share. *)
-let is_diagonal = function
-  | Gate.Z _ | Gate.Rz _ | Gate.Phase _ | Gate.Cphase _ -> true
-  | _ -> false
-
 (* Index of the nearest earlier live gate [g] can merge with, looking
-   through any gate that commutes with [g] ([Dag.commutes]: disjoint
+   through any gate that commutes with [g] ([Gate.commutes]: disjoint
    qubits, diagonal pairs, equal-axis rotations, CNOT control/target
    rules).  Soundness of acting at a distance: every gate between the
    partner and the buffer end commutes with [g], so [g] moves back
@@ -79,7 +73,7 @@ let merge_partner buf g qs =
       | Some Gate.Barrier -> None
       | Some prev ->
         if combinable prev then Some j
-        else if Dag.commutes prev g then scan (j - 1)
+        else if Gate.commutes prev g then scan (j - 1)
         else None
   in
   scan (buf.len - 1)
@@ -133,12 +127,12 @@ let redundancies ?(through_commuting = true) circuit =
           List.sort compare (Gate.qubits prev) = sorted_qs
           && combine prev g <> Keep
         in
-        let diagonal = is_diagonal g in
+        let diagonal = Gate.is_diagonal g in
         let see_through prev =
-          if through_commuting then Dag.commutes prev g
+          if through_commuting then Gate.commutes prev g
           else
-            (not (List.exists (fun q -> List.mem q qs) (Gate.qubits prev)))
-            || (diagonal && is_diagonal prev)
+            (not (Gate.shares_qubit prev g))
+            || (diagonal && Gate.is_diagonal prev)
         in
         let rec scan i =
           if i >= 0 then

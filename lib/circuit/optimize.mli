@@ -3,7 +3,7 @@
     any {e commuting} intervening gates.
 
     A gate looks backward for its partner, scanning through every gate
-    that commutes with it under {!Dag.commutes} (disjoint qubits,
+    that commutes with it under {!Gate.commutes} (disjoint qubits,
     diagonal pairs, equal-axis rotations on a shared qubit, CNOT
     control/target rules) and stopping at the first non-commuting gate
     or [Barrier].  Rules applied to a fixpoint:

@@ -31,106 +31,49 @@ let status_of_string = function
   | "quarantined" -> Some Quarantined
   | _ -> None
 
-let render ~key ~status payload =
-  let json =
-    Json.to_string
-      (Json.Assoc
-         [
-           ("key", Json.String key);
-           ("status", Json.String (status_to_string status));
-           ("payload", payload);
-         ])
-  in
-  Printf.sprintf "%s %s\n" (Crc32.to_hex (Crc32.digest json)) json
-
-(* One well-formed record line (without its terminating newline), or None. *)
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp -> (
-    let crc = String.sub line 0 sp in
-    let json = String.sub line (sp + 1) (String.length line - sp - 1) in
-    match Crc32.of_hex crc with
-    | Some c when c = Crc32.digest json -> (
-      match Json.of_string_opt json with
-      | Some doc -> (
-        match
-          ( Json.member "key" doc,
-            Json.member "status" doc,
-            Json.member "payload" doc )
-        with
-        | Some (Json.String key), Some (Json.String st), Some payload -> (
-          match status_of_string st with
-          | Some status -> Some (key, { status; payload })
-          | None -> None)
-        | _ -> None)
-      | None -> None)
-    | _ -> None)
-
-let read_all file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let record ~key ~status payload =
+  Json.Assoc
+    [
+      ("key", Json.String key);
+      ("status", Json.String (status_to_string status));
+      ("payload", payload);
+    ]
 
 (* Load [file] into [table].  Returns (records loaded, torn records
    truncated).  Truncates the file in place when the trailing record is
    torn; raises [Failure] on corruption before the trailing record or on
    duplicate keys. *)
 let load file table =
-  if not (Sys.file_exists file) then (0, 0)
-  else begin
-    let content = read_all file in
-    let len = String.length content in
-    let loaded = ref 0 in
-    let torn = ref 0 in
-    let truncate_at off =
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> Unix.ftruncate fd off);
-      incr torn;
-      Metrics.incr "journal.torn_truncated"
-    in
-    let rec scan off =
-      if off < len then
-        match String.index_from_opt content off '\n' with
-        | None ->
-          (* unterminated tail: the classic torn append *)
-          truncate_at off
-        | Some nl -> (
-          let line = String.sub content off (nl - off) in
-          match parse_line line with
-          | Some (key, entry) ->
-            if Hashtbl.mem table key then
-              failwith
-                (Printf.sprintf "Journal: duplicate key %S in %s" key file);
-            Hashtbl.replace table key entry;
-            incr loaded;
-            scan (nl + 1)
-          | None ->
-            if nl + 1 >= len then
-              (* invalid final record: torn mid-write, drop it *)
-              truncate_at off
-            else
-              failwith
-                (Printf.sprintf
-                   "Journal: corrupt record at byte %d of %s (not the \
-                    trailing record - refusing to drop completed trials)"
-                   off file))
-    in
-    scan 0;
-    (!loaded, !torn)
-  end
+  let decode doc =
+    match
+      (Json.member "key" doc, Json.member "status" doc, Json.member "payload" doc)
+    with
+    | Some (Json.String key), Some (Json.String st), Some payload -> (
+      match status_of_string st with
+      | Some status ->
+        if Hashtbl.mem table key then
+          failwith (Printf.sprintf "Journal: duplicate key %S in %s" key file);
+        Hashtbl.replace table key { status; payload };
+        true
+      | None -> false)
+    | _ -> false
+  in
+  let corrupt off =
+    Printf.sprintf
+      "Journal: corrupt record at byte %d of %s (not the trailing record - \
+       refusing to drop completed trials)"
+      off file
+  in
+  let r = Framed.load ~corruption:(Framed.Refuse corrupt) file decode in
+  if r.Framed.torn_truncated > 0 then Metrics.incr "journal.torn_truncated";
+  (r.Framed.loaded, r.Framed.torn_truncated)
 
 let close t =
   match t.oc with
   | None -> ()
   | Some oc ->
     t.oc <- None;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out_noerr oc
+    Framed.close oc
 
 let open_ ?(resume = false) ~dir () =
   Atomic_write.mkdir_p dir;
@@ -155,7 +98,7 @@ let open_ ?(resume = false) ~dir () =
       (0, 0)
     end
   in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 file in
+  let oc = Framed.open_append file in
   let t =
     { file; table; oc = Some oc; loaded; appended = 0; hits = 0;
       torn_truncated = torn }
@@ -180,14 +123,7 @@ let append t ~key ~status payload =
   | Some oc ->
     if Hashtbl.mem t.table key then
       invalid_arg (Printf.sprintf "Journal.append: duplicate key %S" key);
-    let line = render ~key ~status payload in
-    (match Chaos.intercept line with
-    | Chaos.Pass -> output_string oc line
-    | Chaos.Torn prefix -> output_string oc prefix);
-    flush oc;
-    (* a pending simulated crash fires here - after the bytes hit the
-       OS, before the in-memory publish, exactly like a real crash *)
-    Chaos.die ();
+    Framed.append oc (record ~key ~status payload);
     Hashtbl.replace t.table key { status; payload };
     t.appended <- t.appended + 1;
     Metrics.incr "journal.appends");

@@ -11,15 +11,15 @@
     loss the journal holds every trial that completed before the
     failure, plus at most one torn trailing record.
 
-    {b On-disk format.}  One record per line:
-    [<crc32-hex> <compact JSON>\n] where the checksum covers the JSON
-    text and the JSON object is
-    [{"key": k, "status": "ok" | "quarantined", "payload": p}].
+    {b On-disk format.}  A {!Framed} log - one
+    [<crc32-hex> <compact JSON>\n] record per line - whose JSON objects
+    are [{"key": k, "status": "ok" | "quarantined", "payload": p}].
     On reload every line is checksum- and shape-verified.  A torn or
     corrupt {e trailing} record (the signature of a crash mid-append) is
     truncated away and counted in {!stats}; corruption {e before} the
     final record means the storage itself is damaged and raises
-    [Failure] rather than silently dropping completed work.
+    [Failure] ({!Framed.Refuse}) rather than silently dropping completed
+    work.
 
     Keys are unique: appending a key that is already present raises
     [Invalid_argument], and a journal whose file contains duplicates is

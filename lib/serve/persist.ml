@@ -1,7 +1,6 @@
 module Json = Qaoa_obs.Json
 module Metrics = Qaoa_obs.Metrics_registry
-module Crc32 = Qaoa_journal.Crc32
-module Chaos = Qaoa_journal.Chaos
+module Framed = Qaoa_journal.Framed
 module Atomic_write = Qaoa_journal.Atomic_write
 
 let default_filename = "cache.jsonl"
@@ -24,49 +23,15 @@ type stats = {
   s_torn_truncated : int;
 }
 
-(* One record per cache insertion: CRC-32 of the JSON document, a
-   space, the document, a newline - the same framing as the trial
-   journal, so the same torn-tail reasoning applies. *)
-let render (key : Cache.key) body =
-  let json =
-    Json.to_string
-      (Json.Assoc
-         [
-           ("graph_hash", Json.Int key.Cache.graph_hash);
-           ("fingerprint", Json.String key.Cache.fingerprint);
-           ("body", Json.Assoc body);
-         ])
-  in
-  Printf.sprintf "%s %s\n" (Crc32.to_hex (Crc32.digest json)) json
-
-(* One well-formed record line (without its newline), or None. *)
-let parse_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp -> (
-    let crc = String.sub line 0 sp in
-    let json = String.sub line (sp + 1) (String.length line - sp - 1) in
-    match Crc32.of_hex crc with
-    | Some c when c = Crc32.digest json -> (
-      match Json.of_string_opt json with
-      | Some doc -> (
-        match
-          ( Json.member "graph_hash" doc,
-            Json.member "fingerprint" doc,
-            Json.member "body" doc )
-        with
-        | Some (Json.Int graph_hash), Some (Json.String fingerprint),
-          Some (Json.Assoc body) ->
-          Some ({ Cache.graph_hash; fingerprint }, body)
-        | _ -> None)
-      | None -> None)
-    | _ -> None)
-
-let read_all file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* One record per cache insertion, framed by [Framed] exactly like the
+   trial journal, so the same torn-tail reasoning applies. *)
+let record (key : Cache.key) body =
+  Json.Assoc
+    [
+      ("graph_hash", Json.Int key.Cache.graph_hash);
+      ("fingerprint", Json.String key.Cache.fingerprint);
+      ("body", Json.Assoc body);
+    ]
 
 (* Reload [file] into [cache].  Unlike the trial journal, a cache is
    disposable state, so corruption is survivable everywhere: a torn
@@ -77,46 +42,24 @@ let read_all file =
    bytes preloaded are exactly the bytes a fresh compile produced
    before the crash. *)
 let load file cache =
-  if not (Sys.file_exists file) then (0, 0, 0)
-  else begin
-    let content = read_all file in
-    let len = String.length content in
-    let loaded = ref 0 and dropped = ref 0 and torn = ref 0 in
-    let truncate_at off =
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> Unix.ftruncate fd off);
-      incr torn;
-      Metrics.incr "serve.cache.torn_truncated"
-    in
-    let rec scan off =
-      if off < len then
-        match String.index_from_opt content off '\n' with
-        | None ->
-          (* unterminated tail: the classic torn append *)
-          truncate_at off
-        | Some nl -> (
-          let line = String.sub content off (nl - off) in
-          match parse_line line with
-          | Some (key, body) ->
-            ignore (Cache.preload cache key body);
-            incr loaded;
-            scan (nl + 1)
-          | None ->
-            if nl + 1 >= len then
-              (* invalid final record: torn mid-write, drop it *)
-              truncate_at off
-            else begin
-              (* mid-file corruption: drop the record, keep the rest *)
-              incr dropped;
-              Metrics.incr "serve.cache.dropped";
-              scan (nl + 1)
-            end)
-    in
-    scan 0;
-    (!loaded, !dropped, !torn)
-  end
+  let decode doc =
+    match
+      ( Json.member "graph_hash" doc,
+        Json.member "fingerprint" doc,
+        Json.member "body" doc )
+    with
+    | Some (Json.Int graph_hash), Some (Json.String fingerprint),
+      Some (Json.Assoc body) ->
+      ignore (Cache.preload cache { Cache.graph_hash; fingerprint } body);
+      true
+    | _ -> false
+  in
+  let r = Framed.load ~corruption:Framed.Drop file decode in
+  if r.Framed.torn_truncated > 0 then
+    Metrics.incr ~by:r.Framed.torn_truncated "serve.cache.torn_truncated";
+  if r.Framed.dropped > 0 then
+    Metrics.incr ~by:r.Framed.dropped "serve.cache.dropped";
+  r
 
 let close t =
   Mutex.protect t.lock (fun () ->
@@ -124,34 +67,25 @@ let close t =
       | None -> ()
       | Some oc ->
         t.oc <- None;
-        flush oc;
-        (try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ());
-        close_out_noerr oc)
+        Framed.close oc)
 
 let open_ ?(resume = false) ~dir cache =
   Atomic_write.mkdir_p dir;
   let file = Filename.concat dir default_filename in
-  let loaded, dropped, torn =
-    if resume then load file cache
-    else begin
-      (* a cache journal is warmth, not data: starting fresh just
-         discards it (contrast Journal.open_, which refuses) *)
-      if Sys.file_exists file then Sys.remove file;
-      (0, 0, 0)
-    end
-  in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 file in
+  (* a cache journal is warmth, not data: starting fresh just discards
+     it (contrast Journal.open_, which refuses) *)
+  if (not resume) && Sys.file_exists file then Sys.remove file;
+  let r = load file cache in
   let t =
     {
       dir;
       file;
       lock = Mutex.create ();
-      oc = Some oc;
+      oc = Some (Framed.open_append file);
       appended = 0;
-      loaded;
-      dropped;
-      torn_truncated = torn;
+      loaded = r.Framed.loaded;
+      dropped = r.Framed.dropped;
+      torn_truncated = r.Framed.torn_truncated;
     }
   in
   at_exit (fun () -> close t);
@@ -164,14 +98,7 @@ let append t key body =
       match t.oc with
       | None -> ()  (* closed during drain: the entry only loses warmth *)
       | Some oc ->
-        let line = render key body in
-        (match Chaos.intercept line with
-        | Chaos.Pass -> output_string oc line
-        | Chaos.Torn prefix -> output_string oc prefix);
-        flush oc;
-        (* a pending simulated crash fires here - after the bytes hit
-           the OS, before any in-memory publish, like a real crash *)
-        Chaos.die ();
+        Framed.append oc (record key body);
         t.appended <- t.appended + 1;
         Metrics.incr "serve.cache.journal_appends")
 
@@ -191,18 +118,18 @@ let compact t cache =
       in
       Atomic_write.write ~path:t.file (fun oc ->
           List.iter
-            (fun (key, body) -> output_string oc (render key body))
+            (fun (key, body) -> output_string oc (Framed.render (record key body)))
             (Cache.to_list cache));
       Metrics.incr "serve.cache.compactions";
-      if was_open then
-        t.oc <-
-          Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 t.file))
+      if was_open then t.oc <- Some (Framed.open_append t.file))
 
 (* Journal records that no longer correspond to a live entry (evicted,
    dropped on load, superseded duplicates) are dead weight; compact
-   when there are any, then close. *)
+   when there are any, then close.  Dropped records still sit in the
+   file, so they count too, or a corrupt line whose artifact was
+   recompiled would survive every restart. *)
 let finish t cache =
-  if t.loaded + t.appended > Cache.size cache then compact t cache;
+  if t.loaded + t.dropped + t.appended > Cache.size cache then compact t cache;
   close t
 
 let stats t =

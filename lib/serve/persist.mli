@@ -4,16 +4,17 @@
     Every cacheable response body is appended to
     [<dir>/cache.jsonl] as one checksummed record -
     [CRCHEX {"graph_hash":..,"fingerprint":"..","body":{..}}\n] - the
-    same framing as the sweep journal ({!Qaoa_journal.Journal}), so the
-    same durability reasoning applies: records are flushed as they are
+    same {!Qaoa_journal.Framed} log as the sweep journal
+    ({!Qaoa_journal.Journal}), so the same durability reasoning
+    applies: records are flushed as they are
     written, a crash can lose at most the record being appended, and a
     torn trailing record is detected by its checksum and truncated off
     on reload.
 
     Unlike the sweep journal, a cache is disposable warmth rather than
-    authoritative data, so reload survives {e any} corruption: a
-    corrupt mid-file record is dropped and counted instead of refusing
-    the file.  Every surviving record re-passed its CRC, so the bytes
+    authoritative data, so reload survives {e any} corruption
+    ({!Qaoa_journal.Framed.Drop}): a corrupt mid-file record is dropped
+    and counted instead of refusing the file.  Every surviving record re-passed its CRC, so the bytes
     preloaded into the cache are exactly the bytes a fresh compile
     produced before the crash - the [cached = fresh] byte-equality
     invariant holds across restarts.
@@ -63,7 +64,9 @@ val compact : t -> Cache.t -> unit
 
 val finish : t -> Cache.t -> unit
 (** Compact iff the journal holds dead records (evictions, drops,
-    superseded duplicates), then {!close}.  The drain path. *)
+    superseded duplicates) - that is, iff reloaded + dropped + appended
+    records outnumber the cache's live entries - then {!close}.  The
+    drain path. *)
 
 val close : t -> unit
 (** Flush, fsync and close.  Idempotent. *)

@@ -91,10 +91,17 @@ let test_empty_circuit () =
   let m = Metrics.of_circuit c in
   Alcotest.(check int) "no gates" 0 m.Metrics.gate_count
 
+(* The per-qubit busy count lives in the dataflow summary: its maximum
+   is the [busy_bound] half of the depth lower bound. *)
 let test_qubit_busy_time () =
-  let c = Circuit.of_gates 3 [ Gate.H 0; Gate.Cnot (0, 1); Gate.H 0 ] in
-  let busy = Layering.qubit_busy_time c in
-  Alcotest.(check (array int)) "busy" [| 3; 1; 0 |] busy
+  let busy gates =
+    (Qaoa_analysis.Dataflow.analyze (Circuit.of_gates 3 gates))
+      .Qaoa_analysis.Dataflow.busy_bound
+  in
+  Alcotest.(check int) "busiest qubit" 3
+    (busy [ Gate.H 0; Gate.Cnot (0, 1); Gate.H 0 ]);
+  Alcotest.(check int) "barriers occupy no step" 3
+    (busy [ Gate.H 1; Gate.Barrier; Gate.Cnot (0, 1); Gate.Barrier; Gate.H 1 ])
 
 (* Decomposition must preserve semantics exactly. *)
 let check_same_state a b =

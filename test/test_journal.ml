@@ -1,6 +1,7 @@
 (* Tests for the durability layer: CRC-32, atomic writes, the JSONL
-   trial journal (including torn-record recovery at every possible
-   truncation point), the trial supervisor, chaos-injected crash/tear
+   trial journal and the framed log it shares with the artifact cache
+   (including torn-record recovery at every possible truncation point,
+   in both reload modes), the trial supervisor, chaos-injected crash/tear
    resume equivalence, and the CSV escaping round-trip. *)
 
 module Crc32 = Qaoa_journal.Crc32
@@ -8,6 +9,9 @@ module Atomic_write = Qaoa_journal.Atomic_write
 module Journal = Qaoa_journal.Journal
 module Supervisor = Qaoa_journal.Supervisor
 module Chaos = Qaoa_journal.Chaos
+module Framed = Qaoa_journal.Framed
+module Persist = Qaoa_serve.Persist
+module Cache = Qaoa_serve.Cache
 module Json = Qaoa_obs.Json
 module Export = Qaoa_experiments.Export
 
@@ -159,20 +163,42 @@ let test_journal_closed_append () =
 
 (* --- torn-record recovery at every truncation point --- *)
 
-let test_torn_recovery_every_cut () =
-  (* Build a clean 3-record journal, then replay every possible prefix
-     of the file as a crash image: exactly the records whose bytes fully
-     survived (including the newline) must load, the rest must be
-     truncated away as one torn trailing record, and resume must
-     succeed at every single cut. *)
+(* Three framed records carrying both schemas - the trial journal's
+   {"key","status","payload"} and the artifact cache's
+   {"graph_hash","fingerprint","body"} - so the very same bytes reload
+   through both callers of the framed log: [Journal] refuses mid-file
+   corruption, [Persist] drops it. *)
+let dual_image =
+  String.concat ""
+    (List.init 3 (fun i ->
+         Framed.render
+           (Json.Assoc
+              [
+                ("key", Json.String (Printf.sprintf "k%d" i));
+                ("status", Json.String (if i = 2 then "quarantined" else "ok"));
+                ("payload", payload i);
+                ("graph_hash", Json.Int i);
+                ("fingerprint", Json.String (Printf.sprintf "f%d" i));
+                ("body", Json.Assoc [ ("v", Json.Int i) ]);
+              ])))
+
+(* Write [content] as both the trial journal and the cache journal of a
+   fresh directory, then hand the directory to [f]. *)
+let with_both_logs content f =
   with_dir @@ fun dir ->
-  let j = Journal.open_ ~dir () in
-  Journal.append j ~key:"k0" ~status:Journal.Done (payload 0);
-  Journal.append j ~key:"k1" ~status:Journal.Done (payload 1);
-  Journal.append j ~key:"k2" ~status:Journal.Quarantined (payload 2);
-  Journal.close j;
-  let file = Filename.concat dir Journal.default_filename in
-  let content = read_file file in
+  let jfile = Filename.concat dir Journal.default_filename
+  and pfile = Filename.concat dir Persist.default_filename in
+  Atomic_write.write_string ~path:jfile content;
+  Atomic_write.write_string ~path:pfile content;
+  f dir jfile pfile
+
+let test_torn_recovery_every_cut () =
+  (* Replay every possible prefix of a clean 3-record log as a crash
+     image: exactly the records whose bytes fully survived (including
+     the newline) must load, the rest must be truncated away as one torn
+     trailing record, and resume must succeed at every single cut - in
+     both reload modes. *)
+  let content = dual_image in
   let len = String.length content in
   (* offsets one past each record's newline *)
   let boundaries =
@@ -182,47 +208,54 @@ let test_torn_recovery_every_cut () =
   in
   Alcotest.(check int) "three records" 3 (List.length boundaries);
   for cut = 0 to len do
-    with_dir @@ fun dir2 ->
-    Atomic_write.mkdir_p dir2;
-    let file2 = Filename.concat dir2 Journal.default_filename in
-    Atomic_write.write_string ~path:file2 (String.sub content 0 cut);
-    let j2 = Journal.open_ ~resume:true ~dir:dir2 () in
+    with_both_logs (String.sub content 0 cut) @@ fun dir jfile pfile ->
+    let j = Journal.open_ ~resume:true ~dir () in
+    let p = Persist.open_ ~resume:true ~dir (Cache.create ~capacity:8 ()) in
+    let js = Journal.stats j and ps = Persist.stats p in
+    let check what = Alcotest.(check int) (Printf.sprintf "%s at byte %d" what cut) in
     let expect = List.length (List.filter (fun b -> b <= cut) boundaries) in
-    let s = Journal.stats j2 in
-    Alcotest.(check int)
-      (Printf.sprintf "records surviving cut at byte %d" cut)
-      expect s.Journal.loaded;
-    let at_boundary = cut = 0 || List.mem cut boundaries in
-    Alcotest.(check int)
-      (Printf.sprintf "torn truncations at byte %d" cut)
-      (if at_boundary then 0 else 1)
-      s.Journal.torn_truncated;
-    (* the file itself was physically truncated back to the boundary *)
-    Alcotest.(check int)
-      (Printf.sprintf "file truncated at byte %d" cut)
-      (List.fold_left (fun acc b -> if b <= cut then b else acc) 0 boundaries)
-      (String.length (read_file file2));
-    (* and the journal keeps working: append again under a fresh key *)
-    Journal.append j2 ~key:"fresh" ~status:Journal.Done (payload 9);
-    Journal.close j2
+    check "journal records surviving cut" expect js.Journal.loaded;
+    check "cache records surviving cut" expect ps.Persist.s_loaded;
+    let torn = if cut = 0 || List.mem cut boundaries then 0 else 1 in
+    check "journal torn truncations" torn js.Journal.torn_truncated;
+    check "cache torn truncations" torn ps.Persist.s_torn_truncated;
+    check "cache drops" 0 ps.Persist.s_dropped;
+    (* the files themselves were physically truncated back to the
+       boundary *)
+    let boundary =
+      List.fold_left (fun acc b -> if b <= cut then b else acc) 0 boundaries
+    in
+    check "journal file truncated" boundary (String.length (read_file jfile));
+    check "cache file truncated" boundary (String.length (read_file pfile));
+    (* and both logs keep working: append again under a fresh key *)
+    Journal.append j ~key:"fresh" ~status:Journal.Done (payload 9);
+    Persist.append p
+      { Cache.graph_hash = 99; fingerprint = "fresh" }
+      [ ("v", Json.Int 9) ];
+    Journal.close j;
+    Persist.close p
   done
 
 let test_midfile_corruption_refused () =
-  with_dir @@ fun dir ->
-  let j = Journal.open_ ~dir () in
-  Journal.append j ~key:"k0" ~status:Journal.Done (payload 0);
-  Journal.append j ~key:"k1" ~status:Journal.Done (payload 1);
-  Journal.close j;
-  let file = Filename.concat dir Journal.default_filename in
-  let content = Bytes.of_string (read_file file) in
   (* flip a byte inside the first record's JSON *)
+  let content = Bytes.of_string dual_image in
   Bytes.set content 12 (if Bytes.get content 12 = 'x' then 'y' else 'x');
-  Atomic_write.write_string ~path:file (Bytes.to_string content);
-  Alcotest.(check bool) "mid-file corruption raises" true
-    (try
-       ignore (Journal.open_ ~resume:true ~dir ());
-       false
-     with Failure _ -> true)
+  with_both_logs (Bytes.to_string content) @@ fun dir jfile _ ->
+  (match Journal.open_ ~resume:true ~dir () with
+  | _ -> Alcotest.fail "mid-file corruption must raise"
+  | exception Failure msg ->
+    Alcotest.(check string) "journal refuses, naming the record"
+      (Printf.sprintf
+         "Journal: corrupt record at byte 0 of %s (not the trailing record - \
+          refusing to drop completed trials)"
+         jfile)
+      msg);
+  let p = Persist.open_ ~resume:true ~dir (Cache.create ~capacity:8 ()) in
+  let s = Persist.stats p in
+  Persist.close p;
+  Alcotest.(check int) "cache drops the record" 1 s.Persist.s_dropped;
+  Alcotest.(check int) "cache keeps the rest" 2 s.Persist.s_loaded;
+  Alcotest.(check int) "nothing torn" 0 s.Persist.s_torn_truncated
 
 (* --- supervisor --- *)
 

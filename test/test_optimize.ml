@@ -1,11 +1,13 @@
-(* Tests for the peephole optimizer and the commutation-aware DAG. *)
+(* Tests for the peephole optimizer, the commutation relation and the
+   commutation DAG it induces. *)
 
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
 module Layering = Qaoa_circuit.Layering
 module Decompose = Qaoa_circuit.Decompose
 module Optimize = Qaoa_circuit.Optimize
-module Dag = Qaoa_circuit.Dag
+module Commute = Qaoa_analysis.Commute
+module Dataflow = Qaoa_analysis.Dataflow
 module Statevector = Qaoa_sim.Statevector
 module Rng = Qaoa_util.Rng
 
@@ -284,31 +286,32 @@ let prop_optimize_phase_poly_equivalent =
         QCheck.Test.fail_reportf "optimized circuit diverged: %s"
           (Qaoa_analysis.Phase_poly.verdict_to_string v))
 
-(* --- Dag --- *)
+(* --- commutation DAG --- *)
 
 let test_commutes_relation () =
   Alcotest.(check bool) "disjoint" true
-    (Dag.commutes (Gate.H 0) (Gate.H 1));
+    (Gate.commutes (Gate.H 0) (Gate.H 1));
   Alcotest.(check bool) "diagonal pair" true
-    (Dag.commutes (Gate.Cphase (0, 1, 0.5)) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.Cphase (0, 1, 0.5)) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "rz through cphase" true
-    (Dag.commutes (Gate.Rz (1, 0.4)) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.Rz (1, 0.4)) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "h vs cphase conservative" false
-    (Dag.commutes (Gate.H 1) (Gate.Cphase (1, 2, 0.3)));
+    (Gate.commutes (Gate.H 1) (Gate.Cphase (1, 2, 0.3)));
   Alcotest.(check bool) "cnot control diagonal" true
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.Rz (0, 0.4)));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.Rz (0, 0.4)));
   Alcotest.(check bool) "cnot target x" true
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.X 1));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.X 1));
   Alcotest.(check bool) "cnot target diagonal no" false
-    (Dag.commutes (Gate.Cnot (0, 1)) (Gate.Rz (1, 0.4)));
+    (Gate.commutes (Gate.Cnot (0, 1)) (Gate.Rz (1, 0.4)));
   Alcotest.(check bool) "same-axis rotations" true
-    (Dag.commutes (Gate.Rx (0, 0.1)) (Gate.Rx (0, 0.2)));
+    (Gate.commutes (Gate.Rx (0, 0.1)) (Gate.Rx (0, 0.2)));
   Alcotest.(check bool) "measure ordered" false
-    (Dag.commutes (Gate.Measure 0) (Gate.H 0))
+    (Gate.commutes (Gate.Measure 0) (Gate.H 0))
 
 let test_dag_qaoa_cost_layer_depth () =
-  (* K4's six CPHASEs all commute: DAG depth must be the bin-packing
-     bound of 3, independent of the (bad) given order. *)
+  (* K4's six CPHASEs all commute: the commutation-aware schedule must
+     reach the bin-packing bound of 3, independent of the (bad) given
+     order. *)
   let bad_order =
     [ (0, 1); (1, 2); (0, 2); (2, 3); (0, 3); (1, 3) ]
   in
@@ -317,53 +320,40 @@ let test_dag_qaoa_cost_layer_depth () =
       (List.map (fun (a, b) -> Gate.Cphase (a, b, 0.5)) bad_order)
   in
   Alcotest.(check int) "naive layering depth 6" 6 (Layering.depth c);
-  let dag = Dag.build c in
-  Alcotest.(check int) "commutation-aware depth 3" 3 (Dag.depth dag)
+  let s = Dataflow.analyze c in
+  Alcotest.(check int) "commutation-aware depth 3" 3 s.Dataflow.asap_depth;
+  Alcotest.(check int) "no dependency chain" 1 s.Dataflow.critical_path
 
 let test_dag_ordered_dependencies () =
   let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Cnot (0, 1); Gate.H 1 ] in
-  let dag = Dag.build c in
-  Alcotest.(check (list int)) "cnot depends on h0" [ 0 ] (Dag.predecessors dag 1);
-  Alcotest.(check (list int)) "h1 depends on cnot" [ 1 ] (Dag.predecessors dag 2);
-  Alcotest.(check (list int)) "h0 has successor cnot" [ 1 ] (Dag.successors dag 0);
-  Alcotest.(check int) "depth 3" 3 (Dag.depth dag)
+  let dag = Commute.build c in
+  Alcotest.(check (list int)) "cnot depends on h0" [ 0 ] (Commute.predecessors dag 1);
+  Alcotest.(check (list int)) "h1 depends on cnot" [ 1 ] (Commute.predecessors dag 2);
+  Alcotest.(check (list int)) "h0 has successor cnot" [ 1 ] (Commute.successors dag 0);
+  let s = Dataflow.analyze c in
+  Alcotest.(check int) "depth 3" 3 s.Dataflow.asap_depth;
+  Alcotest.(check int) "critical path 3" 3 s.Dataflow.critical_path
 
 let test_dag_barrier () =
   let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Barrier; Gate.H 1 ] in
-  let dag = Dag.build c in
+  let dag = Commute.build c in
   (* barrier orders h1 after h0 but costs no time step of its own *)
-  Alcotest.(check int) "depth 2" 2 (Dag.depth dag);
-  Alcotest.(check (list int)) "h1 waits for barrier" [ 1 ] (Dag.predecessors dag 2)
+  let s = Dataflow.analyze c in
+  Alcotest.(check int) "depth 2" 2 s.Dataflow.asap_depth;
+  Alcotest.(check int) "critical path 2" 2 s.Dataflow.critical_path;
+  Alcotest.(check (list int)) "h1 waits for barrier" [ 1 ] (Commute.predecessors dag 2)
 
 let test_dag_empty () =
-  let dag = Dag.build (Circuit.create 3) in
-  Alcotest.(check int) "empty depth" 0 (Dag.depth dag);
-  Alcotest.(check int) "no nodes" 0 (List.length (Dag.nodes dag))
+  let c = Circuit.create 3 in
+  let s = Dataflow.analyze c in
+  Alcotest.(check int) "empty depth" 0 s.Dataflow.asap_depth;
+  Alcotest.(check int) "empty critical path" 0 s.Dataflow.critical_path;
+  Alcotest.(check int) "no nodes" 0 (List.length (Commute.nodes (Commute.build c)))
 
-let test_topological_order_valid () =
-  let rng = Rng.create 77 in
-  for _ = 1 to 10 do
-    let c = random_circuit rng 4 25 in
-    let dag = Dag.build c in
-    let order = Dag.topological_order dag in
-    (* every node appears once *)
-    Alcotest.(check int) "complete" (List.length (Dag.nodes dag))
-      (List.length order);
-    (* dependencies respected *)
-    let position = Hashtbl.create 32 in
-    List.iteri (fun i n -> Hashtbl.replace position n.Dag.id i) order;
-    List.iter
-      (fun n ->
-        List.iter
-          (fun p ->
-            Alcotest.(check bool) "pred before" true
-              (Hashtbl.find position p < Hashtbl.find position n.Dag.id))
-          (Dag.predecessors dag n.Dag.id))
-      (Dag.nodes dag)
-  done
-
-(* QCheck: reordering a circuit by DAG topological order preserves
-   semantics (the commutation relation is sound). *)
+(* QCheck: flattening any topological order of the commutation DAG
+   preserves semantics (the commutation relation is sound).  Uses this
+   file's generator, whose H, RX and CNOT-target-X cases the linear-only
+   generators elsewhere lack. *)
 let prop_dag_reorder_sound =
   QCheck.Test.make ~name:"DAG topological reorder preserves semantics"
     ~count:60
@@ -371,26 +361,13 @@ let prop_dag_reorder_sound =
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let c = random_circuit rng n 25 in
-      let dag = Dag.build c in
+      let dag = Commute.build c in
       let reordered =
-        Circuit.of_gates n
-          (List.filter_map
-             (fun node ->
-               match node.Dag.gate with Gate.Barrier -> None | g -> Some g)
-             (Dag.topological_order dag))
+        Commute.circuit_of_order dag (Commute.random_linear_extension rng dag)
       in
       Statevector.equal_up_to_global_phase ~eps:1e-8
         (Statevector.of_circuit c)
         (Statevector.of_circuit reordered))
-
-(* QCheck: DAG depth never exceeds the order-tied ASAP depth. *)
-let prop_dag_depth_bound =
-  QCheck.Test.make ~name:"DAG depth <= ASAP depth" ~count:60
-    QCheck.(pair (int_bound 100000) (int_range 2 6))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let c = random_circuit rng n 30 in
-      Dag.depth (Dag.build c) <= Layering.depth c)
 
 let suite =
   [
@@ -412,11 +389,9 @@ let suite =
     ("dag ordered dependencies", `Quick, test_dag_ordered_dependencies);
     ("dag barrier", `Quick, test_dag_barrier);
     ("dag empty", `Quick, test_dag_empty);
-    ("topological order valid", `Quick, test_topological_order_valid);
     QCheck_alcotest.to_alcotest prop_optimize_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_optimize_idempotent;
     QCheck_alcotest.to_alcotest prop_redundancies_empty_on_fixpoint;
     QCheck_alcotest.to_alcotest prop_optimize_phase_poly_equivalent;
     QCheck_alcotest.to_alcotest prop_dag_reorder_sound;
-    QCheck_alcotest.to_alcotest prop_dag_depth_bound;
   ]
