@@ -14,9 +14,6 @@ module Rng = Qaoa_util.Rng
 module Serve = Qaoa_serve.Serve
 module Pool = Qaoa_serve.Pool
 module Cache = Qaoa_serve.Cache
-module Daemon = Qaoa_serve.Daemon
-module Shard = Qaoa_serve.Shard
-module Persist = Qaoa_serve.Persist
 open Bechamel
 open Toolkit
 
@@ -228,114 +225,6 @@ let run_serve_bench ~scale =
     (fun (name, _, _, s) -> (name, s *. 1e9 /. float_of_int count, None))
     cases
 
-(* The sharded fleet, timed end to end: fork 4 daemon children, route
-   the corpus by graph hash, drain the fleet - spawn cost included,
-   since that is what a parent restart pays.  Cold starts with empty
-   per-shard journals; warm primes the journals with one fleet pass,
-   then times a fresh fleet resuming them (the kill-and-restart path).
-
-   This kernel forks, and OCaml forbids [Unix.fork] in a process that
-   has ever created a domain - so [main] runs it before Bechamel, the
-   figure sweeps, or the in-process serve bench spin up any pool.
-   (The daemon children spawn their pools after the fork; the parent
-   supervisor only talks sockets.) *)
-let run_shard_bench ~scale =
-  let count =
-    match scale with
-    | Figures.Smoke -> 24
-    | Figures.Default -> 96
-    | Figures.Full -> 256
-  in
-  let corpus = Serve.gen_corpus ~seed:17 ~count () in
-  let shards = 4 in
-  let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qaoa-bench-shard-%d" (Unix.getpid ()))
-  in
-  let cleanup () =
-    for k = 0 to shards - 1 do
-      let dir = Filename.concat base (Printf.sprintf "shard-%d" k) in
-      (try Sys.remove (Filename.concat dir Persist.default_filename)
-       with Sys_error _ -> ());
-      (try Sys.remove (Filename.concat base (Printf.sprintf "shard-%d.sock" k))
-       with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    done;
-    try Unix.rmdir base with Unix.Unix_error _ -> ()
-  in
-  let child ~resume ~slot ~generation ~socket_path ~shutdown_fd =
-    let drain = Atomic.make 0 in
-    let cache = Cache.create ~capacity:4096 () in
-    let persist =
-      Persist.open_
-        ~resume:(resume || generation > 0)
-        ~dir:(Filename.concat base (Printf.sprintf "shard-%d" slot))
-        cache
-    in
-    let cfg =
-      {
-        Serve.workers = 1;
-        queue_capacity = 64;
-        sort = false;
-        timings = false;
-        cache = Some cache;
-        persist = Some persist;
-        supervise = Qaoa_serve.Supervise.default_config;
-        drain = Some drain;
-        inflight = Atomic.make 0;
-      }
-    in
-    let _stats = Daemon.run ~shutdown_fd cfg ~socket_path ~drain in
-    Persist.finish persist cache;
-    Atomic.get drain
-  in
-  let fleet_pass ~resume =
-    let cfg =
-      Shard.default_config ~shards ~socket_dir:base
-        ~child:(child ~resume) ()
-    in
-    let t0 = Qaoa_obs.Clock.wall () in
-    let _out, _stats = Shard.run_lines cfg corpus in
-    Qaoa_obs.Clock.wall () -. t0
-  in
-  let reps = 3 in
-  let time_best warm =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      cleanup ();
-      let dt =
-        if warm then begin
-          ignore (fleet_pass ~resume:false);
-          fleet_pass ~resume:true
-        end
-        else fleet_pass ~resume:false
-      in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let cases =
-    [
-      ("serve/tokyo-4shard-cold", time_best false);
-      ("serve/tokyo-4shard-warm", time_best true);
-    ]
-  in
-  cleanup ();
-  Printf.printf
-    "\n=== qaoa-serve sharded fleet (%d requests, %d shards, best of %d) ===\n"
-    count shards reps;
-  let t = Qaoa_util.Table.create [ "kernel"; "req/s"; "ms/req" ] in
-  List.iter
-    (fun (name, s) ->
-      Qaoa_util.Table.add_float_row t name
-        [ float_of_int count /. s; s *. 1e3 /. float_of_int count ])
-    cases;
-  Qaoa_util.Table.print t;
-  List.map
-    (fun (name, s) -> (name, s *. 1e9 /. float_of_int count, None))
-    cases
-
 (* Aggregate of the fault-injection sweep: compile survival and fallback
    behaviour across all scenarios and workloads. *)
 let resilience_summary rows =
@@ -406,9 +295,6 @@ let () =
      QAOA_BENCH_SCALE=smoke|default|full)\n"
     (Figures.scale_name scale);
   Qaoa_journal.Chaos.install_from_env ();
-  (* Forks a fleet, so it must run before anything below creates a
-     domain - fork is forbidden for the rest of the process after. *)
-  let shard_rows = run_shard_bench ~scale in
   let journal = journal_from_env () in
   if Option.is_some journal then
     Qaoa_journal.Signals.install
@@ -467,4 +353,4 @@ let () =
   Printf.printf "wrote %s/report.md\n" dir;
   let rows = run_bechamel () in
   let serve_rows = run_serve_bench ~scale in
-  write_bench_json ~dir ~scale ~resilience (rows @ serve_rows @ shard_rows)
+  write_bench_json ~dir ~scale ~resilience (rows @ serve_rows)

@@ -20,7 +20,6 @@ module Cache = Qaoa_serve.Cache
 module Persist = Qaoa_serve.Persist
 module Supervise = Qaoa_serve.Supervise
 module Daemon = Qaoa_serve.Daemon
-module Shard = Qaoa_serve.Shard
 module Signals = Qaoa_journal.Signals
 module Chaos = Qaoa_journal.Chaos
 open Cmdliner
@@ -63,124 +62,9 @@ let print_stats oc (stats : Serve.stats) persist =
   | None -> ());
   output_char oc '\n'
 
-let print_shard_stats oc (st : Shard.stats) =
-  Printf.fprintf oc
-    "qaoa-serve: %d requests, %d errors; fleet %d spawned / %d restarts / %d \
-     rerouted / %d probe failures / %d flapped\n"
-    st.Shard.requests st.Shard.errors st.Shard.spawned st.Shard.restarts
-    st.Shard.rerouted st.Shard.probe_failures st.Shard.flapped;
-  (* one {"op":"stats"} reply per live shard: lets CI assert the
-     lookup taxonomy (and warm-restart zero-miss) per child *)
-  List.iter
-    (fun (i, line) -> Printf.fprintf oc "qaoa-serve: shard %d %s\n" i line)
-    st.Shard.shard_stats
-
-(* --shards N: the parent routes and supervises, each child is a full
-   qaoa-serve daemon (own worker pool, own cache journal under
-   cache_dir/shard-K/).  The parent installs no chaos plan itself - a
-   QAOA_CHAOS in the environment is armed in exactly one child
-   (QAOA_CHAOS_SHARD, default slot 0) and only in its first
-   generation, so a respawned child does not crash forever. *)
-let run_sharded ~shards ~workers ~queue ~sort ~timings ~cache ~cache_dir
-    ~resume_cache ~daemon ~tries ~backoff ~breaker ~probe_every ~deadline
-    ~stats ~input ~output =
-  let chaos_slot =
-    match Sys.getenv_opt "QAOA_CHAOS_SHARD" with
-    | Some s -> ( try int_of_string (String.trim s) with Failure _ -> 0)
-    | None -> 0
-  in
-  let child_workers = max 1 (workers / shards) in
-  let child ~slot ~generation ~socket_path ~shutdown_fd =
-    let drain = Signals.install_drain () in
-    if generation = 0 && slot = chaos_slot then Chaos.install_from_env ();
-    let cache_t =
-      if cache = 0 then None else Some (Cache.create ~capacity:cache ())
-    in
-    let persist =
-      match (cache_dir, cache_t) with
-      | Some dir, Some c ->
-        let dir = Filename.concat dir (Printf.sprintf "shard-%d" slot) in
-        (* a restarted generation always resumes: its own previous
-           life's journal is the warm cache the supervisor promises *)
-        Some (Persist.open_ ~resume:(resume_cache || generation > 0) ~dir c)
-      | _ -> None
-    in
-    let config =
-      {
-        Serve.workers = child_workers;
-        queue_capacity = queue;
-        sort = false;
-        timings;
-        cache = cache_t;
-        persist;
-        supervise =
-          {
-            Supervise.tries;
-            backoff_s = backoff;
-            breaker_threshold = breaker;
-            breaker_probe_every = probe_every;
-            deadline_s = deadline;
-          };
-        drain = Some drain;
-        inflight = Atomic.make 0;
-      }
-    in
-    let _st = Daemon.run ~shutdown_fd config ~socket_path ~drain in
-    (match (persist, cache_t) with
-    | Some p, Some c -> Persist.finish p c
-    | _ -> ());
-    Atomic.get drain
-  in
-  let socket_dir =
-    match cache_dir with
-    | Some dir -> dir
-    | None ->
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "qaoa-serve-%d" (Unix.getpid ()))
-  in
-  let drain = Signals.install_drain ~fan_out:Shard.live_pids () in
-  let cfg =
-    {
-      (Shard.default_config ~shards ~socket_dir ~child ()) with
-      Shard.sort;
-      timings;
-      drain = Some drain;
-    }
-  in
-  let st =
-    match daemon with
-    | Some socket_path ->
-      Shard.run_front
-        ~on_ready:(fun () ->
-          Printf.eprintf "qaoa-serve: %d shards behind %s\n%!" shards
-            socket_path)
-        cfg ~socket_path ~drain
-    | None ->
-      with_in input (fun ic ->
-          with_out output (fun oc ->
-              let line_no = ref 0 in
-              let produce () =
-                match input_line ic with
-                | line ->
-                  incr line_no;
-                  Some (!line_no, line)
-                | exception End_of_file -> None
-              in
-              let st =
-                Shard.run_batch cfg ~produce ~emit:(fun line ->
-                    output_string oc line;
-                    output_char oc '\n')
-              in
-              flush oc;
-              st))
-  in
-  if stats then print_shard_stats stderr st;
-  Atomic.get drain
-
 let run () gen_corpus gen_device input output workers queue sort timings cache
     cache_dir resume_cache daemon tries backoff breaker probe_every deadline
-    stats seed shards =
+    stats seed =
   try
     match gen_corpus with
     | Some count ->
@@ -204,14 +88,6 @@ let run () gen_corpus gen_device input output workers queue sort timings cache
         failwith "--resume-cache needs --cache-dir";
       if cache_dir <> None && cache = 0 then
         failwith "--cache-dir needs a nonzero --cache capacity";
-      if shards < 0 then failwith "--shards expects a count >= 0";
-      if shards > 0 && sort && daemon <> None then
-        failwith "--sort is batch-only (a daemon stream has no end)";
-      if shards > 0 then
-        run_sharded ~shards ~workers ~queue ~sort ~timings ~cache ~cache_dir
-          ~resume_cache ~daemon ~tries ~backoff ~breaker ~probe_every
-          ~deadline ~stats ~input ~output
-      else begin
       Chaos.install_from_env ();
       let cache_t =
         if cache = 0 then None else Some (Cache.create ~capacity:cache ())
@@ -258,7 +134,6 @@ let run () gen_corpus gen_device input output workers queue sort timings cache
       if stats then print_stats stderr st persist;
       (* conventional 128+signal exit after a graceful drain *)
       Atomic.get drain
-      end
   with Sys_error msg | Invalid_argument msg | Failure msg ->
     Printf.eprintf "qaoa-serve: %s\n" msg;
     3
@@ -403,24 +278,12 @@ let cmd =
       value & opt int 3
       & info [ "seed" ] ~docv:"SEED" ~doc:"Corpus generator seed.")
   in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Run N supervised daemon children, each on its own socket with \
-             its own cache journal (under $(b,--cache-dir)/shard-K/), and \
-             route requests by graph hash; dead children are restarted with \
-             backoff, flapping children degraded and rerouted.  0 (the \
-             default) serves in-process.  Composes with $(b,--daemon) for a \
-             front socket.")
-  in
   let term =
     Term.(
       const run $ Qaoa_cli.setup $ gen_corpus $ gen_device $ input $ output
       $ workers $ queue $ sort $ timings $ cache $ cache_dir $ resume_cache
       $ daemon $ tries $ backoff $ breaker $ probe_every $ deadline $ stats
-      $ seed $ shards)
+      $ seed)
   in
   Cmd.v
     (Cmd.info "qaoa-serve" ~version:"1.0.0"

@@ -225,4 +225,6 @@ let of_string text =
         statements)
     lines;
   if !size < 0 then failwith "qasm: missing qreg declaration";
-  Circuit.of_gates !size (List.rev !gates)
+  (* a qubit index outside the register is malformed input too *)
+  try Circuit.of_gates !size (List.rev !gates)
+  with Invalid_argument msg -> failwith ("qasm: " ^ msg)

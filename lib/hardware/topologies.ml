@@ -111,6 +111,8 @@ let known_names =
     "linear<N>"; "ring<N>";
   ]
 
+let max_qubits = 256
+
 let by_name name =
   let prefixed p =
     if String.length name > String.length p
@@ -129,8 +131,8 @@ let by_name name =
   | "hypothetical6q" -> Some (hypothetical_6q ())
   | _ -> (
     match prefixed "linear" with
-    | Some n when n > 0 -> Some (linear n)
+    | Some n when n > 0 && n <= max_qubits -> Some (linear n)
     | _ -> (
       match prefixed "ring" with
-      | Some n when n >= 3 -> Some (ring n)
+      | Some n when n >= 3 && n <= max_qubits -> Some (ring n)
       | _ -> None))

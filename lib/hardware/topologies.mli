@@ -37,8 +37,16 @@ val hypothetical_6q : unit -> Device.t
     rates of Fig. 6(b), used in documentation examples and tests of the
     variation-aware distance matrix. *)
 
+val max_qubits : int
+(** The largest device {!by_name} builds: 256 qubits.  Names arrive
+    from outside the program (CLI flags, serve requests), and a
+    ["linear<N>"] or ["ring<N>"] device allocates in [N], so the bound
+    keeps one name from exhausting memory.  The largest fixed device
+    is 36 qubits. *)
+
 val by_name : string -> Device.t option
 (** Lookup by name ("tokyo", "melbourne", "grid6x6", "linear<N>",
-    "ring<N>"); used by the CLIs. *)
+    "ring<N>"); used by the CLIs.  [None] for an unknown name and for
+    ["linear<N>"] / ["ring<N>"] with [N] above {!max_qubits}. *)
 
 val known_names : string list

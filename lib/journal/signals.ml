@@ -3,25 +3,18 @@ let resume_hint_of_argv () =
   let argv = if List.mem "--resume" argv then argv else argv @ [ "--resume" ] in
   String.concat " " argv
 
-let install_drain ?(fan_out = fun () -> []) () =
+let install_drain () =
   let requested = Atomic.make 0 in
   List.iter
     (fun (signal, code) ->
       try
         Sys.set_signal signal
           (Sys.Signal_handle
-             (fun received ->
+             (fun _ ->
                (* record only; the serving loop polls this flag, stops
                   accepting work, finishes in-flight requests, flushes
                   its journal, then exits with the recorded code *)
-               ignore (Atomic.compare_and_set requested 0 code);
-               (* fan the same signal out to the child fleet so shards
-                  start their own drains concurrently with the parent's
-                  wind-down instead of waiting to be told one by one *)
-               List.iter
-                 (fun pid ->
-                   try Unix.kill pid received with Unix.Unix_error _ -> ())
-                 (fan_out ())))
+               ignore (Atomic.compare_and_set requested 0 code)))
       with Invalid_argument _ | Sys_error _ -> ())
     [ (Sys.sigint, 130); (Sys.sigterm, 143) ];
   requested

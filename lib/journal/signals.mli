@@ -13,22 +13,14 @@ val resume_hint_of_argv : unit -> string
 (** The current command line ([Sys.argv]) with [--resume] appended
     unless already present - a copy-pasteable resume command. *)
 
-val install_drain : ?fan_out:(unit -> int list) -> unit -> int Atomic.t
+val install_drain : unit -> int Atomic.t
 (** Graceful-drain variant for long-lived servers: handlers for SIGINT
     and SIGTERM that {e record} the conventional exit code (130/143,
     first signal wins) in the returned atomic instead of exiting.  The
     serving loop polls the flag ([0] = no signal yet), stops accepting
     new work, finishes in-flight requests, flushes its cache journal,
     and exits with the recorded code itself.  Platforms without a
-    signal are skipped silently.
-
-    [fan_out], when given, is called from the handler and the {e same}
-    signal is forwarded to every returned pid (errors ignored - a pid
-    may already be gone).  The shard supervisor passes its live child
-    list so the fleet starts draining in parallel with the parent's
-    own wind-down; forwarding the received signal (not a fixed one)
-    preserves the 130-vs-143 distinction in the children's exit
-    codes. *)
+    signal are skipped silently. *)
 
 val install : resume_hint:string -> unit
 (** Install handlers for SIGINT and SIGTERM that print

@@ -22,7 +22,7 @@ module Client = struct
   type t = {
     fd : Unix.file_descr;
     buf : Buffer.t;
-    rbuf : Bytes.t;  (** read scratch, reused by every recv/poll *)
+    rbuf : Bytes.t;  (** read scratch, reused by every recv *)
     mutable eof : bool;
   }
 
@@ -30,7 +30,7 @@ module Client = struct
 
   (* One connect attempt.  [None] = the daemon is not (yet) listening:
      the socket file may not exist, or it exists but nothing accepts -
-     both are normal during the bind window right after a fork. *)
+     both are normal while a freshly started daemon binds. *)
   let try_connect path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -64,8 +64,6 @@ module Client = struct
         end
     in
     go ()
-
-  let fd t = t.fd
 
   let send_line t line =
     write_all t.fd (line ^ "\n") 0 (String.length line + 1)
@@ -111,43 +109,13 @@ module Client = struct
     send_line t line;
     recv_line ?timeout_s t
 
-  (* Non-blocking variant for callers multiplexing many clients in
-     their own select loop: drain whatever the kernel has buffered,
-     then report one framed line (or EOF) without ever waiting. *)
-  let poll_line t =
-    match take_line t with
-    | Some l -> `Line l
-    | None ->
-      if t.eof then `Eof
-      else begin
-        let rec drain () =
-          match Unix.select [ t.fd ] [] [] 0.0 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-          | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-            match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
-            | 0 -> t.eof <- true
-            | n ->
-              Buffer.add_subbytes t.buf t.rbuf 0 n;
-              drain ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-            | exception
-                Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-              t.eof <- true)
-        in
-        drain ();
-        match take_line t with
-        | Some l -> `Line l
-        | None -> if t.eof then `Eof else `Nothing
-      end
-
   let close t =
     t.eof <- true;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
 end
 
-let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
-    ~socket_path ~drain =
+let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
+    ~drain =
   if config.Serve.sort then
     invalid_arg "Daemon: sort is batch-only (a daemon stream has no end)";
   let handler = Serve.make_handler config in
@@ -222,19 +190,6 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
       drop c
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
-  (* The parent-death watch: when the supervisor holding the other end
-     of this pipe exits (gracefully or not), the fd turns readable at
-     EOF and the daemon self-drains as if SIGTERM had arrived - no
-     orphaned shard keeps listening on an unlinked socket or appending
-     to a journal its successor will reopen. *)
-  let check_shutdown fd =
-    match Unix.read fd rbuf 0 (Bytes.length rbuf) with
-    | 0 -> ignore (Atomic.compare_and_set drain 0 143)
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-      ignore (Atomic.compare_and_set drain 0 143)
-  in
   (* Empty the wake pipe; the bytes carry no data, only "something
      finished", and the driver drains every ready response next. *)
   let rec drain_wake () =
@@ -247,8 +202,7 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
   let poll_io () =
     let fds =
       wake_r
-      :: (match shutdown_fd with Some fd -> [ fd ] | None -> [])
-      @ (if !accepting then [ listen_fd ] else [])
+      :: (if !accepting then [ listen_fd ] else [])
       @ Hashtbl.fold (fun fd c acc -> if c.eof then acc else fd :: acc) conns []
     in
     (* Finished jobs and new input both wake this select, so no
@@ -262,7 +216,6 @@ let run ?(on_ready = fun () -> ()) ?shutdown_fd (config : Serve.config)
       List.iter
         (fun fd ->
           if fd = wake_r then drain_wake ()
-          else if shutdown_fd = Some fd then check_shutdown fd
           else if fd = listen_fd then (
             match Unix.accept listen_fd with
             | cfd, _ ->

@@ -38,53 +38,34 @@
 
 module Client : sig
   (** Line-framed client for the daemon protocol: connect with a
-      deadline, send a JSONL line, await the framed reply.  Replaces
-      the ad-hoc [Unix] call sites the supervisor's probe/route path
-      and the tests used to open - every loop here is EINTR-safe and
-      every wait is bounded.
+      deadline, send a JSONL line, await the framed reply.  Every loop
+      here is EINTR-safe and every wait is bounded.
 
-      Blocking and single-threaded by design: the shard supervisor
-      uses {!connect}/{!fd} and multiplexes reads itself, while probes
-      and tests use the synchronous {!request}. *)
+      Blocking and single-threaded by design: {!request} sends one
+      line and awaits its reply. *)
 
   type t
 
   exception Timeout of string
   (** A bounded wait expired: {!connect} found nothing accepting
-      within its deadline, or {!recv_line} saw no complete reply
-      within its. *)
+      within its deadline, or {!request} saw no complete reply within
+      its. *)
 
   val connect : ?timeout_s:float -> string -> t
   (** Connect to the daemon socket at the given path, retrying while
       the socket file is missing or nothing accepts yet (the normal
-      window between a child's fork and its bind) until [timeout_s]
+      window while a freshly started daemon binds) until [timeout_s]
       (default 10s) expires.  @raise Timeout when the deadline passes.
       @raise Unix.Unix_error for non-retryable connect failures. *)
 
-  val fd : t -> Unix.file_descr
-  (** The connected descriptor, for callers running their own select
-      loop.  Mixing [fd]-level reads with {!recv_line} on the same
-      client skips {!t}'s framing buffer - use one or the other. *)
-
-  val send_line : t -> string -> unit
-  (** Write [line ^ "\n"], completing short writes and retrying EINTR.
-      @raise Unix.Unix_error (e.g. [EPIPE]) if the daemon is gone. *)
-
-  val recv_line : ?timeout_s:float -> t -> string option
-  (** Await the next framed line (default deadline 30s).  [None] means
-      the daemon closed the connection (EOF with no buffered line).
-      @raise Timeout when the deadline expires first. *)
-
   val request : ?timeout_s:float -> t -> string -> string option
-  (** {!send_line} then {!recv_line}.  Only sound when no other
-      request is in flight on this connection (responses are FIFO). *)
-
-  val poll_line : t -> [ `Line of string | `Eof | `Nothing ]
-  (** Non-blocking: drain whatever the kernel already buffered and
-      return one framed line, [`Eof] once the daemon closed and the
-      buffer holds no complete line, or [`Nothing].  For callers
-      multiplexing many clients through their own select loop ({!fd});
-      unlike raw [fd] reads this keeps {!t}'s framing buffer honest. *)
+  (** Write [line ^ "\n"] (completing short writes, retrying EINTR),
+      then await the next framed line (default deadline 30s).  [None]
+      means the daemon closed the connection (EOF with no buffered
+      line).  Only sound when no other request is in flight on this
+      connection (responses are FIFO).
+      @raise Timeout when the deadline expires first.
+      @raise Unix.Unix_error (e.g. [EPIPE]) if the daemon is gone. *)
 
   val close : t -> unit
   (** Close the descriptor.  Idempotent. *)
@@ -92,7 +73,6 @@ end
 
 val run :
   ?on_ready:(unit -> unit) ->
-  ?shutdown_fd:Unix.file_descr ->
   Serve.config ->
   socket_path:string ->
   drain:int Atomic.t ->
@@ -103,14 +83,6 @@ val run :
     serves, the calling domain runs with a 32k-word minor heap (it only
     frames and renders; the workers keep the default), restored on
     return.
-
-    [shutdown_fd], when given, is watched in the select loop; when it
-    turns readable at EOF the daemon sets [drain] to 143 itself.  The
-    shard supervisor passes the read end of a pipe whose write end
-    only the parent holds, so a shard whose parent dies - even by
-    SIGKILL, which fans out nothing - self-drains instead of lingering
-    as an orphan listening on an unlinked socket (and worse, sharing
-    its cache journal with the respawned fleet's child).
 
     @raise Invalid_argument if [config.sort] is set (a daemon stream
     has no end to sort) or on a non-positive [workers] /

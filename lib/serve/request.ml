@@ -1,6 +1,7 @@
 module Json = Qaoa_obs.Json
 module Compile = Qaoa_core.Compile
 module Graph = Qaoa_graph.Graph
+module Topologies = Qaoa_hardware.Topologies
 
 type source = Graph of { n : int; edges : (int * int) list } | Qasm of string
 
@@ -88,6 +89,10 @@ let parse_source json =
     match (Json.member "n" g, Json.member "edges" g) with
     | Some (Json.Int n), Some (Json.List edges) ->
       if n < 1 then Error "graph.n must be >= 1"
+      else if n > Topologies.max_qubits then
+        Error
+          (Printf.sprintf "graph.n must be <= %d (the largest device)"
+             Topologies.max_qubits)
       else
         let* edges = parse_edges n edges in
         if edges = [] then Error "graph has no edges (no cost layer to compile)"

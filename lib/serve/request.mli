@@ -54,11 +54,10 @@ type t = {
 
 type control = Ping | Stats
 (** Control verbs beside the compile schema: [{"op":"ping"}] is a
-    liveness probe (the shard supervisor's health check - the reply
-    proves the whole submit-compute-respond path, not just the
-    process), [{"op":"stats"}] asks for the cache-lookup taxonomy and
-    the in-flight gauge.  Strict like requests: any field besides
-    ["op"] is rejected. *)
+    liveness probe (the reply proves the whole submit-compute-respond
+    path, not just the process), [{"op":"stats"}] asks for the
+    cache-lookup taxonomy and the in-flight gauge.  Strict like
+    requests: any field besides ["op"] is rejected. *)
 
 val control_of_line : string -> (control, string) result option
 (** [None] when the line is not a control request at all (no ["op"]
@@ -69,7 +68,7 @@ val control_of_line : string -> (control, string) result option
 val of_line : string -> (t, string) result
 (** Parse one JSONL line.  [Error msg] describes the first problem
     (malformed JSON, missing/unknown field, bad edge, unknown policy,
-    ...). *)
+    a [graph.n] above {!Qaoa_hardware.Topologies.max_qubits}, ...). *)
 
 val to_json : t -> Qaoa_obs.Json.t
 (** Re-serialize (normalized form; used by the corpus generator and

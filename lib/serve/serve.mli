@@ -56,9 +56,9 @@
     {b Control verbs.}  A line of the form [{"op":"ping"}] or
     [{"op":"stats"}] ({!Request.control}) is answered without touching
     the compile path: [ping] returns
-    [{"id":null,"ok":true,"op":"ping"}] (the shard supervisor's health
-    probe - it traverses the full submit-compute-respond pipeline, so a
-    pong proves the service is live, not merely the process), and
+    [{"id":null,"ok":true,"op":"ping"}] (a health probe - it
+    traverses the full submit-compute-respond pipeline, so a pong
+    proves the service is live, not merely the process), and
     [stats] returns the cache-lookup taxonomy plus the in-flight gauge
     so [lookups = hits + misses + rejects] can be asserted per process
     over the wire.  Control verbs do not count as requests and never

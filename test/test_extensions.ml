@@ -198,7 +198,9 @@ let test_qasm_parse_errors () =
   expect_failure "qreg q[2];\nfancygate q[0];\n";
   expect_failure "qreg q[2];\nrx() q[0];\n";
   expect_failure "qreg q[2];\ncx q[0];\n";
-  expect_failure "h q[0];\n" (* no qreg *)
+  expect_failure "h q[0];\n" (* no qreg *);
+  expect_failure "qreg q[3];\ncx q[0],q[100000000000000];\n";
+  expect_failure "qreg q[3];\nh q[-1];\n"
 
 let test_qasm_angle_expressions () =
   let c = Qasm.of_string "qreg q[1];\nrz(3*pi/2) q[0];\nrz(2.5e-1) q[0];\n" in

@@ -184,7 +184,18 @@ let test_by_name () =
   check "ring8" 8;
   check "hypothetical6q" 6;
   Alcotest.(check bool) "unknown" true (Topologies.by_name "nope" = None);
-  Alcotest.(check bool) "ring2 invalid" true (Topologies.by_name "ring2" = None)
+  Alcotest.(check bool) "ring2 invalid" true (Topologies.by_name "ring2" = None);
+  check (Printf.sprintf "linear%d" Topologies.max_qubits) Topologies.max_qubits;
+  check (Printf.sprintf "ring%d" Topologies.max_qubits) Topologies.max_qubits;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " above the ceiling") true
+        (Topologies.by_name name = None))
+    [
+      Printf.sprintf "linear%d" (Topologies.max_qubits + 1);
+      Printf.sprintf "ring%d" (Topologies.max_qubits + 1);
+      "linear100000000000000";
+    ]
 
 let test_with_random_calibration () =
   let rng = Rng.create 7 in

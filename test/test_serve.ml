@@ -436,14 +436,22 @@ let test_malformed_requests_are_structured_errors () =
       {|{"id":"baddev","graph":{"n":3,"edges":[[0,1]]},"device":"enoent"}|};
       {|{"id":"big","graph":{"n":25,"edges":[[0,24]]},"device":"tokyo"}|};
       {|{"id":"badqasm","qasm":"OPENQASM 2.0; garbage"}|};
+      (* fields that size an allocation: each must be refused before
+         anything is built from it *)
+      {|{"id":"hugen","graph":{"n":100000000000000000,"edges":[[0,1]]}}|};
+      {|{"id":"hugedev","graph":{"n":3,"edges":[[0,1]]},"device":"linear100000000000000"}|};
     ]
   in
-  let out, stats = Serve.run_lines (config ~workers:4 ()) lines in
+  let out, stats =
+    Serve.run_lines
+      (config ~workers:4 ~cache:(Cache.create ~capacity:16 ()) ())
+      lines
+  in
   Alcotest.(check int) "one response per line" (List.length lines)
     (List.length out);
   Alcotest.(check int) "requests counted" (List.length lines)
     stats.Serve.requests;
-  Alcotest.(check int) "errors counted" 4 stats.Serve.errors;
+  Alcotest.(check int) "errors counted" 6 stats.Serve.errors;
   let parsed = List.map (fun l -> Option.get (Json.of_string_opt l)) out in
   let kind_of json =
     match member_exn "error" json with
@@ -452,7 +460,7 @@ let test_malformed_requests_are_structured_errors () =
     | _ -> "?"
   in
   (match parsed with
-  | [ bad; good; baddev; big; badqasm ] ->
+  | [ bad; good; baddev; big; badqasm; hugen; hugedev ] ->
     Alcotest.(check bool) "bad line keeps null id" true
       (member_exn "id" bad = Json.Null);
     Alcotest.(check bool) "bad line located" true
@@ -465,7 +473,11 @@ let test_malformed_requests_are_structured_errors () =
     Alcotest.(check string) "oversized problem kind" "too_many_qubits"
       (kind_of big);
     Alcotest.(check string) "unparseable qasm kind" "bad_request"
-      (kind_of badqasm)
+      (kind_of badqasm);
+    Alcotest.(check string) "graph.n over the ceiling" "bad_request"
+      (kind_of hugen);
+    Alcotest.(check string) "device over the ceiling" "unknown_device"
+      (kind_of hugedev)
   | _ -> Alcotest.fail "unexpected response shape")
 
 let kind_of json =
@@ -913,63 +925,6 @@ let test_daemon_client_roundtrip () =
   | _ -> Alcotest.fail "connect to a dead path should time out"
   | exception Daemon.Client.Timeout _ -> ()
 
-(* --- shard supervisor ---------------------------------------------- *)
-
-module Shard = Qaoa_serve.Shard
-
-(* The pure supervision arithmetic: capped exponential backoff, the
-   flap-detector window, the re-adoption streak, hash routing and the
-   rerouted-metadata splice. *)
-let test_shard_supervision_arithmetic () =
-  let d attempt = Shard.Backoff.delay_s ~base_s:0.05 ~cap_s:1.0 ~attempt in
-  Alcotest.(check (float 1e-9)) "first retry at base" 0.05 (d 1);
-  Alcotest.(check (float 1e-9)) "doubles" 0.1 (d 2);
-  Alcotest.(check (float 1e-9)) "keeps doubling" 0.4 (d 4);
-  Alcotest.(check (float 1e-9)) "caps" 1.0 (d 6);
-  Alcotest.(check (float 1e-9)) "stays capped" 1.0 (d 30);
-  let f = Shard.Flap.create ~window_s:10.0 ~threshold:3 in
-  Shard.Flap.note f ~now:100.0;
-  Shard.Flap.note f ~now:104.0;
-  Alcotest.(check bool) "two in window: calm" false
-    (Shard.Flap.flapping f ~now:104.0);
-  Shard.Flap.note f ~now:108.0;
-  Alcotest.(check bool) "three in window: flapping" true
-    (Shard.Flap.flapping f ~now:108.0);
-  Alcotest.(check int) "oldest restart ages out" 2
-    (Shard.Flap.count f ~now:113.9);
-  Alcotest.(check bool) "pruned window: calm again" false
-    (Shard.Flap.flapping f ~now:113.9);
-  Shard.Flap.note f ~now:113.9;
-  Alcotest.(check bool) "fresh restart re-trips it" true
-    (Shard.Flap.flapping f ~now:113.9);
-  let s = Shard.Streak.create ~need:3 in
-  Shard.Streak.hit s;
-  Shard.Streak.hit s;
-  Alcotest.(check bool) "two probes: not yet" false (Shard.Streak.reached s);
-  Shard.Streak.hit s;
-  Alcotest.(check bool) "third probe re-adopts" true (Shard.Streak.reached s);
-  Shard.Streak.miss s;
-  Shard.Streak.hit s;
-  Alcotest.(check bool) "a miss resets the run" false (Shard.Streak.reached s);
-  Alcotest.(check int) "owner" 3 (Shard.owner ~shards:4 7);
-  Alcotest.(check int) "owner of a negative hash" 1 (Shard.owner ~shards:4 (-7));
-  Alcotest.(check (option int))
-    "route lands on the owner" (Some 3)
-    (Shard.route ~shards:4 ~alive:(fun _ -> true) 7);
-  Alcotest.(check (option int))
-    "route walks past dead slots, wrapping" (Some 2)
-    (Shard.route ~shards:4 ~alive:(fun i -> i = 2) 7);
-  Alcotest.(check (option int))
-    "route with no live slot" None
-    (Shard.route ~shards:4 ~alive:(fun _ -> false) 7);
-  Alcotest.(check string)
-    "rerouted splice"
-    {|{"id":"x","rerouted":true}|}
-    (Shard.mark_rerouted {|{"id":"x"}|});
-  Alcotest.(check string)
-    "non-object lines pass through" "not json"
-    (Shard.mark_rerouted "not json")
-
 (* The control verbs through the ordinary serving path: ping is the
    canonical pong, stats balances the taxonomy, junk ops and extra
    fields are structured bad_requests. *)
@@ -1124,13 +1079,7 @@ let suite =
     ("chaos crash under serve", `Slow, test_chaos_crash_under_serve);
     ("daemon socket roundtrip", `Slow, test_daemon_roundtrip);
     ("daemon client roundtrip", `Slow, test_daemon_client_roundtrip);
-    ( "shard supervision arithmetic",
-      `Quick,
-      test_shard_supervision_arithmetic );
     ("control verbs", `Quick, test_control_verbs);
-    (* Fleet tests that fork live in test/fleet/ (their own executable):
-       OCaml forbids Unix.fork in any process that ever created a
-       domain, and this binary's pool tests create domains. *)
     ("gen_corpus deterministic", `Quick, test_gen_corpus_deterministic);
     ( "cross-domain compile equivalence",
       `Slow,
