@@ -63,8 +63,7 @@ let print_stats oc (stats : Serve.stats) persist =
   output_char oc '\n'
 
 let run () gen_corpus gen_device input output workers queue sort timings cache
-    cache_dir resume_cache daemon tries backoff breaker probe_every deadline
-    stats seed =
+    cache_dir resume_cache daemon tries deadline stats seed =
   try
     match gen_corpus with
     | Some count ->
@@ -106,14 +105,7 @@ let run () gen_corpus gen_device input output workers queue sort timings cache
           timings;
           cache = cache_t;
           persist;
-          supervise =
-            {
-              Supervise.tries;
-              backoff_s = backoff;
-              breaker_threshold = breaker;
-              breaker_probe_every = probe_every;
-              deadline_s = deadline;
-            };
+          supervise = { Supervise.tries; deadline_s = deadline };
           drain = Some drain;
           inflight = Atomic.make 0;
         }
@@ -239,33 +231,12 @@ let cmd =
             "Total attempts per request: retryable compile failures are \
              retried with deterministic reseeding.  1 disables retry.")
   in
-  let backoff =
-    Arg.(
-      value & opt float 0.0
-      & info [ "backoff" ] ~docv:"SECONDS"
-          ~doc:"Exponential backoff base between attempts (default 0).")
-  in
-  let breaker =
-    Arg.(
-      value & opt int 5
-      & info [ "breaker" ] ~docv:"N"
-          ~doc:
-            "Circuit breaker: quarantine a (device, policy) pair after N \
-             consecutive compile failures, degrading it to the fallback \
-             chain.  0 disables the breaker.")
-  in
-  let probe_every =
-    Arg.(
-      value & opt int 8
-      & info [ "probe-every" ] ~docv:"N"
-          ~doc:"Probe a quarantined pair's primary policy every Nth request.")
-  in
   let deadline =
     Arg.(
       value
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-request compile budget, spanning all attempts.")
+          ~doc:"Per-request compile or routing budget, spanning all attempts.")
   in
   let stats =
     Arg.(
@@ -282,8 +253,7 @@ let cmd =
     Term.(
       const run $ Qaoa_cli.setup $ gen_corpus $ gen_device $ input $ output
       $ workers $ queue $ sort $ timings $ cache $ cache_dir $ resume_cache
-      $ daemon $ tries $ backoff $ breaker $ probe_every $ deadline $ stats
-      $ seed)
+      $ daemon $ tries $ deadline $ stats $ seed)
   in
   Cmd.v
     (Cmd.info "qaoa-serve" ~version:"1.0.0"

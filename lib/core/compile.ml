@@ -358,9 +358,6 @@ let retryable = function
   | Unroutable _ | Verification_rejected _ | Strategy_failed _ -> true
   | Too_many_qubits _ | Missing_calibration _ | Deadline_exceeded _ -> false
 
-exception Found of result
-exception Out_of_time
-
 let compile_with_fallback ?(options = default_options) ?(chain = default_chain)
     ?(retries = 1) device problem params =
   if chain = [] then invalid_arg "Compile.compile_with_fallback: empty chain";
@@ -382,62 +379,53 @@ let compile_with_fallback ?(options = default_options) ?(chain = default_chain)
       (fun budget_s -> Qaoa_obs.Deadline.start ~budget_s)
       options.deadline_s
   in
-  let attempts = ref [] in
-  let attempt_index = ref 0 in
-  let record strat seed err =
-    attempts :=
-      { attempt_strategy = strat; attempt_seed = seed; attempt_error = err }
-      :: !attempts
+  let trail = ref [] in
+  let exhausted () =
+    Metrics_registry.incr "compile.fallback.exhausted";
+    Result.Error (List.rev !trail)
   in
-  try
-    List.iter
-      (fun strat ->
-        let tries = ref 0 in
-        let continue = ref true in
-        while !continue && !tries <= retries do
-          let opts =
-            match deadline with
-            | None -> options
-            | Some dl ->
-              let remaining_s = Qaoa_obs.Deadline.remaining_s dl in
-              if remaining_s <= 0.0 then raise Out_of_time;
-              { options with deadline_s = Some remaining_s }
-          in
-          (* First attempt uses the caller's seed verbatim; reseeds are a
-             deterministic function of the global attempt index, so the
-             whole fallback trail replays bit-identically. *)
-          let seed =
-            if !attempt_index = 0 then options.seed
-            else options.seed + (7919 * !attempt_index)
-          in
-          incr attempt_index;
-          Metrics_registry.incr "compile.fallback.attempts";
-          match
-            compile_result ~options:{ opts with seed } ~strategy:strat device
-              problem params
-          with
-          | Ok r ->
-            record strat seed None;
-            raise (Found r)
-          | Result.Error e ->
-            record strat seed (Some e);
-            (match e with
-            | Deadline_exceeded _ when Option.is_some deadline ->
-              raise Out_of_time
-            | _ -> ());
-            if retryable e then incr tries else continue := false
-        done)
-      chain;
-    Metrics_registry.incr "compile.fallback.exhausted";
-    Result.Error (List.rev !attempts)
-  with
-  | Found r ->
-    if List.length !attempts > 1 then
-      Metrics_registry.incr "compile.fallback.recovered";
-    Ok { fallback_result = r; attempts = List.rev !attempts }
-  | Out_of_time ->
-    Metrics_registry.incr "compile.fallback.exhausted";
-    Result.Error (List.rev !attempts)
+  let rec walk = function
+    | [] -> exhausted ()
+    | strat :: rest -> (
+      (* Each strategy reseeds from the global attempt index (one trail
+         entry per attempt), so the whole fallback trail replays
+         bit-identically and the very first attempt uses the caller's
+         seed verbatim. *)
+      let seed =
+        options.seed + (Qaoa_obs.Deadline.reseed_stride * List.length !trail)
+      in
+      let outcome, _ =
+        Qaoa_obs.Deadline.retry ?deadline ~tries:(retries + 1) ~seed
+          ~retryable
+          ~on_expiry:(fun ~budget_s ~elapsed_s ->
+            Deadline_exceeded { budget_s; elapsed_s })
+          (fun ~attempt:_ ~seed ->
+            Metrics_registry.incr "compile.fallback.attempts";
+            let deadline_s = Qaoa_obs.Deadline.remaining_opt deadline in
+            let r =
+              compile_result ~options:{ options with seed; deadline_s }
+                ~strategy:strat device problem params
+            in
+            trail :=
+              {
+                attempt_strategy = strat;
+                attempt_seed = seed;
+                attempt_error =
+                  Result.fold ~ok:(fun _ -> None) ~error:Option.some r;
+              }
+              :: !trail;
+            r)
+      in
+      match outcome with
+      | Ok r ->
+        if List.length !trail > 1 then
+          Metrics_registry.incr "compile.fallback.recovered";
+        Ok { fallback_result = r; attempts = List.rev !trail }
+      | Result.Error (Deadline_exceeded _) when Option.is_some deadline ->
+        exhausted ()
+      | Result.Error _ -> walk rest)
+  in
+  walk chain
 
 let success_probability ?include_readout device result =
   Success.of_circuit ?include_readout

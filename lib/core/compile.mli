@@ -205,6 +205,12 @@ type fallback = {
           why that strategy/seed was abandoned *)
 }
 
+val retryable : error -> bool
+(** Whether reseeding the same strategy could plausibly succeed:
+    [true] for unroutable, verification-rejected and residual strategy
+    failures; [false] for structural impossibilities (too many qubits,
+    missing calibration) and an exhausted deadline. *)
+
 val compile_with_fallback :
   ?options:options ->
   ?chain:strategy list ->
@@ -214,14 +220,15 @@ val compile_with_fallback :
   Ansatz.params ->
   (fallback, attempt list) Stdlib.result
 (** Walk [chain] (default {!default_chain}) until a strategy compiles.
-    Each strategy gets [1 + retries] tries (default [retries = 1]): a
-    retryable failure (unroutable, verification, residual) is reseeded
-    deterministically ([options.seed + 7919 * global_attempt_index];
-    the very first attempt uses [options.seed] verbatim), while a
-    structural failure (too many qubits, missing calibration) skips
-    straight to the next strategy.  [options.deadline_s] budgets the
-    {e whole} chain: every attempt compiles under the remaining wall
-    clock, and once it is spent the chain stops with the trail so far.
+    Each strategy gets [1 + retries] tries (default [retries = 1])
+    through {!Qaoa_obs.Deadline.retry}: a {!retryable} failure is
+    reseeded deterministically
+    ([options.seed + Qaoa_obs.Deadline.reseed_stride * global_attempt_index];
+    the very first attempt uses [options.seed] verbatim), while any
+    other failure skips straight to the next strategy.
+    [options.deadline_s] budgets the {e whole} chain: every attempt
+    compiles under the remaining wall clock, and once it is spent the
+    chain stops with the trail so far.
     Never raises on compile failures - [Error trail] reports an
     exhausted chain.  Counters: ["compile.fallback.attempts"],
     ["compile.fallback.recovered"] (a non-first attempt won),

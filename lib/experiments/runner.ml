@@ -96,7 +96,7 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
           {
             options with
             Compile.seed =
-              base_seed + i + (Supervisor.reseed_stride * attempt);
+              base_seed + i + (Deadline.reseed_stride * attempt);
             deadline_s =
               (match Deadline.remaining_opt deadline with
               | None -> options.Compile.deadline_s

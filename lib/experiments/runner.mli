@@ -48,10 +48,10 @@ val run :
     per logical sweep (include sweep knobs such as packing limits or
     workload kinds so keys never collide).  [trial_deadline_s] bounds
     each trial's wall clock across its [tries] attempts (attempt [k]
-    reseeds to [base_seed + i + 7919 k]); the remaining budget is
-    threaded into [Compile.options.deadline_s] for cooperative
-    cancellation.  Compile failures without a journal propagate as
-    before.
+    reseeds to [base_seed + i + Qaoa_obs.Deadline.reseed_stride * k]);
+    the remaining budget is threaded into [Compile.options.deadline_s]
+    for cooperative cancellation.  Compile failures without a journal
+    propagate as before.
     @raise Invalid_argument if [journal] is given without [experiment]. *)
 
 val find : aggregate list -> Qaoa_core.Compile.strategy -> aggregate

@@ -114,13 +114,15 @@ let known_names =
 let max_qubits = 256
 
 let by_name name =
+  (* only the canonical decimal spelling of N: "linear08" or
+     "linear0x8" would otherwise name the same device again *)
   let prefixed p =
-    if String.length name > String.length p
-       && String.sub name 0 (String.length p) = p
-    then
-      int_of_string_opt
-        (String.sub name (String.length p)
-           (String.length name - String.length p))
+    if String.starts_with ~prefix:p name then
+      let suffix =
+        String.sub name (String.length p) (String.length name - String.length p)
+      in
+      Option.bind (int_of_string_opt suffix) (fun n ->
+          if string_of_int n = suffix then Some n else None)
     else None
   in
   match name with

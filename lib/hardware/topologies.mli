@@ -46,7 +46,9 @@ val max_qubits : int
 
 val by_name : string -> Device.t option
 (** Lookup by name ("tokyo", "melbourne", "grid6x6", "linear<N>",
-    "ring<N>"); used by the CLIs.  [None] for an unknown name and for
+    "ring<N>"); used by the CLIs.  [N] must be written in canonical
+    decimal (["linear8"], not ["linear08"] or ["linear0x8"]), so each
+    device has one spelling.  [None] for an unknown name and for
     ["linear<N>"] / ["ring<N>"] with [N] above {!max_qubits}. *)
 
 val known_names : string list

@@ -5,8 +5,6 @@ module Metrics = Qaoa_obs.Metrics_registry
 type failure = { f_key : string; f_attempts : int; f_errors : string list }
 type 'a outcome = Completed of 'a | Quarantined of failure
 
-let reseed_stride = 7919
-
 let failure_to_json f =
   Json.Assoc
     [
@@ -55,6 +53,8 @@ let trial ?journal ?deadline_s ?(tries = 1) ~key ~encode ~decode f =
   | Some outcome -> outcome
   | None -> (
     let deadline = Option.map (fun budget_s -> Deadline.start ~budget_s) deadline_s in
+    (* not [Deadline.retry]: attempts fail by exception and the thunk
+       checks the deadline itself, so every attempt started is recorded *)
     let rec attempt_from k errors =
       if k >= tries then Error (List.rev errors)
       else begin

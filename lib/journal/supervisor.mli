@@ -14,8 +14,8 @@
       [Compile.options.deadline_s]);
     - {b bounded retries} with deterministic reseeding: the thunk gets
       the attempt index and derives its seed as
-      [seed + reseed_stride * attempt], matching the
-      [Compile.compile_with_fallback] convention;
+      [seed + Qaoa_obs.Deadline.reseed_stride * attempt], the stride of
+      {!Qaoa_obs.Deadline.retry};
     - {b quarantine}: after [tries] failed attempts the trial is
       recorded as a structured failure and the sweep moves on.
 
@@ -33,11 +33,6 @@ type 'a outcome =
   | Quarantined of failure
       (** permanently failed - aggregate layers drop the trial and
           count it, mirroring how fault sweeps treat exhausted chains *)
-
-val reseed_stride : int
-(** [7919] - attempt [k] runs under [seed + reseed_stride * k], the
-    same prime stride [Compile.compile_with_fallback] uses, so attempt
-    0 is always the unperturbed seed. *)
 
 val failure_to_json : failure -> Qaoa_obs.Json.t
 val failure_of_json : string -> Qaoa_obs.Json.t -> failure

@@ -30,3 +30,18 @@ let check = function
 let remaining_opt = function
   | None -> None
   | Some t -> Some (Float.max 1e-9 (remaining_s t))
+
+let reseed_stride = 7919
+
+let retry ?deadline ~tries ~seed ~retryable ~on_expiry f =
+  if tries < 1 then invalid_arg "Deadline.retry: tries must be >= 1";
+  let rec attempt k =
+    match deadline with
+    | Some t when expired t ->
+      (Error (on_expiry ~budget_s:t.budget_s ~elapsed_s:(elapsed_s t)), k)
+    | _ -> (
+      match f ~attempt:k ~seed:(seed + (reseed_stride * k)) with
+      | Error e when retryable e && k + 1 < tries -> attempt (k + 1)
+      | outcome -> (outcome, k + 1))
+  in
+  attempt 0

@@ -40,3 +40,31 @@ val remaining_opt : t option -> float option
     tiny positive epsilon so the nested operation's first cooperative
     check trips immediately.  Callers wanting the raw (possibly
     negative) figure use {!remaining_s}. *)
+
+(** {1 Reseeded retries}
+
+    The one retry loop: the serving layer's supervised compile and every
+    strategy of [Compile.compile_with_fallback] run their attempts
+    through {!retry}. *)
+
+val reseed_stride : int
+(** [7919]: attempt [k] runs under [seed + reseed_stride * k], so
+    attempt 0 always uses the unperturbed seed. *)
+
+val retry :
+  ?deadline:t ->
+  tries:int ->
+  seed:int ->
+  retryable:('e -> bool) ->
+  on_expiry:(budget_s:float -> elapsed_s:float -> 'e) ->
+  (attempt:int -> seed:int -> ('a, 'e) result) ->
+  ('a, 'e) result * int
+(** [retry ~tries ~seed ~retryable ~on_expiry f] runs attempt [k]
+    (from 0) as [f ~attempt:k ~seed:(seed + reseed_stride * k)] and
+    returns the outcome with the number of attempts made.  It stops at
+    the first [Ok], at an [Error e] with [not (retryable e)], or after
+    [tries] attempts.  One [deadline] spans all attempts: once it has
+    passed, no further attempt starts and the result is
+    [Error (on_expiry ~budget_s ~elapsed_s)].  [f] itself should
+    compile under the remaining budget ({!remaining_opt}).
+    @raise Invalid_argument if [tries < 1]. *)

@@ -114,8 +114,8 @@ let oversized t body =
   | None -> false
   | Some limit -> body_bytes body > limit
 
-(* The artifact was uncacheable (error body, retried or degraded
-   compile, ...): classify the pending missed lookup as a reject. *)
+(* The artifact was uncacheable (error body, retried compile, ...):
+   classify the pending missed lookup as a reject. *)
 let reject t =
   locked t (fun () -> t.rejects <- t.rejects + 1);
   Metrics_registry.incr "serve.cache.reject"

@@ -18,8 +18,8 @@
     counts a hit there.  A missed lookup is classified when its
     computed artifact comes back: {!store} counts a {e miss} (the
     artifact was cacheable - whether newly inserted or a racing
-    duplicate), while an uncacheable artifact (error body, retried or
-    breaker-degraded compile, oversized rendering) counts a {e reject}
+    duplicate), while an uncacheable artifact (error body, retried
+    compile, oversized rendering) counts a {e reject}
     via {!reject} or an [Oversized] store.  As long as every missed
     lookup is followed by exactly one store-or-reject - which the
     serving layer guarantees - [lookups = hits + misses + rejects].
@@ -73,8 +73,7 @@ val store : t -> key -> (string * Qaoa_obs.Json.t) list -> stored
 
 val reject : t -> unit
 (** Classify the pending missed lookup as a reject: the computed
-    artifact was not cacheable (error body, retried or degraded
-    compile). *)
+    artifact was not cacheable (error body or retried compile). *)
 
 val preload : t -> key -> (string * Qaoa_obs.Json.t) list -> bool
 (** Journal-reload path: insert without touching the lookup taxonomy.

@@ -4,8 +4,10 @@
     - JSONL requests in, JSONL responses out - so
     [nc -U sock < corpus.jsonl] works unchanged.  Connections are
     multiplexed through one select loop feeding the shared worker
-    pool, so every connection shares the device table, the supervisor
-    (breaker state) and the artifact cache.
+    pool, so every connection shares the device table and the artifact
+    cache.  No other state crosses requests: apart from answers under a
+    deadline, a response's bytes do not depend on which connection or
+    request came first.
 
     {b Ordering.}  Requests are submitted in arrival order and the
     pool's reorder buffer hands responses back in that same global

@@ -51,7 +51,7 @@ let outcome_error o = Supervise.is_error o.body
 
 (* The full supervised path for one input line: parse, answer from the
    cache when possible, otherwise compute under {!Supervise.handle}
-   (containment, retry, breaker), then settle the cache taxonomy -
+   (containment, retry), then settle the cache taxonomy -
    every missed lookup ends in exactly one store or reject, which is
    what keeps [lookups = hits + misses + rejects] an invariant.  A
    [Stored] insertion is journaled before the response is visible, so

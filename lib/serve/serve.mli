@@ -4,23 +4,23 @@
     optionally journaled to disk through {!Persist}.
 
     {b Determinism.}  Responses are emitted in {e input order} (the
-    pool's reorder buffer), and every response body is a pure function
-    of its request (per-request seeds, no timestamps unless
-    [timings]), so the output stream is byte-identical for any worker
-    count.  [sort] re-orders responses by request id (line number as
-    tie-break) instead - useful when diffing corpora assembled from
-    shards - and is equally worker-count-independent.  (One caveat:
-    responses shaped by cross-request breaker state - retried or
-    degraded compiles - depend on scheduling when [workers > 1]; see
-    {!Supervise}.  They are never cached, and corpora with no compile
-    failures are unaffected.)
+    pool's reorder buffer), and every response is a function of its
+    request alone (per-request seeds, no state shared across requests,
+    no timestamps unless [timings]), so the output stream is
+    byte-identical for any worker count and request order.  The one
+    exception is an answer under a [supervise] deadline, which depends
+    on the wall clock.  [sort] re-orders responses by request id (line
+    number as tie-break) instead - useful when diffing corpora
+    assembled from shards - and is equally worker-count-independent.
 
     {b Fault containment.}  A worker exception, structured compile
     error or deadline blowout is contained to its own request as a
     structured [ok:false] response - it never aborts the run and never
-    alters any other request's bytes.  Retry, backoff and the
-    (device, policy) circuit breaker are configured via [supervise];
-    see {!Supervise} for the taxonomy.
+    alters any other request's bytes.  Retries and the deadline are
+    configured via [supervise]; see {!Supervise} for the taxonomy.  A
+    policy that needs calibration on a device without any (VIC on
+    tokyo) answers ["missing_calibration"]; a client that wants a
+    fallback names a calibration-free policy.
 
     {b Persistence.}  With [persist] set, every first-attempt success
     is appended (checksummed, flushed) to the cache journal as it is
@@ -38,14 +38,13 @@
     "depth":..., "gates":..., "two_qubit":..., "swaps":...}] plus
     ["verified":true] when the request asked for verification,
     ["qasm":"..."] when it asked for the compiled program,
-    ["attempts":k] after a retried success and
-    ["degraded":true, "requested_policy":...] for a breaker fallback.
+    and ["attempts":k] after a retried success.
     Failure:
     [{"id":..., "ok":false, "error":{"kind":..., "detail":...}}] with
     the {!Qaoa_core.Compile.error_kind} taxonomy plus ["bad_request"]
     (unparseable line - [id] is [null] and a ["line"] field locates
-    it), ["unknown_device"], ["internal"] (contained worker exception)
-    and ["fallback_exhausted"].  A bad line never aborts the run: it
+    it), ["unknown_device"] and ["internal"] (contained worker
+    exception).  A bad line never aborts the run: it
     produces a structured error response and the exit code is
     unchanged.
 
@@ -65,7 +64,7 @@
     touch the cache taxonomy; an unknown op is a ["bad_request"].
 
     Counters: [serve.requests], [serve.errors], [serve.retries],
-    [serve.contained], [serve.breaker.*], [serve.cache.*]; histogram
+    [serve.contained], [serve.cache.*]; histogram
     [serve.request_ms]. *)
 
 type config = {
@@ -75,7 +74,7 @@ type config = {
   timings : bool;  (** append non-deterministic [cached]/[ms] fields *)
   cache : Cache.t option;  (** [None] disables the artifact cache *)
   persist : Persist.t option;  (** journal cache insertions to disk *)
-  supervise : Supervise.config;  (** retry / breaker / deadline policy *)
+  supervise : Supervise.config;  (** retry / deadline policy *)
   drain : int Atomic.t option;
       (** graceful-drain flag from
           {!Qaoa_journal.Signals.install_drain}: nonzero stops

@@ -23,35 +23,29 @@ module Chaos = Qaoa_journal.Chaos
    Profile distance-matrix memo (keyed on physical identity) hit. *)
 
 module Devices = struct
-  type t = {
-    lock : Mutex.t;
-    tbl : (string, Device.t option) Hashtbl.t;  (** None = unknown name *)
-  }
+  type t = { lock : Mutex.t; tbl : (string, Device.t) Hashtbl.t }
 
   let create () = { lock = Mutex.create (); tbl = Hashtbl.create 8 }
 
   let resolve t name =
     Mutex.lock t.lock;
     match Hashtbl.find_opt t.tbl name with
-    | Some v ->
+    | Some d ->
       Mutex.unlock t.lock;
-      v
+      Some d
     | None ->
-      let v = Topologies.by_name name in
-      Hashtbl.replace t.tbl name v;
+      (* unknown names are not stored, so the table is bounded by the
+         finite set of canonical device names *)
+      let d = Topologies.by_name name in
+      Option.iter (Hashtbl.replace t.tbl name) d;
       Mutex.unlock t.lock;
       (* outside the table lock: Profile has its own mutex and dedups
          concurrent warms *)
-      Option.iter Profile.precompute v;
-      v
+      Option.iter Profile.precompute d;
+      d
 
   let prewarm t = List.iter (fun n -> ignore (resolve t n)) [ "tokyo"; "melbourne" ]
 end
-
-(* ------------------------------------------------------------------ *)
-
-(* The (device, policy) quarantine key's policy half. *)
-let policy_tag (req : Request.t) = Compile.strategy_name req.Request.policy
 
 (* ------------------------------------------------------------------ *)
 (* Response-body builders (shared with the bad-line path in Serve). *)
@@ -84,110 +78,20 @@ let metrics_fields ~device ~policy ~qubits ~(metrics : Metrics.t) ~swaps =
 
 type config = {
   tries : int;  (** total attempts per request, >= 1 *)
-  backoff_s : float;  (** sleep before retry [k]: [backoff_s * 2^(k-1)] *)
-  breaker_threshold : int;  (** consecutive failures to open; 0 disables *)
-  breaker_probe_every : int;  (** half-open probe cadence while open *)
   deadline_s : float option;  (** per-request budget spanning all attempts *)
 }
 
-let default_config =
-  {
-    tries = 2;
-    backoff_s = 0.0;
-    breaker_threshold = 5;
-    breaker_probe_every = 8;
-    deadline_s = None;
-  }
+let default_config = { tries = 2; deadline_s = None }
 
-let reseed_stride = 7919
-
-(* Per-(device, policy) breaker.  [consecutive] counts structured
-   compile failures; a success resets it.  While open, requests for the
-   pair skip the primary policy and degrade to the fallback chain,
-   except every [breaker_probe_every]-th request, which probes the
-   primary again (half-open) and closes the breaker on success. *)
-type breaker = {
-  mutable consecutive : int;
-  mutable opened : bool;
-  mutable since_probe : int;
-  mutable trips : int;  (** times this breaker has opened *)
-}
-
-type t = {
-  config : config;
-  lock : Mutex.t;
-  breakers : (string * string, breaker) Hashtbl.t;
-}
+type t = config
 
 let create config =
   if config.tries < 1 then invalid_arg "Supervise: tries must be >= 1";
-  if config.backoff_s < 0.0 || not (Float.is_finite config.backoff_s) then
-    invalid_arg "Supervise: backoff_s must be finite and >= 0";
-  if config.breaker_threshold < 0 then
-    invalid_arg "Supervise: breaker_threshold must be >= 0";
-  if config.breaker_probe_every < 1 then
-    invalid_arg "Supervise: breaker_probe_every must be >= 1";
   (match config.deadline_s with
   | Some d when not (Float.is_finite d && d > 0.0) ->
     invalid_arg "Supervise: deadline_s must be positive and finite"
   | _ -> ());
-  { config; lock = Mutex.create (); breakers = Hashtbl.create 8 }
-
-let breaker_for t key =
-  match Hashtbl.find_opt t.breakers key with
-  | Some b -> b
-  | None ->
-    let b = { consecutive = 0; opened = false; since_probe = 0; trips = 0 } in
-    Hashtbl.replace t.breakers key b;
-    b
-
-(* What this request should do, given the breaker's state. *)
-let admit t key =
-  if t.config.breaker_threshold = 0 then `Primary
-  else
-    Mutex.protect t.lock (fun () ->
-        let b = breaker_for t key in
-        if not b.opened then `Primary
-        else begin
-          b.since_probe <- b.since_probe + 1;
-          if b.since_probe >= t.config.breaker_probe_every then begin
-            b.since_probe <- 0;
-            `Probe
-          end
-          else `Degrade
-        end)
-
-let record_success t key =
-  if t.config.breaker_threshold > 0 then
-    Mutex.protect t.lock (fun () ->
-        let b = breaker_for t key in
-        b.consecutive <- 0;
-        if b.opened then begin
-          b.opened <- false;
-          Metrics_registry.incr "serve.breaker.close"
-        end)
-
-(* Returns true when the pair is (now) quarantined. *)
-let record_failure t key =
-  if t.config.breaker_threshold = 0 then false
-  else
-    Mutex.protect t.lock (fun () ->
-        let b = breaker_for t key in
-        b.consecutive <- b.consecutive + 1;
-        if (not b.opened) && b.consecutive >= t.config.breaker_threshold then begin
-          b.opened <- true;
-          b.since_probe <- 0;
-          b.trips <- b.trips + 1;
-          Metrics_registry.incr "serve.breaker.open"
-        end;
-        b.opened)
-
-let open_breakers t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold
-        (fun key b acc -> if b.opened then key :: acc else acc)
-        t.breakers []
-      |> List.sort compare)
+  config
 
 (* ------------------------------------------------------------------ *)
 (* Test-only fault injection: called before every primary attempt with
@@ -201,38 +105,23 @@ let inject_hook : (id:string -> attempt:int -> unit) option ref = ref None
 type verdict = {
   body : (string * Json.t) list;
   cacheable : bool;
-      (** pure function of the request: a first-attempt success.
-          Errors, retried successes and degraded responses depend on
-          supervision state and are never cached. *)
+      (** a first-attempt success: safe to cache.  Errors and retried
+          successes are never cached. *)
 }
 
 let uncacheable body = { body; cacheable = false }
-
-(* Mirrors [Compile]'s own retry policy: structural impossibilities and
-   an exhausted budget cannot be reseeded away. *)
-let compile_retryable = function
-  | Compile.Unroutable _ | Compile.Verification_rejected _
-  | Compile.Strategy_failed _ ->
-    true
-  | Compile.Too_many_qubits _ | Compile.Missing_calibration _
-  | Compile.Deadline_exceeded _ ->
-    false
 
 type attempt_error =
   | Compile_error of Compile.error
   | Internal of string  (** contained exception, outside the taxonomy *)
 
-let attempt_error_kind = function
-  | Compile_error e -> Compile.error_kind e
-  | Internal _ -> "internal"
+let attempt_error_body ?extra = function
+  | Compile_error e ->
+    error_body ?extra ~kind:(Compile.error_kind e) (Compile.error_to_string e)
+  | Internal detail -> error_body ?extra ~kind:"internal" detail
 
-let attempt_error_detail = function
-  | Compile_error e -> Compile.error_to_string e
-  | Internal detail -> detail
-
-let attempt_retryable = function
-  | Compile_error e -> compile_retryable e
-  | Internal _ -> true
+let expired ~budget_s ~elapsed_s =
+  Compile_error (Compile.Deadline_exceeded { budget_s; elapsed_s })
 
 let problem_of ~n ~edges = Problem.of_maxcut (Graph.of_edges n edges)
 
@@ -283,126 +172,47 @@ let guarded_compile (req : Request.t) device ~attempt ~seed ~deadline_s ~n
   | Error e -> Error (Compile_error e)
   | exception (Chaos.Injected _ as e) -> raise e
   | exception Deadline.Exceeded { budget_s; elapsed_s } ->
-    Error (Compile_error (Compile.Deadline_exceeded { budget_s; elapsed_s }))
+    Error (expired ~budget_s ~elapsed_s)
   | exception e ->
     Metrics_registry.incr "serve.contained";
     Error (Internal (Printexc.to_string e))
 
-let remaining_budget deadline =
-  match deadline with
-  | None -> Ok None
-  | Some dl ->
-    let r = Deadline.remaining_s dl in
-    if r <= 0.0 then
-      Error
-        (Compile_error
-           (Compile.Deadline_exceeded
-              { budget_s = Deadline.budget_s dl; elapsed_s = Deadline.elapsed_s dl }))
-    else Ok (Some r)
+let start_deadline t =
+  Option.map (fun budget_s -> Deadline.start ~budget_s) t.deadline_s
 
-(* Degraded service for a quarantined (device, policy) pair: walk the
-   fallback chain instead of failing hard.  The response names the
-   policy that actually compiled and is flagged [degraded], and is
-   never cached (it is not a pure function of the request). *)
-let degrade (req : Request.t) device ~deadline ~n ~edges =
-  Metrics_registry.incr "serve.breaker.degraded";
-  match remaining_budget deadline with
-  | Error e ->
-    uncacheable (error_body ~kind:(attempt_error_kind e) (attempt_error_detail e))
-  | Ok deadline_s -> (
-    let options = options_of req ~seed:req.Request.seed ~deadline_s in
-    match
-      Compile.compile_with_fallback ~options device (problem_of ~n ~edges)
-        (params_of req)
-    with
-    | Ok { Compile.fallback_result = r; attempts } ->
-      uncacheable
-        (success_body req device ~qubits:n r
-        @ [
-            ("degraded", Json.Bool true);
-            ("requested_policy", Json.String (policy_tag req));
-            ("fallback_attempts", Json.Int (List.length attempts));
-          ])
-    | Error trail ->
-      let detail =
-        trail
-        |> List.map (fun (a : Compile.attempt) ->
-               Printf.sprintf "%s: %s"
-                 (Compile.strategy_name a.Compile.attempt_strategy)
-                 (match a.Compile.attempt_error with
-                 | Some e -> Compile.error_to_string e
-                 | None -> "ok"))
-        |> String.concat "; "
-      in
-      uncacheable
-        (error_body ~kind:"fallback_exhausted"
-           (if detail = "" then "fallback chain exhausted" else detail))
-    | exception (Chaos.Injected _ as e) -> raise e
-    | exception e ->
-      Metrics_registry.incr "serve.contained";
-      uncacheable (error_body ~kind:"internal" (Printexc.to_string e)))
-
-let backoff config k =
-  (* bounded exponential: 0 by default, so retries cost nothing unless
-     the operator asks for spacing *)
-  if config.backoff_s > 0.0 && k > 0 then
-    Unix.sleepf (config.backoff_s *. (2.0 ** float_of_int (k - 1)))
-
-(* The supervised primary path: bounded attempts, deterministic
-   reseeding at [seed + 7919 * attempt], one deadline spanning all
-   attempts.  [probe = true] means the breaker is open and this request
-   is the half-open probe: success closes the breaker, failure degrades
-   to the fallback chain so the client still gets an answer. *)
-let primary t (req : Request.t) device ~probe ~n ~edges =
-  let key = (req.Request.device, policy_tag req) in
-  let deadline =
-    Option.map (fun budget_s -> Deadline.start ~budget_s) t.config.deadline_s
+(* The supervised primary path: {!Deadline.retry} reseeds retry [k] at
+   [seed + Deadline.reseed_stride * k] under one deadline spanning all
+   attempts, retrying what {!Compile.retryable} allows and any contained
+   exception. *)
+let primary t (req : Request.t) device ~n ~edges =
+  let deadline = start_deadline t in
+  let outcome, attempts =
+    Deadline.retry ?deadline ~tries:t.tries ~seed:req.Request.seed
+      ~retryable:(function
+        | Compile_error e -> Compile.retryable e | Internal _ -> true)
+      ~on_expiry:expired
+      (fun ~attempt ~seed ->
+        if attempt > 0 then Metrics_registry.incr "serve.retries";
+        guarded_compile req device ~attempt ~seed
+          ~deadline_s:(Deadline.remaining_opt deadline) ~n ~edges)
   in
-  let rec attempt k =
-    backoff t.config k;
-    let seed =
-      if k = 0 then req.Request.seed
-      else req.Request.seed + (reseed_stride * k)
-    in
-    if k > 0 then Metrics_registry.incr "serve.retries";
-    let outcome =
-      match remaining_budget deadline with
-      | Error e -> Error e
-      | Ok deadline_s ->
-        guarded_compile req device ~attempt:k ~seed ~deadline_s ~n ~edges
-    in
-    match outcome with
-    | Ok r ->
-      record_success t key;
-      let body = success_body req device ~qubits:n r in
-      if k = 0 then { body; cacheable = true }
-      else
-        (* reseeded: correct, but not the attempt-0 artifact a fresh
-           cache lookup would expect - served, flagged, never cached *)
-        uncacheable (body @ [ ("attempts", Json.Int (k + 1)) ])
-    | Error e ->
-      if attempt_retryable e && k + 1 < t.config.tries then attempt (k + 1)
-      else begin
-        let now_open = record_failure t key in
-        if now_open && probe then
-          (* failed probe on an open breaker: degrade instead of
-             failing hard *)
-          degrade req device ~deadline ~n ~edges
-        else
-          uncacheable
-            (error_body ~kind:(attempt_error_kind e)
-               ~extra:
-                 (if k > 0 then [ ("attempts", Json.Int (k + 1)) ] else [])
-               (attempt_error_detail e))
-      end
+  let retried =
+    if attempts > 1 then [ ("attempts", Json.Int attempts) ] else []
   in
-  attempt 0
+  match outcome with
+  | Ok r when attempts = 1 ->
+    { body = success_body req device ~qubits:n r; cacheable = true }
+  | Ok r ->
+    (* reseeded: correct, but not the attempt-0 artifact a fresh cache
+       lookup would expect - served, flagged, never cached *)
+    uncacheable (success_body req device ~qubits:n r @ retried)
+  | Error e -> uncacheable (attempt_error_body ~extra:retried e)
 
 (* Route a raw OpenQASM program straight through the backend router
-   under the trivial initial mapping; the policy field is moot, so the
-   breaker (keyed on compile policies) does not apply - but containment
-   and the request deadline do. *)
-let route_qasm (req : Request.t) device ~qasm =
+   under the trivial initial mapping; the policy field is moot and
+   there is nothing to reseed, but containment and the request deadline
+   apply. *)
+let route_qasm t (req : Request.t) device ~qasm =
   match Qasm.of_string qasm with
   | exception Failure msg -> uncacheable (error_body ~kind:"bad_request" msg)
   | circuit -> (
@@ -415,7 +225,10 @@ let route_qasm (req : Request.t) device ~qasm =
               available))
     else
       let initial = Mapping.trivial ~num_logical:nq ~num_physical:available in
-      match Router.route ~device ~initial circuit with
+      let config =
+        { Router.default_config with deadline = start_deadline t }
+      in
+      match Router.route ~config ~device ~initial circuit with
       | routed ->
         {
           body =
@@ -440,6 +253,8 @@ let route_qasm (req : Request.t) device ~qasm =
         }
       | exception Router.Unroutable detail ->
         uncacheable (error_body ~kind:"unroutable" detail)
+      | exception Deadline.Exceeded { budget_s; elapsed_s } ->
+        uncacheable (attempt_error_body (expired ~budget_s ~elapsed_s))
       | exception (Chaos.Injected _ as e) -> raise e
       | exception e ->
         Metrics_registry.incr "serve.contained";
@@ -454,16 +269,5 @@ let handle t devices (req : Request.t) =
             (String.concat ", " Topologies.known_names)))
   | Some device -> (
     match req.Request.source with
-    | Request.Qasm qasm -> route_qasm req device ~qasm
-    | Request.Graph { n; edges } -> (
-      let key = (req.Request.device, policy_tag req) in
-      match admit t key with
-      | `Primary -> primary t req device ~probe:false ~n ~edges
-      | `Probe -> primary t req device ~probe:true ~n ~edges
-      | `Degrade ->
-        let deadline =
-          Option.map
-            (fun budget_s -> Deadline.start ~budget_s)
-            t.config.deadline_s
-        in
-        degrade req device ~deadline ~n ~edges))
+    | Request.Qasm qasm -> route_qasm t req device ~qasm
+    | Request.Graph { n; edges } -> primary t req device ~n ~edges)

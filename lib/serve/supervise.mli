@@ -8,38 +8,31 @@
     {!Qaoa_journal.Chaos.Injected} propagates (it simulates a process
     crash; recovery is the caller's test subject).
 
-    {b Retry/backoff.}  A retryable compile failure (unroutable,
-    verification-rejected, residual strategy failure, contained
-    exception) is retried up to [tries - 1] times with deterministic
-    reseeding at [seed + 7919 * attempt] (attempt 0 uses the request
-    seed verbatim, as in {!Qaoa_journal.Supervisor.trial}), spaced by
-    an exponential [backoff_s * 2^(k-1)] sleep.  One optional deadline
-    spans {e all} attempts of a request.  A success after a retry is
-    served with an ["attempts"] field and is {e not} cached: it is no
-    longer a pure function of the request.
+    {b Retry.}  A graph request's compile runs through
+    {!Qaoa_obs.Deadline.retry}, the same loop as each strategy of
+    {!Qaoa_core.Compile.compile_with_fallback}: a failure that
+    {!Qaoa_core.Compile.retryable} allows (unroutable,
+    verification-rejected, residual strategy failure), or a contained
+    exception, is retried up to [tries - 1] times under the seed
+    [seed + Qaoa_obs.Deadline.reseed_stride * attempt] (attempt 0 uses
+    the request seed verbatim).  One optional deadline spans {e all}
+    attempts, and no attempt starts once it has passed.  A success after
+    a retry is served with an ["attempts"] field and is {e not} cached.
+    A QASM request is routed once, under the same deadline.
 
-    {b Circuit breaker.}  [breaker_threshold] consecutive compile
-    failures on one (device, policy) pair quarantine the pair:
-    subsequent requests for it skip the failing primary policy and
-    degrade to {!Qaoa_core.Compile.compile_with_fallback} (response
-    flagged ["degraded":true] with the winning policy named, never
-    cached) instead of failing hard.  Every [breaker_probe_every]-th
-    request while open probes the primary again and closes the breaker
-    on success.  The breaker feeds only on structured compile failures
-    and contained exceptions of graph requests - never on [bad_request]
-    lines, so a stream of poison cannot quarantine a healthy pair.
-    Breaker state is deliberately cross-request: with [workers > 1] the
-    trip point depends on scheduling, so corpora that are expected to
-    trip breakers should either run with one worker or disable the
-    breaker ([breaker_threshold = 0]) when byte-stable output matters.
+    There is no cross-request state: every response is a function of
+    its request alone, except answers under a deadline, which depend on
+    the wall clock.  A policy that needs calibration on a device without
+    any (VIC on tokyo) answers ["missing_calibration"]; a client that
+    wants a fallback names a calibration-free policy.
 
-    Counters: [serve.retries], [serve.contained],
-    [serve.breaker.open], [serve.breaker.close],
-    [serve.breaker.degraded]. *)
+    Counters: [serve.retries], [serve.contained]. *)
 
 (** Shared device table: resolves every device name once per run so
     all workers share one [Device.t] (which is what makes the
-    {!Qaoa_hardware.Profile} distance-matrix memo hit). *)
+    {!Qaoa_hardware.Profile} distance-matrix memo hit).  Unknown names
+    are not stored, so the table is bounded by the finite set of valid
+    names. *)
 module Devices : sig
   type t
 
@@ -50,30 +43,22 @@ end
 
 type config = {
   tries : int;  (** total attempts per request, >= 1 *)
-  backoff_s : float;  (** sleep before retry [k]: [backoff_s * 2^(k-1)] *)
-  breaker_threshold : int;  (** consecutive failures to open; 0 disables *)
-  breaker_probe_every : int;  (** half-open probe cadence while open, >= 1 *)
   deadline_s : float option;  (** per-request budget spanning all attempts *)
 }
 
 val default_config : config
-(** 2 attempts, no backoff sleep, breaker at 5 consecutive failures
-    probing every 8th request, no deadline. *)
+(** 2 attempts, no deadline. *)
 
 type t
 
 val create : config -> t
 (** @raise Invalid_argument on out-of-range fields. *)
 
-val open_breakers : t -> (string * string) list
-(** Currently quarantined (device, policy) pairs, sorted. *)
-
 type verdict = {
   body : (string * Qaoa_obs.Json.t) list;
   cacheable : bool;
-      (** pure function of the request (a first-attempt success):
-          safe to cache and journal.  Errors, retried successes and
-          degraded responses are not. *)
+      (** a first-attempt success: safe to cache and journal.  Errors
+          and retried successes are not. *)
 }
 
 val handle : t -> Devices.t -> Request.t -> verdict

@@ -187,14 +187,20 @@ let test_by_name () =
   Alcotest.(check bool) "ring2 invalid" true (Topologies.by_name "ring2" = None);
   check (Printf.sprintf "linear%d" Topologies.max_qubits) Topologies.max_qubits;
   check (Printf.sprintf "ring%d" Topologies.max_qubits) Topologies.max_qubits;
+  (* above the ceiling, or N not in canonical decimal *)
   List.iter
     (fun name ->
-      Alcotest.(check bool) (name ^ " above the ceiling") true
+      Alcotest.(check bool) (name ^ " is not a device") true
         (Topologies.by_name name = None))
     [
       Printf.sprintf "linear%d" (Topologies.max_qubits + 1);
       Printf.sprintf "ring%d" (Topologies.max_qubits + 1);
       "linear100000000000000";
+      "linear08";
+      "linear0x8";
+      "linear+8";
+      "linear8_";
+      "ring0o10";
     ]
 
 let test_with_random_calibration () =

@@ -486,6 +486,45 @@ let test_bench_diff () =
   | Some (Json.Int 2) -> ()
   | _ -> Alcotest.fail "json report regression count"
 
+(* Deadline.retry's three exits.  Every attempt fails; the log records
+   each attempt's index and seed. *)
+let run_retry ?deadline ~tries ~retryable () =
+  let log = ref [] in
+  let outcome =
+    Qaoa_obs.Deadline.retry ?deadline ~tries ~seed:5 ~retryable
+      ~on_expiry:(fun ~budget_s:_ ~elapsed_s:_ -> "expired")
+      (fun ~attempt ~seed ->
+        log := (attempt, seed) :: !log;
+        Error "failed")
+  in
+  (outcome, List.rev !log)
+
+let test_retry_stops_on_non_retryable () =
+  let outcome, log = run_retry ~tries:3 ~retryable:(fun _ -> false) () in
+  Alcotest.(check bool) "first error after one attempt" true
+    (outcome = (Error "failed", 1));
+  Alcotest.(check (list (pair int int))) "attempt 0 keeps the seed"
+    [ (0, 5) ] log
+
+let test_retry_exhausts_tries () =
+  let stride = Qaoa_obs.Deadline.reseed_stride in
+  let outcome, log = run_retry ~tries:3 ~retryable:(fun _ -> true) () in
+  Alcotest.(check bool) "last error after tries attempts" true
+    (outcome = (Error "failed", 3));
+  Alcotest.(check (list (pair int int))) "attempt k reseeds by k strides"
+    [ (0, 5); (1, 5 + stride); (2, 5 + (2 * stride)) ]
+    log
+
+let test_retry_expired_deadline () =
+  let deadline = Qaoa_obs.Deadline.start ~budget_s:1e-6 in
+  Unix.sleepf 0.002;
+  let outcome, log =
+    run_retry ~deadline ~tries:3 ~retryable:(fun _ -> true) ()
+  in
+  Alcotest.(check bool) "expiry error, no attempt counted" true
+    (outcome = (Error "expired", 0));
+  Alcotest.(check int) "no attempt started" 0 (List.length log)
+
 let suite =
   [
     Alcotest.test_case "span nesting" `Quick (with_tracing test_span_nesting);
@@ -512,4 +551,10 @@ let suite =
     Alcotest.test_case "json exposition" `Quick (with_tracing test_json_exposition);
     Alcotest.test_case "flamegraph folded stacks" `Quick test_flamegraph_folded;
     Alcotest.test_case "bench regression diff" `Quick test_bench_diff;
+    Alcotest.test_case "retry stops on a non-retryable error" `Quick
+      test_retry_stops_on_non_retryable;
+    Alcotest.test_case "retry exhausts its tries" `Quick
+      test_retry_exhausts_tries;
+    Alcotest.test_case "retry starts nothing past the deadline" `Quick
+      test_retry_expired_deadline;
   ]

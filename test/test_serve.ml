@@ -581,42 +581,50 @@ let test_retry_and_containment () =
           ref_line line)
     (List.combine reference out)
 
-(* vic needs calibration and tokyo ships none: a deterministic compile
-   failure.  After [breaker_threshold] consecutive failures the
-   (tokyo, vic) pair is quarantined and later requests degrade to the
-   fallback chain instead of failing hard. *)
-let test_breaker_quarantine_and_degrade () =
-  let vic i =
+(* VIC needs calibration and tokyo ships none, so every such request
+   answers missing_calibration - however many failures came before it
+   and at any worker count: no answer depends on earlier requests. *)
+let test_uncalibrated_vic_is_missing_calibration () =
+  let lines =
+    List.init 40 (fun i ->
+        Printf.sprintf
+          {|{"id":"vic-%d","graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"policy":"vic","device":"tokyo","seed":%d}|}
+          i i)
+  in
+  let out, stats = Serve.run_lines (config ~workers:1 ()) lines in
+  List.iteri
+    (fun i line ->
+      Alcotest.(check string)
+        (Printf.sprintf "line %d" (i + 1))
+        "missing_calibration"
+        (kind_of (parse_response line)))
+    out;
+  Alcotest.(check int) "every line errors" 40 stats.Serve.errors;
+  let out4, _ = Serve.run_lines (config ~workers:4 ()) lines in
+  Alcotest.(check (list string)) "workers 1 and 4 agree" out out4
+
+(* The request deadline reaches the QASM route path: a program whose
+   400 CXs join far corners of the grid cannot route in a microsecond. *)
+let test_qasm_route_honours_deadline () =
+  let cx =
+    List.init 400 (fun k ->
+        Printf.sprintf "cx q[%d],q[%d];" (k mod 36) (35 - (k mod 36)))
+  in
+  let line =
     Printf.sprintf
-      {|{"id":"vic-%d","graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"policy":"vic","device":"tokyo","seed":%d}|}
-      i i
+      {|{"id":"far","device":"grid6x6","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[36];\n%s"}|}
+      (String.concat "\\n" cx)
   in
-  let lines = List.init 6 vic in
-  let supervise =
-    {
-      Supervise.default_config with
-      Supervise.breaker_threshold = 2;
-      breaker_probe_every = 100;
-    }
+  let answer supervise =
+    let out, _ = Serve.run_lines (config ?supervise ()) [ line ] in
+    parse_response (List.hd out)
   in
-  let out, stats = Serve.run_lines (config ~supervise ()) lines in
-  let parsed = List.map parse_response out in
-  let nth i = List.nth parsed i in
-  Alcotest.(check string) "first failure surfaces" "missing_calibration"
-    (kind_of (nth 0));
-  Alcotest.(check string) "second failure opens the breaker"
-    "missing_calibration" (kind_of (nth 1));
-  List.iter
-    (fun i ->
-      Alcotest.(check bool)
-        (Printf.sprintf "request %d degrades to a fallback policy" i)
-        true
-        (Json.member "ok" (nth i) = Some (Json.Bool true)
-        && Json.member "degraded" (nth i) = Some (Json.Bool true)
-        && Json.member "requested_policy" (nth i)
-           = Some (Json.String "VIC")))
-    [ 2; 3; 4; 5 ];
-  Alcotest.(check int) "only the pre-open requests error" 2 stats.Serve.errors
+  Alcotest.(check bool) "routes without a deadline" true
+    (Json.member "ok" (answer None) = Some (Json.Bool true));
+  Alcotest.(check string) "a 1us budget is exceeded" "deadline_exceeded"
+    (kind_of
+       (answer
+          (Some { Supervise.default_config with deadline_s = Some 1e-6 })))
 
 (* --- persistence --------------------------------------------------- *)
 
@@ -1069,9 +1077,12 @@ let suite =
       test_request_rejects_nonfinite_floats );
     ("serve-level taxonomy balances", `Quick, test_serve_taxonomy_balances);
     ("retry and containment", `Slow, test_retry_and_containment);
-    ( "breaker quarantines and degrades",
+    ( "uncalibrated vic is missing_calibration",
       `Quick,
-      test_breaker_quarantine_and_degrade );
+      test_uncalibrated_vic_is_missing_calibration );
+    ( "qasm route honours the deadline",
+      `Quick,
+      test_qasm_route_honours_deadline );
     ( "persisted cache restarts byte-identical",
       `Slow,
       test_persist_restart_byte_identical_zero_recompiles );
