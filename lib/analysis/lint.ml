@@ -6,6 +6,7 @@ module Metrics = Qaoa_circuit.Metrics
 module Decompose = Qaoa_circuit.Decompose
 module Device = Qaoa_hardware.Device
 module Calibration = Qaoa_hardware.Calibration
+module Success = Qaoa_hardware.Success
 module Trace = Qaoa_obs.Trace
 module Metrics_registry = Qaoa_obs.Metrics_registry
 module Json = Qaoa_obs.Json
@@ -269,24 +270,12 @@ let check_depth ctx =
 let check_success_prob ctx =
   match (ctx.min_success_prob, ctx.device) with
   | Some threshold, Some { Device.calibration = Some cal; _ } ->
-    let default =
+    let unrecorded =
       match Calibration.edges cal with
       | [] -> 0.5
       | _ -> snd (Calibration.worst_edge cal)
     in
-    let e1 = Calibration.single_qubit_error cal in
-    let log_p =
-      List.fold_left
-        (fun acc g ->
-          match g with
-          | Gate.Cnot (a, b) ->
-            acc +. log (1.0 -. Calibration.cnot_error_or ~default cal a b)
-          | Gate.Barrier | Gate.Measure _ -> acc
-          | _ -> acc +. log (1.0 -. e1))
-        0.0
-        (Circuit.gates (Decompose.circuit ctx.circuit))
-    in
-    let p = exp log_p in
+    let p = Success.of_circuit ~unrecorded cal ctx.circuit in
     if p >= threshold then []
     else
       [
@@ -580,29 +569,19 @@ let builtin_rules =
     };
   ]
 
-let custom_rules : rule list ref = ref []
-
-let rules () = builtin_rules @ List.rev !custom_rules
-
-let register r =
-  if List.exists (fun r' -> r'.id = r.id) (rules ()) then
-    invalid_arg (Printf.sprintf "Lint.register: duplicate rule id %s" r.id);
-  custom_rules := r :: !custom_rules
-
-let run ?rules:rs ctx =
-  let rs = match rs with Some rs -> rs | None -> rules () in
+let run ?(rules = builtin_rules) ctx =
   Trace.with_span "analysis.lint.run"
     ~attrs:
       [
         ("role", Trace.str (match ctx.role with Logical -> "logical" | Compiled -> "compiled"));
         ("gates", Trace.int (Circuit.length ctx.circuit));
-        ("rules", Trace.int (List.length rs));
+        ("rules", Trace.int (List.length rules));
       ]
   @@ fun () ->
   let findings =
     List.concat_map
       (fun r -> if List.mem ctx.role r.roles then r.check ctx else [])
-      rs
+      rules
   in
   List.iter
     (fun (f : finding) ->

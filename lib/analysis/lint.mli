@@ -1,11 +1,11 @@
 (** Execution-free circuit lint engine (`qaoa-lint`).
 
-    A registry of rules, each with a stable id, a default severity, the
-    circuit roles it applies to, and a checker producing findings with a
-    gate-span location and an optional fix hint.  All rules are static -
-    they inspect the gate list, the device coupling graph and the
-    calibration snapshot, never a simulator - so they run on circuits of
-    any size.
+    A fixed set of rules ({!builtin_rules}), each with a stable id, a
+    default severity, the circuit roles it applies to, and a checker
+    producing findings with a gate-span location and an optional fix
+    hint.  All rules are static - they inspect the gate list, the device
+    coupling graph and the calibration snapshot, never a simulator - so
+    they run on circuits of any size.
 
     Built-in rules:
 
@@ -92,16 +92,10 @@ type rule = {
 
 val builtin_rules : rule list
 
-val register : rule -> unit
-(** Add a custom rule to the process-global registry.
-    @raise Invalid_argument on a duplicate rule id. *)
-
-val rules : unit -> rule list
-(** Built-ins followed by registered customs. *)
-
 val run : ?rules:rule list -> context -> finding list
-(** Run every rule applicable to the context's role, findings in rule
-    order then gate order.  Traced as ["analysis.lint.run"]; bumps the
+(** Run every rule of [rules] (default {!builtin_rules}) applicable
+    to the context's role, findings in rule order then gate order.
+    Traced as ["analysis.lint.run"]; bumps the
     ["lint.findings.<severity>"] counters. *)
 
 val max_severity : finding list -> severity option

@@ -1,6 +1,7 @@
 module Circuit = Qaoa_circuit.Circuit
 module Metrics = Qaoa_circuit.Metrics
 module Device = Qaoa_hardware.Device
+module Success = Qaoa_hardware.Success
 module Mapping = Qaoa_backend.Mapping
 module Router = Qaoa_backend.Router
 module Rng = Qaoa_util.Rng

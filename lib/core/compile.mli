@@ -236,7 +236,7 @@ val compile_with_fallback :
     @raise Invalid_argument on an empty [chain] or negative [retries]. *)
 
 val success_probability : ?include_readout:bool -> Qaoa_hardware.Device.t -> result -> float
-(** {!Success.of_circuit} on the compiled circuit. *)
+(** {!Qaoa_hardware.Success.of_circuit} on the compiled circuit. *)
 
 val logical_outcome : result -> int -> int
 (** Translate a sampled physical bitstring (basis index over device

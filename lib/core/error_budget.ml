@@ -2,6 +2,7 @@ module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
 module Decompose = Qaoa_circuit.Decompose
 module Calibration = Qaoa_hardware.Calibration
+module Success = Qaoa_hardware.Success
 
 type entry = { label : string; count : int; log_loss : float }
 
@@ -13,36 +14,32 @@ type t = {
 }
 
 let analyze cal circuit =
-  let e1 = Calibration.single_qubit_error cal in
+  let charge_1q = Calibration.single_qubit_error cal > 0.0 in
   let kind_tbl = Hashtbl.create 4 in
   let coupling_tbl = Hashtbl.create 32 in
   let charge tbl key loss =
     let count, acc = Option.value ~default:(0, 0.0) (Hashtbl.find_opt tbl key) in
     Hashtbl.replace tbl key (count + 1, acc +. loss)
   in
-  let charge_cnot source a b =
-    let loss = log (1.0 -. Calibration.cnot_error cal a b) in
-    charge kind_tbl source loss;
-    charge coupling_tbl (Printf.sprintf "(%d,%d)" (min a b) (max a b)) loss
-  in
-  let charge_1q () = if e1 > 0.0 then charge kind_tbl "1q" (log (1.0 -. e1)) in
   List.iter
     (fun g ->
-      match g with
-      | Gate.Cphase (a, b, _) ->
-        (* lowering: two CNOTs plus one (virtual-cost) RZ *)
-        charge_cnot "cphase-cnot" a b;
-        charge_cnot "cphase-cnot" a b;
-        charge_1q ()
-      | Gate.Swap (a, b) ->
-        charge_cnot "swap-cnot" a b;
-        charge_cnot "swap-cnot" a b;
-        charge_cnot "swap-cnot" a b
-      | Gate.Cnot (a, b) -> charge_cnot "cnot" a b
-      | Gate.Barrier | Gate.Measure _ -> ()
-      | Gate.H _ | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.Rx _ | Gate.Ry _
-      | Gate.Rz _ | Gate.Phase _ ->
-        charge_1q ())
+      (* each lowered CNOT is charged to the routed gate it came from *)
+      let source =
+        match g with
+        | Gate.Cphase _ -> "cphase-cnot"
+        | Gate.Swap _ -> "swap-cnot"
+        | _ -> "cnot"
+      in
+      List.iter
+        (fun b ->
+          let loss = Success.log_gate cal b in
+          match b with
+          | Gate.Cnot (u, v) ->
+            charge kind_tbl source loss;
+            charge coupling_tbl (Printf.sprintf "(%d,%d)" (min u v) (max u v)) loss
+          | Gate.Barrier | Gate.Measure _ -> ()
+          | _ -> if charge_1q then charge kind_tbl "1q" loss)
+        (Decompose.gate g))
     (Circuit.gates circuit);
   let entries tbl =
     Hashtbl.fold

@@ -23,9 +23,13 @@ type t = {
 val analyze :
   Qaoa_hardware.Calibration.t -> Qaoa_circuit.Circuit.t -> t
 (** The circuit must still contain its CPHASE/SWAP structure (i.e. a
-    router result, not a pre-decomposed circuit): attribution of CNOTs
-    to their source gate happens during lowering.
-    @raise Not_found if a coupling lacks a calibrated rate. *)
+    router result, not a pre-decomposed circuit): each gate is lowered
+    with {!Qaoa_circuit.Decompose.gate}, and every basis gate it yields
+    is charged its {!Qaoa_hardware.Success.log_gate} term under the
+    source gate's kind.  No ["1q"] entry is made when the one-qubit
+    rate is 0.
+    @raise Failure if a coupling lacks a calibrated rate
+    ({!Qaoa_hardware.Calibration.cnot_error}). *)
 
 val worst_couplings : ?top:int -> t -> entry list
 (** The [top] (default 5) couplings by absolute log loss. *)

@@ -223,7 +223,7 @@ let mapper_shootout ?(scale = Figures.Default) ?journal ?(seed = 20500)
                   let m = Metrics.of_circuit r.Router.circuit in
                   ( float_of_int m.Metrics.depth,
                     float_of_int m.Metrics.gate_count,
-                    Qaoa_core.Success.of_circuit cal r.Router.circuit ))
+                    Qaoa_hardware.Success.of_circuit cal r.Router.circuit ))
                 problems
             in
             let pick f = Stats.mean (List.map f stats) in

@@ -92,41 +92,6 @@ let complement_degree_sum t =
 let equal a b =
   a.n = b.n && Array.for_all2 Int_set.equal a.adj b.adj
 
-(* SplitMix-style finalizer; multiplication wraps, which is what a bit
-   mixer wants. *)
-let mix a b =
-  let h = ref (a lxor ((b + 0x9e3779b9) * 0x517cc1b727220a95)) in
-  h := (!h lxor (!h lsr 30)) * 0x2545f4914f6cdd1d;
-  h := (!h lxor (!h lsr 27)) * 0x1d8e4e27c47d124f;
-  !h lxor (!h lsr 31)
-
-let canonical_hash t =
-  if t.n = 0 then mix 0 0
-  else begin
-    (* Weisfeiler-Leman color refinement.  Each round replaces a
-       vertex's color with a hash of (own color, sorted multiset of
-       neighbor colors); every step is equivariant under vertex
-       relabeling, and the final fold is over the sorted color multiset,
-       so the result is invariant under any permutation of vertex labels
-       (and trivially of edge-list order).  Non-isomorphic graphs can
-       collide (WL is not a complete invariant) - callers needing exact
-       identity must compare edge lists as well. *)
-    let colors = Array.init t.n (fun v -> mix 0x5747 (Int_set.cardinal t.adj.(v))) in
-    let next = Array.make t.n 0 in
-    (* Refinement stabilizes within n rounds; the cap only bounds work
-       on large graphs and depends on invariants alone. *)
-    let rounds = min t.n 16 in
-    for _ = 1 to rounds do
-      for v = 0 to t.n - 1 do
-        let nc = List.sort compare (List.map (fun u -> colors.(u)) (Int_set.elements t.adj.(v))) in
-        next.(v) <- List.fold_left mix (mix colors.(v) 0x517cc1b7) nc
-      done;
-      Array.blit next 0 colors 0 t.n
-    done;
-    Array.sort compare colors;
-    Array.fold_left mix (mix t.n (num_edges t)) colors
-  end
-
 let pp ppf t =
   Format.fprintf ppf "graph(n=%d, m=%d:" t.n (num_edges t);
   List.iter (fun (u, v) -> Format.fprintf ppf " %d-%d" u v) (edges t);

@@ -3,7 +3,11 @@
     Used both for problem graphs (QAOA-MaxCut instances) and hardware
     coupling graphs.  The representation favours the access patterns of the
     compilation heuristics: O(1) adjacency tests, cheap neighbor lists, and
-    stable (sorted) edge enumeration so that seeded runs are reproducible. *)
+    stable (sorted) edge enumeration so that seeded runs are reproducible.
+
+    There is no structural (isomorphism-invariant) hash: the serving
+    layer's cache keys a problem by its exact normalized edge list, so
+    a relabeled copy of a graph is a different problem there. *)
 
 type t
 
@@ -54,13 +58,5 @@ val complement_degree_sum : t -> int
 (** Sum of degrees = 2 * #edges; exposed for cheap sanity assertions. *)
 
 val equal : t -> t -> bool
-
-val canonical_hash : t -> int
-(** Label-invariant structural hash via Weisfeiler-Leman color
-    refinement: permuting vertex labels (or the order edges were added)
-    never changes the hash.  Used to key the compiled-artifact cache of
-    the serving layer.  Not a complete isomorphism invariant -
-    non-isomorphic graphs may collide, so exact-identity consumers must
-    additionally compare edge lists ({!edges}). *)
 
 val pp : Format.formatter -> t -> unit

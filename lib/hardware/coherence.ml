@@ -102,16 +102,4 @@ let decoherence_factor ?schedule t circuit =
   exp !log_factor
 
 let estimated_success_probability t cal circuit =
-  let d = Decompose.circuit circuit in
-  let e1 = Calibration.single_qubit_error cal in
-  let gate_log =
-    List.fold_left
-      (fun acc g ->
-        match g with
-        | Gate.Cnot (a, b) -> acc +. log (1.0 -. Calibration.cnot_error cal a b)
-        | Gate.Barrier | Gate.Measure _ -> acc
-        | Gate.Cphase _ | Gate.Swap _ -> assert false
-        | _ -> acc +. log (1.0 -. e1))
-      0.0 (Circuit.gates d)
-  in
-  exp gate_log *. decoherence_factor t circuit
+  Success.of_circuit cal circuit *. decoherence_factor t circuit

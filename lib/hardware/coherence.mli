@@ -73,5 +73,6 @@ val decoherence_factor :
 
 val estimated_success_probability :
   t -> Calibration.t -> Qaoa_circuit.Circuit.t -> float
-(** Gate-error success product (see {!Calibration}) times
-    {!decoherence_factor} - the ESP-style combined estimate. *)
+(** {!Success.of_circuit} (the gate-error product) times
+    {!decoherence_factor} - the ESP-style combined estimate.
+    @raise Failure if a CNOT's coupling has no recorded rate. *)

@@ -56,12 +56,7 @@ type hist_state = {
   h_max : float;
   h_samples : float array;  (** retained recent observations, sorted *)
 }
-(** Raw mergeable histogram state, the substrate of {!Snapshot}. *)
-
-val merge_hist_state : hist_state -> hist_state -> hist_state
-(** Exact on [h_count]/[h_sum]/[h_min]/[h_max]; concatenates retained
-    samples. (The result's [h_samples] is not re-sorted — sort before
-    computing percentiles, as {!summary_of_state} does.) *)
+(** Raw histogram state, the substrate of {!Snapshot}. *)
 
 val summary_of_state : hist_state -> summary
 

@@ -5,16 +5,6 @@ type t = {
   dropped_spans : int;
 }
 
-(* Canonical total order on events: start time first (the natural
-   reading order of a merged multi-domain stream), then domain and id to
-   break ties deterministically. *)
-let compare_event (a : Trace.event) (b : Trace.event) =
-  compare
-    (a.Trace.start_wall, a.Trace.domain, a.Trace.id, a.Trace.name)
-    (b.Trace.start_wall, b.Trace.domain, b.Trace.id, b.Trace.name)
-
-let canonical_spans spans = List.sort compare_event spans
-
 let empty =
   { counters = []; histograms = []; spans = []; dropped_spans = 0 }
 
@@ -23,7 +13,7 @@ let capture () =
   {
     counters;
     histograms;
-    spans = canonical_spans (Trace.events ());
+    spans = Trace.events ();
     dropped_spans = Trace.dropped_count ();
   }
 
@@ -32,32 +22,3 @@ let histogram t name = List.assoc_opt name t.histograms
 
 let summary t name =
   Option.map Metrics_registry.summary_of_state (histogram t name)
-
-(* Merge two sorted-by-name assoc lists, combining values on key
-   collision — keeps merge O(n) and canonically ordered. *)
-let rec merge_assoc combine a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | (ka, va) :: ra, (kb, vb) :: rb ->
-    let c = compare ka kb in
-    if c < 0 then (ka, va) :: merge_assoc combine ra b
-    else if c > 0 then (kb, vb) :: merge_assoc combine a rb
-    else (ka, combine va vb) :: merge_assoc combine ra rb
-
-let sort_hist_samples (st : Metrics_registry.hist_state) =
-  let a = Array.copy st.Metrics_registry.h_samples in
-  Array.sort compare a;
-  { st with Metrics_registry.h_samples = a }
-
-let merge a b =
-  {
-    counters = merge_assoc ( + ) a.counters b.counters;
-    histograms =
-      merge_assoc
-        (fun x y -> sort_hist_samples (Metrics_registry.merge_hist_state x y))
-        a.histograms b.histograms;
-    spans = canonical_spans (a.spans @ b.spans);
-    dropped_spans = a.dropped_spans + b.dropped_spans;
-  }
-
-let equal a b = a = b

@@ -6,21 +6,14 @@
     registries (capturing twice with no intervening recording yields
     equal snapshots — no drain-and-add double counting), and all
     consumer layers ({!Expose}, {!Flamegraph}, bench tooling) read from
-    snapshots rather than from live shards.
-
-    {!merge} combines snapshots from disjoint sources (worker processes,
-    sweep shards): counters add, histogram counts/sums/mins/maxes
-    combine exactly, retained percentile windows concatenate, and span
-    streams union. Merge is associative and order-independent up to
-    floating-point addition (exact when observed values are
-    integer-valued, e.g. counts and sizes). *)
+    snapshots rather than from live shards. *)
 
 type t = {
   counters : (string * int) list;  (** sorted by name *)
   histograms : (string * Metrics_registry.hist_state) list;
       (** sorted by name; each state's samples sorted *)
   spans : Trace.event list;
-      (** sorted by (start time, domain, id) — see {!capture} *)
+      (** in completion order, as {!Trace.events} returns them *)
   dropped_spans : int;
 }
 
@@ -36,12 +29,3 @@ val counter : t -> string -> int
 
 val histogram : t -> string -> Metrics_registry.hist_state option
 val summary : t -> string -> Metrics_registry.summary option
-
-val merge : t -> t -> t
-(** Union of two snapshots from disjoint sources (merging a snapshot
-    with itself double-counts, by design). *)
-
-val equal : t -> t -> bool
-
-val compare_event : Trace.event -> Trace.event -> int
-(** The canonical span order used by {!capture} and {!merge}. *)

@@ -1,7 +1,7 @@
 module Metrics_registry = Qaoa_obs.Metrics_registry
 module Json = Qaoa_obs.Json
 
-type key = { graph_hash : int; fingerprint : string }
+type key = string
 
 type entry = {
   body : (string * Json.t) list;

@@ -1,14 +1,11 @@
 (** Compiled-artifact cache for the serving layer.
 
-    Entries are keyed by {!key}: the label-invariant
-    {!Qaoa_graph.Graph.canonical_hash} of the problem graph plus a
-    {e fingerprint} - the canonical rendering of everything else that
-    determines the response body (exact normalized edge list, device,
-    policy, seed and the remaining options; see
-    {!Request.fingerprint}).  The graph hash buckets isomorphic
-    problems together; the fingerprint's exact edge list guarantees a
-    hit is only ever served for a byte-identical problem, so a cached
-    body is always byte-equal to a fresh compile of the same request.
+    Entries are keyed by {!key}: the request's {e fingerprint}, the
+    canonical rendering of everything that determines the response
+    body (exact normalized edge list or QASM text, device, policy,
+    seed and the remaining options; see {!Request.fingerprint}).  Equal
+    keys mean the same problem byte for byte, so a cached body is
+    always byte-equal to a fresh compile of the same request.
 
     The cache is mutex-guarded and shared across worker domains.
     Eviction is least-recently-used over a bounded capacity (the evict
@@ -33,7 +30,8 @@
 
 type t
 
-type key = { graph_hash : int; fingerprint : string }
+type key = string
+(** A {!Request.fingerprint}. *)
 
 type stats = {
   lookups : int;  (** total [find] calls *)

@@ -26,12 +26,7 @@ type stats = {
 (* One record per cache insertion, framed by [Framed] exactly like the
    trial journal, so the same torn-tail reasoning applies. *)
 let record (key : Cache.key) body =
-  Json.Assoc
-    [
-      ("graph_hash", Json.Int key.Cache.graph_hash);
-      ("fingerprint", Json.String key.Cache.fingerprint);
-      ("body", Json.Assoc body);
-    ]
+  Json.Assoc [ ("fingerprint", Json.String key); ("body", Json.Assoc body) ]
 
 (* Reload [file] into [cache].  Unlike the trial journal, a cache is
    disposable state, so corruption is survivable everywhere: a torn
@@ -42,15 +37,14 @@ let record (key : Cache.key) body =
    bytes preloaded are exactly the bytes a fresh compile produced
    before the crash. *)
 let load file cache =
+  (* only "fingerprint" and "body" are read: records written while a
+     graph hash was still half of the key carry that hash as a third
+     field, which is ignored, so such a journal reloads and keeps
+     answering hits *)
   let decode doc =
-    match
-      ( Json.member "graph_hash" doc,
-        Json.member "fingerprint" doc,
-        Json.member "body" doc )
-    with
-    | Some (Json.Int graph_hash), Some (Json.String fingerprint),
-      Some (Json.Assoc body) ->
-      ignore (Cache.preload cache { Cache.graph_hash; fingerprint } body);
+    match (Json.member "fingerprint" doc, Json.member "body" doc) with
+    | Some (Json.String key), Some (Json.Assoc body) ->
+      ignore (Cache.preload cache key body);
       true
     | _ -> false
   in

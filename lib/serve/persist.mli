@@ -2,8 +2,9 @@
     {!Cache}.
 
     Every cacheable response body is appended to
-    [<dir>/cache.jsonl] as one checksummed record -
-    [CRCHEX {"graph_hash":..,"fingerprint":"..","body":{..}}\n] - the
+    [<dir>/cache.jsonl] as one checksummed record under its {!Cache.key}
+    (the request fingerprint) -
+    [CRCHEX {"fingerprint":"..","body":{..}}\n] - the
     same {!Qaoa_journal.Framed} log as the sweep journal
     ({!Qaoa_journal.Journal}), so the same durability reasoning
     applies: records are flushed as they are
@@ -17,7 +18,10 @@
     and counted instead of refusing the file.  Every surviving record re-passed its CRC, so the bytes
     preloaded into the cache are exactly the bytes a fresh compile
     produced before the crash - the [cached = fresh] byte-equality
-    invariant holds across restarts.
+    invariant holds across restarts.  Reload reads only
+    ["fingerprint"] and ["body"]: records written while a graph hash
+    was still half of the key carry it as a third field, which is
+    ignored, so such a journal stays warm.
 
     Appends run under a mutex (workers' stores are already serialized
     by the consume path, but the daemon drain also writes) and pass

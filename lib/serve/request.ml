@@ -1,6 +1,5 @@
 module Json = Qaoa_obs.Json
 module Compile = Qaoa_core.Compile
-module Graph = Qaoa_graph.Graph
 module Topologies = Qaoa_hardware.Topologies
 
 type source = Graph of { n : int; edges : (int * int) list } | Qasm of string
@@ -120,9 +119,8 @@ let parse_policy json =
 
 type control = Ping | Stats
 
-let control_of_line line =
-  match Json.of_string_opt line with
-  | Some (Json.Assoc fields) -> (
+let control_of_json = function
+  | Json.Assoc fields -> (
     match List.assoc_opt "op" fields with
     | None -> None
     | Some op ->
@@ -139,10 +137,8 @@ let control_of_line line =
         | _ -> Error "field \"op\" must be a string"))
   | _ -> None
 
-let of_line line =
-  match Json.of_string_opt line with
-  | None -> Error "malformed JSON"
-  | Some (Json.Assoc fields as json) -> (
+let of_json = function
+  | Json.Assoc fields as json -> (
     match
       List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
     with
@@ -177,7 +173,12 @@ let of_line line =
             analyze;
             qasm_out;
           })
-  | Some _ -> Error "request must be a JSON object"
+  | _ -> Error "request must be a JSON object"
+
+let of_line line =
+  match Json.of_string_opt line with
+  | None -> Error "malformed JSON"
+  | Some json -> of_json json
 
 let policy_tag t =
   (* stable lower-case policy tag; the packing limit is rendered
@@ -251,10 +252,4 @@ let fingerprint t =
     t.analyze t.qasm_out;
   Buffer.contents buf
 
-let graph_hash t =
-  match t.source with
-  | Graph { n; edges } -> Graph.canonical_hash (Graph.of_edges n edges)
-  | Qasm q -> Hashtbl.hash q
-
-let cache_key t =
-  { Cache.graph_hash = graph_hash t; fingerprint = fingerprint t }
+let cache_key = fingerprint

@@ -25,7 +25,9 @@
 
     Edges are normalized at parse time ((min, max), sorted, deduplicated),
     so every textual spelling of the same graph produces the same
-    {!fingerprint} and the same compiled artifact. *)
+    {!fingerprint} and the same compiled artifact.  The fingerprint is
+    the whole cache key ({!cache_key}); a relabeled copy of a graph is
+    a different key. *)
 
 type source =
   | Graph of { n : int; edges : (int * int) list }
@@ -59,16 +61,19 @@ type control = Ping | Stats
     cache-lookup taxonomy and the in-flight gauge.  Strict like
     requests: any field besides ["op"] is rejected. *)
 
-val control_of_line : string -> (control, string) result option
-(** [None] when the line is not a control request at all (no ["op"]
-    field, not an object, unparseable - it should flow to {!of_line});
+val control_of_json : Qaoa_obs.Json.t -> (control, string) result option
+(** [None] when the parsed line is not a control request at all (no
+    ["op"] field, or not an object - it should flow to {!of_json});
     [Some (Error _)] when it names an unknown op or carries extra
     fields. *)
 
+val of_json : Qaoa_obs.Json.t -> (t, string) result
+(** Validate one parsed line.  [Error msg] describes the first problem
+    (not an object, missing/unknown field, bad edge, unknown policy, a
+    [graph.n] above {!Qaoa_hardware.Topologies.max_qubits}, ...). *)
+
 val of_line : string -> (t, string) result
-(** Parse one JSONL line.  [Error msg] describes the first problem
-    (malformed JSON, missing/unknown field, bad edge, unknown policy,
-    a [graph.n] above {!Qaoa_hardware.Topologies.max_qubits}, ...). *)
+(** {!of_json} of the parsed line, or [Error "malformed JSON"]. *)
 
 val to_json : t -> Qaoa_obs.Json.t
 (** Re-serialize (normalized form; used by the corpus generator and
@@ -80,8 +85,6 @@ val fingerprint : t -> string
     decimal rounding), measure/verify/analyze/qasm_out.  Equal
     fingerprints imply byte-identical response bodies. *)
 
-val graph_hash : t -> int
-(** {!Qaoa_graph.Graph.canonical_hash} of the problem graph for graph
-    sources; a string hash of the program text for qasm sources. *)
-
 val cache_key : t -> Cache.key
+(** The {!fingerprint}: two requests share a cache entry exactly when
+    they parse to the same fields apart from [id]. *)

@@ -49,14 +49,6 @@ type outcome = {
 
 let outcome_error o = Supervise.is_error o.body
 
-(* The full supervised path for one input line: parse, answer from the
-   cache when possible, otherwise compute under {!Supervise.handle}
-   (containment, retry), then settle the cache taxonomy -
-   every missed lookup ends in exactly one store or reject, which is
-   what keeps [lookups = hits + misses + rejects] an invariant.  A
-   [Stored] insertion is journaled before the response is visible, so
-   a crash never leaves a served-but-unpersisted artifact ahead of the
-   journal. *)
 (* Control-verb bodies.  [stats] snapshots the cache-lookup taxonomy
    and the in-flight gauge so a supervisor (or CI) can assert
    [lookups = hits + misses + rejects] per process over the wire. *)
@@ -83,6 +75,15 @@ let stats_body cache inflight =
     ("inflight", Json.Int (Atomic.get inflight)); ("cache", cache_json);
   ]
 
+(* The full supervised path for one input line: parse it once, answer
+   a control verb or validate the same value as a request, answer from
+   the cache when possible, otherwise compute under {!Supervise.handle}
+   (containment, retry), then settle the cache taxonomy -
+   every missed lookup ends in exactly one store or reject, which is
+   what keeps [lookups = hits + misses + rejects] an invariant.  A
+   [Stored] insertion is journaled before the response is visible, so
+   a crash never leaves a served-but-unpersisted artifact ahead of the
+   journal. *)
 let handle sup devices cache persist inflight (line_no, line) =
   Trace.with_span "serve.request" @@ fun () ->
   let t0 = Clock.wall () in
@@ -92,27 +93,26 @@ let handle sup devices cache persist inflight (line_no, line) =
     Metrics_registry.observe "serve.request_ms" ms;
     { id; line = line_no; body; cached; ms }
   in
-  match Request.control_of_line line with
+  let bad_request msg =
+    finish
+      (Supervise.error_body
+         ~extra:[ ("line", Json.Int line_no) ]
+         ~kind:"bad_request" msg)
+  in
+  let json = Json.of_string_opt line in
+  match Option.bind json Request.control_of_json with
   | Some ctl -> (
     (* control verbs are not requests: no [serve.requests] count, no
        cache interaction - the lookup taxonomy stays balanced *)
     match ctl with
-    | Error msg ->
-      finish
-        (Supervise.error_body
-           ~extra:[ ("line", Json.Int line_no) ]
-           ~kind:"bad_request" msg)
+    | Error msg -> bad_request msg
     | Ok Request.Ping ->
       finish [ ("ok", Json.Bool true); ("op", Json.String "ping") ]
     | Ok Request.Stats -> finish (stats_body cache inflight))
   | None -> (
   Metrics_registry.incr "serve.requests";
-  match Request.of_line line with
-  | Error msg ->
-    finish
-      (Supervise.error_body
-         ~extra:[ ("line", Json.Int line_no) ]
-         ~kind:"bad_request" msg)
+  match Option.fold ~none:(Error "malformed JSON") ~some:Request.of_json json with
+  | Error msg -> bad_request msg
   | Ok req -> (
     let id = req.Request.id in
     match cache with

@@ -40,4 +40,4 @@ val sample_noisy :
 
 val expected_success_probability : t -> Qaoa_circuit.Circuit.t -> float
 (** Analytic product of per-gate success rates of the decomposed circuit -
-    must agree with {!Qaoa_core.Success} and is cross-checked in tests. *)
+    must agree with {!Qaoa_hardware.Success} and is cross-checked in tests. *)

@@ -8,6 +8,7 @@ module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
 module Device = Qaoa_hardware.Device
 module Calibration = Qaoa_hardware.Calibration
+module Success = Qaoa_hardware.Success
 module Topologies = Qaoa_hardware.Topologies
 module Phase_poly = Qaoa_analysis.Phase_poly
 module Lint = Qaoa_analysis.Lint
@@ -403,7 +404,38 @@ let test_ql008_success_probability () =
     lint ~device ~min_success_prob:0.5 ~role:Lint.Compiled ~n:3 gates
   in
   Alcotest.(check bool) "0.81 >= 0.5 silent" false
-    (List.mem "QL008" (rule_ids silent))
+    (List.mem "QL008" (rule_ids silent));
+  (* the rule scores exactly Success's product: silent at it, firing
+     one float above it *)
+  let cal = Option.get device.Device.calibration in
+  let p = Success.of_circuit cal (Circuit.of_gates 3 gates) in
+  let fires_at threshold =
+    List.mem "QL008"
+      (rule_ids (lint ~device ~min_success_prob:threshold ~role:Lint.Compiled ~n:3 gates))
+  in
+  Alcotest.(check bool) "silent at the product" false (fires_at p);
+  Alcotest.(check bool) "fires just above it" true (fires_at (Float.succ p));
+  (* a CNOT on an unrecorded coupling is scored at the worst recorded
+     rate (0.3), not the other one (0.1) *)
+  let device =
+    Device.with_calibration (Topologies.linear 4)
+      (Calibration.create ~single_qubit_error:0.0 [ (0, 1, 0.1); (1, 2, 0.3) ])
+  in
+  let gates = [ Gate.Cnot (2, 3) ] in
+  let worst =
+    Success.of_circuit ~unrecorded:0.3
+      (Option.get device.Device.calibration)
+      (Circuit.of_gates 4 gates)
+  in
+  Alcotest.(check (float 1e-12)) "scored at 0.3" 0.7 worst;
+  let fires_at threshold =
+    List.mem "QL008"
+      (rule_ids (lint ~device ~min_success_prob:threshold ~role:Lint.Compiled ~n:4 gates))
+  in
+  Alcotest.(check bool) "unrecorded silent at the worst rate" false (fires_at worst);
+  Alcotest.(check bool) "unrecorded fires just above it" true
+    (fires_at (Float.succ worst));
+  Alcotest.(check bool) "not scored at the best rate" true (fires_at 0.8)
 
 let test_ql009_critical_swap () =
   let fires =
@@ -723,18 +755,6 @@ let test_severity_order_and_names () =
     = Some Lint.Error);
   Alcotest.(check bool) "empty max" true (Lint.max_severity [] = None)
 
-let test_register_duplicate_rejected () =
-  Alcotest.check_raises "duplicate id"
-    (Invalid_argument "Lint.register: duplicate rule id QL001") (fun () ->
-      Lint.register
-        {
-          Lint.id = "QL001";
-          name = "dup";
-          severity = Lint.Info;
-          roles = [];
-          check = (fun _ -> []);
-        })
-
 let test_json_round_trip () =
   let findings =
     [
@@ -799,7 +819,6 @@ let suite =
     ("clean compile lints quiet", `Quick, test_clean_compiled_circuit_is_quiet);
     ("lint exit codes", `Quick, test_exit_codes);
     ("severity order and names", `Quick, test_severity_order_and_names);
-    ("duplicate rule id rejected", `Quick, test_register_duplicate_rejected);
     ("lint report JSON round-trip", `Quick, test_json_round_trip);
     ("lint text report shape", `Quick, test_text_report_shape);
   ]

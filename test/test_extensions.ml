@@ -9,6 +9,7 @@ module Decompose = Qaoa_circuit.Decompose
 module Device = Qaoa_hardware.Device
 module Calibration = Qaoa_hardware.Calibration
 module Coherence = Qaoa_hardware.Coherence
+module Success = Qaoa_hardware.Success
 module Topologies = Qaoa_hardware.Topologies
 module Mapping = Qaoa_backend.Mapping
 module Compliance = Qaoa_backend.Compliance
@@ -69,7 +70,10 @@ let test_coherence_esp () =
   let esp = Coherence.estimated_success_probability model cal c in
   let gates_only = 0.99 *. 0.9 in
   Alcotest.(check bool) "below gates-only" true (esp < gates_only);
-  Alcotest.(check bool) "close for long T1" true (esp > gates_only *. 0.9)
+  Alcotest.(check bool) "close for long T1" true (esp > gates_only *. 0.9);
+  Alcotest.(check (float 0.0)) "gate product times decoherence"
+    (Success.of_circuit cal c *. Coherence.decoherence_factor model c)
+    esp
 
 let test_coherence_validation () =
   Alcotest.check_raises "length mismatch"

@@ -9,7 +9,7 @@ module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Compile = Qaoa_core.Compile
 module Error_budget = Qaoa_core.Error_budget
-module Success = Qaoa_core.Success
+module Success = Qaoa_hardware.Success
 module Topologies = Qaoa_hardware.Topologies
 module Device = Qaoa_hardware.Device
 

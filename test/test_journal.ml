@@ -165,9 +165,11 @@ let test_journal_closed_append () =
 
 (* Three framed records carrying both schemas - the trial journal's
    {"key","status","payload"} and the artifact cache's
-   {"graph_hash","fingerprint","body"} - so the very same bytes reload
-   through both callers of the framed log: [Journal] refuses mid-file
-   corruption, [Persist] drops it. *)
+   {"fingerprint","body"} - so the very same bytes reload through both
+   callers of the framed log: [Journal] refuses mid-file corruption,
+   [Persist] drops it.  The extra "graph_hash" field pins reloading a
+   cache journal written before the key was the fingerprint alone,
+   whose records all carry it. *)
 let dual_image =
   String.concat ""
     (List.init 3 (fun i ->
@@ -229,9 +231,7 @@ let test_torn_recovery_every_cut () =
     check "cache file truncated" boundary (String.length (read_file pfile));
     (* and both logs keep working: append again under a fresh key *)
     Journal.append j ~key:"fresh" ~status:Journal.Done (payload 9);
-    Persist.append p
-      { Cache.graph_hash = 99; fingerprint = "fresh" }
-      [ ("v", Json.Int 9) ];
+    Persist.append p "fresh" [ ("v", Json.Int 9) ];
     Journal.close j;
     Persist.close p
   done

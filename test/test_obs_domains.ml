@@ -1,6 +1,6 @@
 (* Multicore correctness of the observability layer: N domains hammer
    counters, histograms and nested spans in parallel; the merged view
-   must be exact, and snapshot merge must be order-independent. *)
+   must be exact. *)
 
 module Config = Qaoa_obs.Config
 module Trace = Qaoa_obs.Trace
@@ -128,50 +128,8 @@ let test_stress () =
   Alcotest.(check bool) "mid-flight spans monotone" true
     (List.length mid.Snapshot.spans <= List.length spans)
 
-(* Property: folding [Snapshot.merge] over any permutation of disjoint
-   snapshots yields the same snapshot. Observations are integer-valued
-   so float sums are exact and equality is structural. *)
-let merge_order_independent =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 2 5)
-        (pair (list_size (int_range 0 6) (pair (int_range 0 3) (int_range 0 50)))
-           (list_size (int_range 0 40) (int_range 0 99))))
-  in
-  let arb = QCheck.make gen in
-  let snapshot_of_part part (counter_incrs, observations) =
-    Config.set (Some Config.Report);
-    Trace.reset ();
-    Metrics.reset ();
-    List.iter
-      (fun (c, by) -> Metrics.incr (Printf.sprintf "c%d" c) ~by)
-      counter_incrs;
-    List.iter
-      (fun v ->
-        Metrics.observe
-          (Printf.sprintf "h%d" (v mod 2))
-          (float_of_int v))
-      observations;
-    Trace.with_span (Printf.sprintf "part%d" part) (fun () -> ());
-    let s = Snapshot.capture () in
-    Config.set None;
-    Trace.reset ();
-    Metrics.reset ();
-    s
-  in
-  QCheck.Test.make ~name:"snapshot merge is order-independent" ~count:50 arb
-    (fun parts ->
-      let snaps = List.mapi snapshot_of_part parts in
-      let fold l = List.fold_left Snapshot.merge Snapshot.empty l in
-      let forward = fold snaps and backward = fold (List.rev snaps) in
-      let rotated =
-        fold (match snaps with [] -> [] | x :: rest -> rest @ [ x ])
-      in
-      Snapshot.equal forward backward && Snapshot.equal forward rotated)
-
 let suite =
   [
     Alcotest.test_case "4-domain stress: exact merged telemetry" `Quick
       (with_tracing test_stress);
-    QCheck_alcotest.to_alcotest merge_order_independent;
   ]

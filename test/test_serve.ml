@@ -179,42 +179,6 @@ let test_split_streams_distinct () =
     List.iter (fun (tag, c) -> add (prefix c) tag) children
   done
 
-(* --- canonical graph hash ------------------------------------------ *)
-
-let apply_permutation perm g =
-  Graph.of_edges (Graph.num_vertices g)
-    (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges g))
-
-let prop_canonical_hash_invariant =
-  QCheck.Test.make ~name:"canonical_hash invariant under relabeling" ~count:60
-    QCheck.(pair (int_bound 100000) (int_range 2 14))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let g = Generators.erdos_renyi rng ~n ~p:0.4 in
-      let h = Graph.canonical_hash g in
-      (* vertex relabeling *)
-      let relabeled = apply_permutation (Rng.permutation rng n) g in
-      (* edge-list spelling: shuffled order, flipped orientations *)
-      let respelled =
-        Graph.of_edges n
-          (Rng.shuffle_list rng
-             (List.map
-                (fun (u, v) -> if Rng.bool rng then (v, u) else (u, v))
-                (Graph.edges g)))
-      in
-      Graph.canonical_hash relabeled = h && Graph.canonical_hash respelled = h)
-
-let test_canonical_hash_separates_simple_cases () =
-  let path = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let star = Graph.of_edges 4 [ (0, 1); (0, 2); (0, 3) ] in
-  let triangle = Graph.of_edges 3 [ (0, 1); (1, 2); (0, 2) ] in
-  Alcotest.(check bool) "path <> star" true
-    (Graph.canonical_hash path <> Graph.canonical_hash star);
-  Alcotest.(check bool) "path <> triangle" true
-    (Graph.canonical_hash path <> Graph.canonical_hash triangle);
-  Alcotest.(check bool) "empty graph hashes consistently" true
-    (Graph.canonical_hash (Graph.create 0) = Graph.canonical_hash (Graph.create 0))
-
 (* --- request schema ------------------------------------------------ *)
 
 let parse_ok line =
@@ -244,7 +208,45 @@ let test_request_normalization () =
   (* round-trip: serialized normal form parses back to the same key *)
   let c = parse_ok (Json.to_string (Request.to_json a)) in
   Alcotest.(check string) "round-trip fingerprint" (Request.fingerprint a)
-    (Request.fingerprint c)
+    (Request.fingerprint c);
+  (* The fingerprint is the whole cache key, so every field but "id"
+     must reach it: one variant of [a] per field, each a different key
+     from [a] and from every other variant. *)
+  let base = {|"graph":{"n":4,"edges":[[0,1],[2,3],[1,2]]}|} in
+  let variants =
+    [
+      ("graph", {|"graph":{"n":4,"edges":[[0,1],[2,3],[1,2],[0,3]]}|});
+      ("qasm", {|"qasm":"OPENQASM 2.0; qreg q[4]; cx q[0],q[1];"|});
+      ("device", base ^ {|,"device":"melbourne"|});
+      ("policy", base ^ {|,"policy":"qaim"|});
+      ("seed", base ^ {|,"seed":43|});
+      ("p", base ^ {|,"p":2|});
+      ("gamma", base ^ {|,"gamma":0.8|});
+      ("beta", base ^ {|,"beta":0.5|});
+      ("packing_limit", base ^ {|,"packing_limit":3|});
+      ("measure", base ^ {|,"measure":false|});
+      ("verify", base ^ {|,"verify":true|});
+      ("analyze", base ^ {|,"analyze":true|});
+      ("qasm_out", base ^ {|,"qasm_out":true|});
+    ]
+  in
+  let keyed =
+    ("base", Request.cache_key a)
+    :: List.map
+         (fun (field, body) ->
+           (field, Request.cache_key (parse_ok ({|{"id":"v",|} ^ body ^ "}"))))
+         variants
+  in
+  List.iteri
+    (fun i (f, k) ->
+      List.iteri
+        (fun j (g, k') ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s and %s keys differ" f g)
+              true (k <> k'))
+        keyed)
+    keyed
 
 let test_request_rejections () =
   let check_err name line sub =
@@ -273,7 +275,7 @@ let test_request_rejections () =
 
 (* --- cache --------------------------------------------------------- *)
 
-let key i = { Cache.graph_hash = i; fingerprint = Printf.sprintf "k%d" i }
+let key i = Printf.sprintf "k%d" i
 
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 () in
@@ -935,7 +937,9 @@ let test_daemon_client_roundtrip () =
 
 (* The control verbs through the ordinary serving path: ping is the
    canonical pong, stats balances the taxonomy, junk ops and extra
-   fields are structured bad_requests. *)
+   fields are structured bad_requests.  Each line is parsed once, and
+   that one value decides control verb or request, so the last five
+   lines pin every way of failing there byte for byte. *)
 let test_control_verbs () =
   let lines =
     [
@@ -944,12 +948,15 @@ let test_control_verbs () =
       {|{"op":"stats"}|};
       {|{"op":"reboot"}|};
       {|{"op":"ping","x":1}|};
+      {|{"op":7}|};
+      "not json";
+      "[1,2]";
     ]
   in
   let out, stats =
     Serve.run_lines (config ~cache:(Cache.create ~capacity:16 ()) ()) lines
   in
-  Alcotest.(check int) "every line answered" 5 (List.length out);
+  Alcotest.(check int) "every line answered" 8 (List.length out);
   Alcotest.(check string)
     "canonical pong"
     {|{"id":null,"ok":true,"op":"ping"}|}
@@ -971,22 +978,23 @@ let test_control_verbs () =
         (n "hits" + n "misses" + n "rejects")
     | _ -> Alcotest.fail "stats without a cache object")
   | _ -> Alcotest.fail "stats reply is not a json object");
-  let error_kind line =
-    match Json.of_string_opt line with
-    | Some (Json.Assoc fields) -> (
-      match List.assoc_opt "error" fields with
-      | Some (Json.Assoc e) -> (
-        match List.assoc_opt "kind" e with
-        | Some (Json.String k) -> k
-        | _ -> "?")
-      | _ -> "?")
-    | _ -> "?"
+  let bad_request line detail =
+    Printf.sprintf
+      {|{"id":null,"ok":false,"line":%d,"error":{"kind":"bad_request","detail":%s}}|}
+      line
+      (Json.to_string (Json.String detail))
   in
-  Alcotest.(check string) "unknown op rejected" "bad_request"
-    (error_kind (List.nth out 3));
-  Alcotest.(check string) "extra control fields rejected" "bad_request"
-    (error_kind (List.nth out 4));
-  Alcotest.(check int) "two structured errors" 2 stats.Serve.errors
+  Alcotest.(check (list string))
+    "structured bad_requests"
+    [
+      bad_request 4 {|unknown op "reboot" (expected "ping" or "stats")|};
+      bad_request 5 {|control request carries fields besides "op"|};
+      bad_request 6 {|field "op" must be a string|};
+      bad_request 7 "malformed JSON";
+      bad_request 8 "request must be a JSON object";
+    ]
+    (List.filteri (fun i _ -> i >= 3) out);
+  Alcotest.(check int) "five structured errors" 5 stats.Serve.errors
 
 (* --- cross-domain compile equivalence ------------------------------ *)
 
@@ -1056,10 +1064,6 @@ let suite =
       `Quick,
       test_split_independent_of_draw_position );
     ("rng split streams distinct", `Quick, test_split_streams_distinct);
-    QCheck_alcotest.to_alcotest prop_canonical_hash_invariant;
-    ( "canonical hash separates simple cases",
-      `Quick,
-      test_canonical_hash_separates_simple_cases );
     ("request normalization", `Quick, test_request_normalization);
     ("request rejections", `Quick, test_request_rejections);
     ("cache lru eviction", `Quick, test_cache_lru_eviction);

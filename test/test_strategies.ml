@@ -24,7 +24,7 @@ module Ip = Qaoa_core.Ip
 module Ic = Qaoa_core.Ic
 module Vic = Qaoa_core.Vic
 module Compile = Qaoa_core.Compile
-module Success = Qaoa_core.Success
+module Success = Qaoa_hardware.Success
 module Arg = Qaoa_core.Arg
 module Crosstalk = Qaoa_core.Crosstalk
 module Rng = Qaoa_util.Rng
