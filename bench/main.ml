@@ -315,13 +315,7 @@ let () =
       fallback, %d exhausted\n"
      (Sys.time () -. t2) compiled instances recovered exhausted);
   Option.iter
-    (fun j ->
-      let module J = Qaoa_journal.Journal in
-      let s = J.stats j in
-      Printf.printf
-        "journal: %d trial(s) on record at %s (%d cached, %d executed, %d \
-         quarantined)\n"
-        (J.entries j) (J.path j) s.J.hits s.J.appended s.J.quarantined)
+    (fun j -> print_endline (Qaoa_journal.Journal.summary j))
     journal;
   (* plot-ready CSVs alongside the printed tables *)
   let dir = "bench_results" in

@@ -71,17 +71,6 @@ let export_csvs ~dir results =
   in
   Export.export_all ~dir triples
 
-let print_journal_stats journal =
-  let s = Journal.stats journal in
-  Printf.printf
-    "journal: %d trial(s) on record at %s (%d cached, %d executed, %d \
-     quarantined%s)\n"
-    (Journal.entries journal) (Journal.path journal) s.Journal.hits
-    s.Journal.appended s.Journal.quarantined
-    (if s.Journal.torn_truncated > 0 then
-       Printf.sprintf ", %d torn record(s) truncated" s.Journal.torn_truncated
-     else "")
-
 let run () figure scale journal_dir resume export_dir =
   try
     if resume && Option.is_none journal_dir then
@@ -105,7 +94,7 @@ let run () figure scale journal_dir resume export_dir =
         dir);
     Option.iter
       (fun j ->
-        print_journal_stats j;
+        print_endline (Journal.summary j);
         Journal.close j)
       journal;
     0

@@ -64,12 +64,7 @@ let run () scale seed topologies deadline verify retries fail_on_exhausted
       !compiled !total !recovered !exhausted;
     Option.iter
       (fun j ->
-        let s = Journal.stats j in
-        Printf.printf
-          "journal: %d trial(s) on record at %s (%d cached, %d executed, %d \
-           quarantined)\n"
-          (Journal.entries j) (Journal.path j) s.Journal.hits
-          s.Journal.appended s.Journal.quarantined;
+        print_endline (Journal.summary j);
         Journal.close j)
       journal;
     if fail_on_exhausted && !exhausted > 0 then begin

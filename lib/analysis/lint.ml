@@ -264,18 +264,16 @@ let check_depth ctx =
       ]
 
 (* QL008: ESP-style gate-error success product below the caller's
-   threshold.  Uncalibrated couplings are scored at the worst recorded
-   rate (or the 0.5 clamp ceiling), mirroring Profile's pessimism, so a
-   stale snapshot degrades the estimate instead of raising. *)
+   threshold.  Uncalibrated couplings are charged the rate VIC's router
+   charges them ({!Calibration.unrecorded_error}), so a stale snapshot
+   degrades the estimate instead of raising. *)
 let check_success_prob ctx =
   match (ctx.min_success_prob, ctx.device) with
   | Some threshold, Some { Device.calibration = Some cal; _ } ->
-    let unrecorded =
-      match Calibration.edges cal with
-      | [] -> 0.5
-      | _ -> snd (Calibration.worst_edge cal)
+    let p =
+      Success.of_circuit ~unrecorded:(Calibration.unrecorded_error cal) cal
+        ctx.circuit
     in
-    let p = Success.of_circuit ~unrecorded cal ctx.circuit in
     if p >= threshold then []
     else
       [
@@ -569,19 +567,19 @@ let builtin_rules =
     };
   ]
 
-let run ?(rules = builtin_rules) ctx =
+let run ctx =
   Trace.with_span "analysis.lint.run"
     ~attrs:
       [
         ("role", Trace.str (match ctx.role with Logical -> "logical" | Compiled -> "compiled"));
         ("gates", Trace.int (Circuit.length ctx.circuit));
-        ("rules", Trace.int (List.length rules));
+        ("rules", Trace.int (List.length builtin_rules));
       ]
   @@ fun () ->
   let findings =
     List.concat_map
       (fun r -> if List.mem ctx.role r.roles then r.check ctx else [])
-      rules
+      builtin_rules
   in
   List.iter
     (fun (f : finding) ->

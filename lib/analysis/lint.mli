@@ -92,9 +92,9 @@ type rule = {
 
 val builtin_rules : rule list
 
-val run : ?rules:rule list -> context -> finding list
-(** Run every rule of [rules] (default {!builtin_rules}) applicable
-    to the context's role, findings in rule order then gate order.
+val run : context -> finding list
+(** Run every rule of {!builtin_rules} applicable to the context's
+    role, findings in rule order then gate order.
     Traced as ["analysis.lint.run"]; bumps the
     ["lint.findings.<severity>"] counters. *)
 

@@ -8,24 +8,14 @@ module Rng = Qaoa_util.Rng
 module Trace = Qaoa_obs.Trace
 module Metrics_registry = Qaoa_obs.Metrics_registry
 
-type config = {
-  extended_window : int;
-  extended_weight : float;
-  decay_increment : float;
-  decay_reset_interval : int;
-  seed : int;
-  deadline : Qaoa_obs.Deadline.t option;
-}
-
-let default_config =
-  {
-    extended_window = 20;
-    extended_weight = 0.5;
-    decay_increment = 0.001;
-    decay_reset_interval = 5;
-    seed = 17;
-    deadline = None;
-  }
+(* The heuristic's fixed constants: upcoming 2q gates in the lookahead,
+   its weight, the per-swap decay bump, swaps between decay resets, and
+   the tie-break stream's seed. *)
+let extended_window = 20
+let extended_weight = 0.5
+let decay_increment = 0.001
+let decay_reset_interval = 5
+let seed = 17
 
 type state = {
   device : Device.t;
@@ -37,7 +27,6 @@ type state = {
   indeg : int array;
   executed : bool array;
   decay : float array;  (** per physical qubit, >= 1 *)
-  decay_increment : float;
   mutable mapping : Mapping.t;
   mutable out : Circuit.t;
   mutable swaps : int;
@@ -104,8 +93,8 @@ let emit_swap st p q =
   st.mapping <- Mapping.swap_physical st.mapping p q;
   st.swaps <- st.swaps + 1;
   Metrics_registry.incr "sabre.swaps_inserted";
-  st.decay.(p) <- st.decay.(p) +. st.decay_increment;
-  st.decay.(q) <- st.decay.(q) +. st.decay_increment
+  st.decay.(p) <- st.decay.(p) +. decay_increment;
+  st.decay.(q) <- st.decay.(q) +. decay_increment
 
 let distance_after st p q (a, b) =
   let move x = if x = p then q else if x = q then p else x in
@@ -139,7 +128,7 @@ let walk_step st (a, b) =
   | x :: y :: _ :: _ -> emit_swap st x y
   | _ -> ()
 
-let route ?(config = default_config) ~device ~initial circuit =
+let route ~device ~initial circuit =
   if Mapping.num_logical initial < Circuit.num_qubits circuit then
     invalid_arg "Sabre: mapping covers fewer qubits than the circuit";
   if Mapping.num_physical initial <> Device.num_qubits device then
@@ -158,13 +147,12 @@ let route ?(config = default_config) ~device ~initial circuit =
       device;
       dist = Profile.hop_distances device;
       edges = Device.coupling_edges device;
-      rng = Rng.create config.seed;
+      rng = Rng.create seed;
       gates;
       succs;
       indeg;
       executed = Array.make (Array.length gates) false;
       decay = Array.make (Device.num_qubits device) 1.0;
-      decay_increment = config.decay_increment;
       mapping = initial;
       out = Circuit.create (Device.num_qubits device);
       swaps = 0;
@@ -195,7 +183,6 @@ let route ?(config = default_config) ~device ~initial circuit =
   let stuck = ref 0 in
   let max_stuck = 8 * Device.num_qubits device in
   while !front <> [] do
-    Qaoa_obs.Deadline.check config.deadline;
     let executable, blocked = List.partition (gate_executable st) !front in
     if executable <> [] then begin
       stuck := 0;
@@ -217,7 +204,7 @@ let route ?(config = default_config) ~device ~initial circuit =
         | [] -> assert false
       end
       else begin
-        let ext = extended_set st blocked config.extended_window in
+        let ext = extended_set st blocked extended_window in
         let module S = Set.Make (Int) in
         let hot =
           List.fold_left
@@ -249,7 +236,7 @@ let route ?(config = default_config) ~device ~initial circuit =
               0.0 ext
           in
           Float.max st.decay.(p) st.decay.(q)
-          *. ((fsum /. nf) +. (config.extended_weight *. esum /. ne))
+          *. ((fsum /. nf) +. (extended_weight *. esum /. ne))
         in
         let best =
           List.fold_left
@@ -268,7 +255,7 @@ let route ?(config = default_config) ~device ~initial circuit =
         | Some ((p, q), _) ->
           emit_swap st p q;
           st.swaps_since_reset <- st.swaps_since_reset + 1;
-          if st.swaps_since_reset >= config.decay_reset_interval then begin
+          if st.swaps_since_reset >= decay_reset_interval then begin
             Array.fill st.decay 0 (Array.length st.decay) 1.0;
             st.swaps_since_reset <- 0
           end

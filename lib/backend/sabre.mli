@@ -13,24 +13,11 @@
 
     Provided as an alternative backend: the router-shootout ablation runs
     both engines on identical workloads.  Results are interchangeable
-    with {!Router.result}. *)
-
-type config = {
-  extended_window : int;  (** upcoming 2q gates in the lookahead (default 20) *)
-  extended_weight : float;  (** lookahead weight (default 0.5) *)
-  decay_increment : float;  (** per-swap decay bump (default 0.001) *)
-  decay_reset_interval : int;  (** swaps between decay resets (default 5) *)
-  seed : int;
-  deadline : Qaoa_obs.Deadline.t option;
-      (** Cooperative cancellation checked once per front iteration;
-          raises {!Qaoa_obs.Deadline.Exceeded} past the budget (default
-          [None]). *)
-}
-
-val default_config : config
+    with {!Router.result}.  The heuristic runs with fixed constants - a
+    20-gate lookahead at weight 0.5, a 0.001 decay bump reset every 5
+    SWAPs, a seed-17 tie-break stream - and takes no deadline. *)
 
 val route :
-  ?config:config ->
   device:Qaoa_hardware.Device.t ->
   initial:Mapping.t ->
   Qaoa_circuit.Circuit.t ->
@@ -40,5 +27,4 @@ val route :
     the output permutation (property-tested against the statevector
     simulator).
     @raise Router.Unroutable when a blocked gate's operands sit in
-    disconnected coupling components.
-    @raise Qaoa_obs.Deadline.Exceeded past [config.deadline]. *)
+    disconnected coupling components. *)

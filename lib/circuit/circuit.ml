@@ -57,16 +57,6 @@ let used_qubits t =
 let measure_all t =
   append_list t (List.init t.num_qubits (fun q -> Gate.Measure q))
 
-let two_qubit_pairs t =
-  List.filter_map
-    (fun g ->
-      if Gate.is_two_qubit g then
-        match Gate.qubits g with
-        | [ a; b ] -> Some (min a b, max a b)
-        | _ -> None
-      else None)
-    (gates t)
-
 let equal a b =
   a.num_qubits = b.num_qubits
   && a.len = b.len

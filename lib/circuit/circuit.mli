@@ -47,8 +47,5 @@ val used_qubits : t -> int list
 val measure_all : t -> t
 (** Append a [Measure] on every qubit. *)
 
-val two_qubit_pairs : t -> (int * int) list
-(** Unordered qubit pairs of every two-qubit gate, in program order. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -13,24 +13,3 @@ let is_basis = function
   | Gate.H _ | Gate.X _ | Gate.Y _ | Gate.Z _ | Gate.Rx _ | Gate.Ry _
   | Gate.Rz _ | Gate.Phase _ | Gate.Cnot _ | Gate.Barrier | Gate.Measure _ ->
     true
-
-let orient ~allowed c =
-  let module S = Set.Make (struct
-    type t = int * int
-
-    let compare = compare
-  end) in
-  let allowed_set = S.of_list allowed in
-  let lower g =
-    match g with
-    | Gate.Cnot (a, b) ->
-      if S.mem (a, b) allowed_set then [ g ]
-      else if S.mem (b, a) allowed_set then
-        [ Gate.H a; Gate.H b; Gate.Cnot (b, a); Gate.H a; Gate.H b ]
-      else
-        invalid_arg
-          (Printf.sprintf "Decompose.orient: pair (%d,%d) has no native direction" a b)
-    | _ -> [ g ]
-  in
-  Circuit.of_gates (Circuit.num_qubits c)
-    (List.concat_map lower (Circuit.gates (circuit c)))

@@ -17,12 +17,3 @@ val circuit : Circuit.t -> Circuit.t
 
 val is_basis : Gate.t -> bool
 (** True if the gate is native ([Cphase] and [Swap] are not). *)
-
-val orient : allowed:(int * int) list -> Circuit.t -> Circuit.t
-(** Direction-constrained lowering: on real IBM devices each coupling
-    supports CNOT in one native direction; a reversed CNOT costs four
-    extra Hadamards (CX(a,b) = (H(x)H) CX(b,a) (H(x)H)).  [allowed]
-    lists the native [(control, target)] directions; the input is first
-    decomposed to the basis, then every CNOT whose direction is not
-    allowed is conjugated.  CNOTs on pairs absent from [allowed] in both
-    directions raise [Invalid_argument] (route first). *)

@@ -40,16 +40,6 @@ let layers circuit =
   List.iter (fun (g, l) -> buckets.(l) <- g :: buckets.(l)) !placed;
   Array.to_list buckets
 
-let alap_layers circuit =
-  (* ALAP = ASAP of the reversed circuit, layers then read back to front.
-     Gate order inside each layer is irrelevant (layers are
-     qubit-disjoint). *)
-  let reversed =
-    Circuit.of_gates (Circuit.num_qubits circuit)
-      (List.rev (Circuit.gates circuit))
-  in
-  List.rev (layers reversed)
-
 let check_layers_disjoint layers =
   List.for_all
     (fun layer ->

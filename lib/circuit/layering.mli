@@ -20,12 +20,6 @@ val layers : Circuit.t -> Gate.t list list
 (** Gates grouped by time step, in execution order.  Barriers are consumed
     (they constrain the schedule but appear in no layer). *)
 
-val alap_layers : Circuit.t -> Gate.t list list
-(** As-late-as-possible schedule: same depth and gate multiset as
-    {!layers}, but gates sink toward their consumers, shrinking the idle
-    window before each qubit's last use - which reduces the decoherence
-    exposure {!Qaoa_hardware.Coherence} charges for. *)
-
 val depth : Circuit.t -> int
 (** Number of layers, without materializing them (runs on every
     compile, through {!Metrics.of_circuit}). *)

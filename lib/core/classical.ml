@@ -79,7 +79,7 @@ let local_search rng ?(restarts = 8) problem =
     first
     (List.init (max 0 (restarts - 1)) (fun i -> i))
 
-let simulated_annealing rng ?steps ?t_start ?(t_end = 1e-3) problem =
+let simulated_annealing rng ?steps problem =
   let n = problem.Problem.num_vars in
   if n = 0 then (0, Problem.cost problem 0)
   else begin
@@ -87,17 +87,15 @@ let simulated_annealing rng ?steps ?t_start ?(t_end = 1e-3) problem =
   let steps =
     Option.value ~default:(20 * (1 lsl min n 10)) steps
   in
+  let t_end = 1e-3 in
   let t_start =
-    match t_start with
-    | Some t -> t
-    | None ->
-      (* scale: the largest single-flip |delta| from a random state *)
-      let bits = random_bits rng n in
-      let m = ref 1.0 in
-      for i = 0 to n - 1 do
-        m := Float.max !m (Float.abs (delta_with adj h bits i))
-      done;
-      !m
+    (* scale: the largest single-flip |delta| from a random state *)
+    let bits = random_bits rng n in
+    let m = ref 1.0 in
+    for i = 0 to n - 1 do
+      m := Float.max !m (Float.abs (delta_with adj h bits i))
+    done;
+    !m
   in
   let bits = ref (random_bits rng n) in
   let cost = ref (Problem.cost problem !bits) in

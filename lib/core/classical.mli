@@ -23,13 +23,11 @@ val local_search :
 val simulated_annealing :
   Qaoa_util.Rng.t ->
   ?steps:int ->
-  ?t_start:float ->
-  ?t_end:float ->
   Problem.t ->
   int * float
 (** Metropolis single-flip annealing over [steps] proposals (default
-    20 * 2^min(n,10)), geometric cooling from [t_start] (default: the
-    largest single-flip |delta|) to [t_end] (default 1e-3). *)
+    20 * 2^min(n,10)), geometric cooling from the largest single-flip
+    |delta| of a random state (drawn from [rng]) to 1e-3. *)
 
 val flip_delta : Problem.t -> int -> int -> float
 (** [flip_delta p bits i]: exact change of {!Problem.cost} from flipping

@@ -134,7 +134,6 @@ type result = {
   initial_mapping : Mapping.t;
   final_mapping : Mapping.t;
   swap_count : int;
-  compile_time : float;
   compile_wall_s : float;
   compile_cpu_s : float;
   phase_times : phase_time list;
@@ -142,11 +141,6 @@ type result = {
   static : Qaoa_analysis.Dataflow.summary option;
   lint_findings : Qaoa_analysis.Lint.finding list;
 }
-
-let phase_wall result name =
-  List.fold_left
-    (fun acc pt -> if pt.phase = name then acc +. pt.wall_s else acc)
-    0.0 result.phase_times
 
 let random_orders rng problem ~p =
   List.init p (fun _ -> Naive.cphase_order rng problem)
@@ -169,10 +163,9 @@ let compile ?(options = default_options) ~strategy device problem params =
     && Option.is_none device.Device.calibration
   then raise_error (Missing_calibration { strategy; coupling = None });
   (* A per-compile wall-clock budget is threaded into the router config,
-     whose loops (and the IC layer former, and SABRE) poll it
-     cooperatively.  The clock starts here, so mapping/ordering phases
-     that route nothing still count against the budget once routing
-     begins polling. *)
+     whose loops (and the IC layer former) poll it cooperatively.  The
+     clock starts here, so mapping/ordering phases that route nothing
+     still count against the budget once routing begins polling. *)
   let options =
     match options.deadline_s with
     | None -> options
@@ -310,7 +303,6 @@ let compile ?(options = default_options) ~strategy device problem params =
     initial_mapping = initial;
     final_mapping = routed.Router.final_mapping;
     swap_count = routed.Router.swap_count;
-    compile_time = compile_cpu_s;
     compile_wall_s;
     compile_cpu_s;
     phase_times = List.rev !phases;
@@ -359,15 +351,14 @@ let retryable = function
   | Unroutable _ | Verification_rejected _ | Strategy_failed _ -> true
   | Too_many_qubits _ | Missing_calibration _ | Deadline_exceeded _ -> false
 
-let compile_with_fallback ?(options = default_options) ?(chain = default_chain)
-    ?(retries = 1) device problem params =
-  if chain = [] then invalid_arg "Compile.compile_with_fallback: empty chain";
+let compile_with_fallback ?(options = default_options) ?(retries = 1) device
+    problem params =
   if retries < 0 then
     invalid_arg "Compile.compile_with_fallback: negative retries";
   Trace.with_span "core.compile.fallback"
     ~attrs:
       [
-        ("chain", Trace.int (List.length chain));
+        ("chain", Trace.int (List.length default_chain));
         ("device", Trace.str device.Device.name);
       ]
   @@ fun () ->
@@ -426,7 +417,7 @@ let compile_with_fallback ?(options = default_options) ?(chain = default_chain)
         exhausted ()
       | Result.Error _ -> walk rest)
   in
-  walk chain
+  walk default_chain
 
 let success_probability ?include_readout device result =
   Success.of_circuit ?include_readout

@@ -123,11 +123,9 @@ type result = {
   initial_mapping : Qaoa_backend.Mapping.t;
   final_mapping : Qaoa_backend.Mapping.t;
   swap_count : int;
-  compile_time : float;
-      (** CPU seconds spent compiling — the paper-facing figure (kept as
-          an alias of [compile_cpu_s] for existing consumers) *)
   compile_wall_s : float;  (** wall-clock seconds spent compiling *)
-  compile_cpu_s : float;  (** CPU seconds spent compiling *)
+  compile_cpu_s : float;
+      (** CPU seconds spent compiling — the paper-facing figure *)
   phase_times : phase_time list;
       (** per-phase breakdown in execution order; the wall times sum to
           the whole of [compile_wall_s] except a few clock reads *)
@@ -141,9 +139,6 @@ type result = {
   lint_findings : Qaoa_analysis.Lint.finding list;
       (** findings of the ["lint"] phase; [[]] unless [options.lint] *)
 }
-
-val phase_wall : result -> string -> float
-(** Total wall seconds attributed to the named phase ([0.] if absent). *)
 
 val compile :
   ?options:options ->
@@ -213,13 +208,12 @@ val retryable : error -> bool
 
 val compile_with_fallback :
   ?options:options ->
-  ?chain:strategy list ->
   ?retries:int ->
   Qaoa_hardware.Device.t ->
   Problem.t ->
   Ansatz.params ->
   (fallback, attempt list) Stdlib.result
-(** Walk [chain] (default {!default_chain}) until a strategy compiles.
+(** Walk {!default_chain} until a strategy compiles.
     Each strategy gets [1 + retries] tries (default [retries = 1])
     through {!Qaoa_obs.Deadline.retry}: a {!retryable} failure is
     reseeded deterministically
@@ -233,7 +227,7 @@ val compile_with_fallback :
     exhausted chain.  Counters: ["compile.fallback.attempts"],
     ["compile.fallback.recovered"] (a non-first attempt won),
     ["compile.fallback.exhausted"].
-    @raise Invalid_argument on an empty [chain] or negative [retries]. *)
+    @raise Invalid_argument on negative [retries]. *)
 
 val success_probability : ?include_readout:bool -> Qaoa_hardware.Device.t -> result -> float
 (** {!Qaoa_hardware.Success.of_circuit} on the compiled circuit. *)

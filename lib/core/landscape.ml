@@ -48,7 +48,8 @@ let best t =
     t.values;
   !best
 
-let ascii ?(levels = " .:-=+*#%@") t =
+let ascii t =
+  let levels = " .:-=+*#%@" in
   let lo = ref Float.infinity and hi = ref Float.neg_infinity in
   Array.iter
     (Array.iter (fun v ->

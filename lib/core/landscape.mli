@@ -20,9 +20,9 @@ val grid : ?gamma_points:int -> ?beta_points:int -> Problem.t -> t
 val best : t -> (float * float) * float
 (** Grid argmax: ((gamma, beta), value). *)
 
-val ascii : ?levels:string -> t -> string
-(** Heatmap with one character per grid cell (default ramp
-    [" .:-=+*#%@"], low to high), one text row per beta value. *)
+val ascii : t -> string
+(** Heatmap with one character per grid cell (ramp [" .:-=+*#%@"], low
+    to high), one text row per beta value. *)
 
 val to_csv : t -> string
 (** Long format: gamma,beta,value per line with a header. *)

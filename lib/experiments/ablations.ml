@@ -263,7 +263,7 @@ let iterative_recompilation ?(scale = Figures.Default) ?journal ?(seed = 20600)
                       device problem params
                   in
                   ( float_of_int r.Compile.metrics.Metrics.depth,
-                    r.Compile.compile_time ))
+                    r.Compile.compile_cpu_s ))
                 problems
             in
             [ mean_of fst single; mean_of snd single ]);

@@ -1,9 +1,10 @@
 module Compile = Qaoa_core.Compile
 module Device = Qaoa_hardware.Device
+module Calibration = Qaoa_hardware.Calibration
+module Success = Qaoa_hardware.Success
 module Topologies = Qaoa_hardware.Topologies
 module Fault = Qaoa_resilience.Fault
 module Faultspace = Qaoa_resilience.Faultspace
-module Repair = Qaoa_resilience.Repair
 module Rng = Qaoa_util.Rng
 module Stats = Qaoa_util.Stats
 module Table = Qaoa_util.Table
@@ -46,9 +47,10 @@ let tally winners name =
   (name, n + 1) :: List.remove_assoc name winners
 
 let compile_cell ~options ~retries device problems params =
-  (* Success is scored against the degraded snapshot completed with the
-     worst recorded rate, so partial calibration never inflates it. *)
-  let scored = Repair.complete_calibration device in
+  (* Success charges couplings the degraded snapshot no longer records
+     the worst recorded rate, so partial calibration never inflates it. *)
+  let cal = Device.calibration_exn device in
+  let unrecorded = Calibration.unrecorded_error cal in
   let compiled = ref 0 and recovered = ref 0 and exhausted = ref 0 in
   let attempts = ref [] and depths = ref [] and swaps = ref [] in
   let successes = ref [] and winners = ref [] in
@@ -63,7 +65,8 @@ let compile_cell ~options ~retries device problems params =
         attempts := float_of_int (List.length fb.Compile.attempts) :: !attempts;
         depths := float_of_int r.Compile.metrics.Metrics.depth :: !depths;
         swaps := float_of_int r.Compile.swap_count :: !swaps;
-        successes := Compile.success_probability scored r :: !successes;
+        successes :=
+          Success.of_circuit ~unrecorded cal r.Compile.circuit :: !successes;
         winners := tally !winners (Compile.strategy_name r.Compile.strategy)
       | Error trail ->
         incr exhausted;
@@ -141,8 +144,7 @@ let supervised_cell ?journal ~key f =
   | None -> Some (f ())
   | Some journal -> (
     match
-      Supervisor.trial ~journal ~key ~encode:encode_cell ~decode:decode_cell
-        (fun ~attempt:_ ~deadline:_ -> f ())
+      Supervisor.trial ~journal ~key ~encode:encode_cell ~decode:decode_cell f
     with
     | Supervisor.Completed c -> Some c
     | Supervisor.Quarantined _ -> None)
@@ -156,8 +158,7 @@ let workloads = [ Workload.Erdos_renyi 0.5; Workload.Regular 6 ]
 let sizes = [ 13; 14; 15 ]
 
 let run ?(scale = Figures.Default) ?journal ?(seed = 13000) ?(quiet = false)
-    ?device ?(scenarios = Faultspace.default) ?deadline_s ?(verify = false)
-    ?(retries = 1) () =
+    ?device ?deadline_s ?(verify = false) ?(retries = 1) () =
   let base_device =
     match device with
     | Some ({ Device.calibration = Some _; _ } as d) -> d
@@ -233,7 +234,7 @@ let run ?(scale = Figures.Default) ?journal ?(seed = 13000) ?(quiet = false)
                         winners = cell.c_winners;
                       })
                     cell)
-                scenarios)
+                Faultspace.default)
           sizes)
       workloads
   in

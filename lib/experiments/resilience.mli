@@ -23,9 +23,9 @@ type row = {
   mean_depth : float;  (** over compiled instances; [nan] if none *)
   mean_swaps : float;
   mean_success : float;
-      (** success probability, scored against the degraded calibration
-          completed pessimistically
-          ({!Qaoa_resilience.Repair.complete_calibration}) *)
+      (** success probability against the degraded calibration, with
+          each coupling it no longer records charged
+          {!Qaoa_hardware.Calibration.unrecorded_error} *)
   depth_ratio : float;  (** vs the healthy baseline; [nan] if unavailable *)
   swap_ratio : float;
   success_ratio : float;
@@ -39,22 +39,19 @@ val run :
   ?seed:int ->
   ?quiet:bool ->
   ?device:Qaoa_hardware.Device.t ->
-  ?scenarios:Qaoa_resilience.Faultspace.scenario list ->
   ?deadline_s:float ->
   ?verify:bool ->
   ?retries:int ->
   unit ->
   row list
-(** Run the sweep (scenarios default to
-    {!Qaoa_resilience.Faultspace.default}) and print one table row per
-    scenario x workload unless [quiet].  [device] defaults to tokyo; an
-    uncalibrated device gets a fixed-seed synthetic calibration attached
-    (VIC and the success metric need one).  Registers smaller than the
-    largest workload would conflate "degraded" with "impossible" - use
-    a >= 16-qubit topology.  [deadline_s], [verify] and [retries] are
-    passed through to the fallback chain; the healthy baseline is always
-    compiled (once per workload) to anchor the ratios, whether or not
-    the scenario list contains it.
+(** Run the {!Qaoa_resilience.Faultspace.default} scenario sweep and
+    print one table row per scenario x workload unless [quiet].
+    [device] defaults to tokyo; an uncalibrated device gets a fixed-seed
+    synthetic calibration attached (VIC and the success metric need
+    one).  Registers smaller than the largest workload would conflate
+    "degraded" with "impossible" - use a >= 16-qubit topology.  [deadline_s], [verify] and [retries] are
+    passed through to the fallback chain; the healthy baseline is
+    compiled once per workload to anchor the ratios.
 
     [journal] makes the sweep resumable at cell granularity: each
     (device, workload, scenario) cell is one supervised trial (key

@@ -3,7 +3,6 @@ module Metrics = Qaoa_circuit.Metrics
 module Device = Qaoa_hardware.Device
 module Stats = Qaoa_util.Stats
 module Json = Qaoa_obs.Json
-module Deadline = Qaoa_obs.Deadline
 module Supervisor = Qaoa_journal.Supervisor
 
 type aggregate = {
@@ -37,7 +36,7 @@ let trial_of_result ~calibrated device r =
     t_gates = float_of_int r.Compile.metrics.Metrics.gate_count;
     t_cx = float_of_int r.Compile.metrics.Metrics.two_qubit_count;
     t_swaps = float_of_int r.Compile.swap_count;
-    t_time = r.Compile.compile_time;
+    t_time = r.Compile.compile_cpu_s;
     t_wall = r.Compile.compile_wall_s;
     t_success =
       (if calibrated then Some (Compile.success_probability device r)
@@ -73,8 +72,7 @@ let decode_trial doc =
   }
 
 let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
-    ?experiment ?trial_deadline_s ?(tries = 1) ~device ~strategies ~params
-    problems =
+    ?experiment ~device ~strategies ~params problems =
   (match (journal, experiment) with
   | Some _, None ->
     invalid_arg "Runner.run: a journal requires ~experiment for trial keys"
@@ -91,18 +89,8 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
             ("device", Qaoa_obs.Trace.str device.Device.name);
           ]
       @@ fun () ->
-      let compile_one ~attempt ~deadline i problem =
-        let options =
-          {
-            options with
-            Compile.seed =
-              base_seed + i + (Deadline.reseed_stride * attempt);
-            deadline_s =
-              (match Deadline.remaining_opt deadline with
-              | None -> options.Compile.deadline_s
-              | remaining -> remaining);
-          }
-        in
+      let compile_one i problem =
+        let options = { options with Compile.seed = base_seed + i } in
         trial_of_result ~calibrated device
           (Compile.compile ~options ~strategy device problem params)
       in
@@ -111,10 +99,7 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
         | None ->
           (* unjournaled sweeps keep the historical contract: compile
              directly, let failures propagate to the caller *)
-          List.mapi
-            (fun i problem ->
-              Some (compile_one ~attempt:0 ~deadline:None i problem))
-            problems
+          List.mapi (fun i problem -> Some (compile_one i problem)) problems
         | Some journal ->
           List.mapi
             (fun i problem ->
@@ -125,10 +110,8 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
                   i (base_seed + i)
               in
               match
-                Supervisor.trial ~journal ?deadline_s:trial_deadline_s ~tries
-                  ~key ~encode:encode_trial ~decode:decode_trial
-                  (fun ~attempt ~deadline ->
-                    compile_one ~attempt ~deadline i problem)
+                Supervisor.trial ~journal ~key ~encode:encode_trial
+                  ~decode:decode_trial (fun () -> compile_one i problem)
               with
               | Supervisor.Completed t -> Some t
               | Supervisor.Quarantined _ -> None)

@@ -6,11 +6,10 @@
     With a journal, every (strategy, instance) compile becomes one
     supervised, journaled trial (key
     ["<experiment>/<strategy>/i<instance>/s<seed>"]): completed trials
-    are skipped on resume, failing trials are retried with
-    deterministically reseeded attempts and quarantined after [tries]
-    failures, and aggregates are computed from the journal's view of
-    each trial so resumed and uninterrupted sweeps agree bit for bit on
-    every seed-deterministic metric. *)
+    are skipped on resume, a failing trial is quarantined
+    ({!Qaoa_journal.Supervisor.trial}), and aggregates are computed from
+    the journal's view of each trial so resumed and uninterrupted
+    sweeps agree bit for bit on every seed-deterministic metric. *)
 
 type aggregate = {
   strategy : Qaoa_core.Compile.strategy;
@@ -23,8 +22,8 @@ type aggregate = {
   mean_success : float option;  (** None when the device is uncalibrated *)
   instances : int;  (** trials contributing to the means *)
   quarantined : int;
-      (** journaled trials dropped after exhausting supervision
-          (always [0] without a journal, where failures raise instead) *)
+      (** journaled trials dropped as quarantined (always [0] without
+          a journal, where failures raise instead) *)
 }
 
 val run :
@@ -32,8 +31,6 @@ val run :
   ?options:Qaoa_core.Compile.options ->
   ?journal:Qaoa_journal.Journal.t ->
   ?experiment:string ->
-  ?trial_deadline_s:float ->
-  ?tries:int ->
   device:Qaoa_hardware.Device.t ->
   strategies:Qaoa_core.Compile.strategy list ->
   params:Qaoa_core.Ansatz.params ->
@@ -46,12 +43,8 @@ val run :
     [journal] turns each compile into a supervised trial; [experiment]
     (required alongside it) prefixes the trial keys and must be unique
     per logical sweep (include sweep knobs such as packing limits or
-    workload kinds so keys never collide).  [trial_deadline_s] bounds
-    each trial's wall clock across its [tries] attempts (attempt [k]
-    reseeds to [base_seed + i + Qaoa_obs.Deadline.reseed_stride * k]);
-    the remaining budget is threaded into [Compile.options.deadline_s]
-    for cooperative cancellation.  Compile failures without a journal
-    propagate as before.
+    workload kinds so keys never collide).  Compile failures without a
+    journal propagate.
     @raise Invalid_argument if [journal] is given without [experiment]. *)
 
 val find : aggregate list -> Qaoa_core.Compile.strategy -> aggregate

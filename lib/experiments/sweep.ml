@@ -14,18 +14,17 @@ let encode_float v = Json.Float v
 
 let decode_float v = Option.value ~default:Float.nan (Json.to_float v)
 
-let row ?journal ?deadline_s ?tries ~key ~label f =
+let row ?journal ~key ~label f =
   match
-    Supervisor.trial ?journal ?deadline_s ?tries ~key ~encode:encode_floats
-      ~decode:decode_floats (fun ~attempt:_ ~deadline:_ -> f ())
+    Supervisor.trial ?journal ~key ~encode:encode_floats ~decode:decode_floats
+      f
   with
   | Supervisor.Completed vs -> Some (label, vs)
   | Supervisor.Quarantined _ -> None
 
-let value ?journal ?deadline_s ?tries ~key f =
+let value ?journal ~key f =
   match
-    Supervisor.trial ?journal ?deadline_s ?tries ~key ~encode:encode_float
-      ~decode:decode_float (fun ~attempt:_ ~deadline:_ -> f ())
+    Supervisor.trial ?journal ~key ~encode:encode_float ~decode:decode_float f
   with
   | Supervisor.Completed v -> Some v
   | Supervisor.Quarantined _ -> None

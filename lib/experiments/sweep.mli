@@ -11,25 +11,21 @@
     value ([decode (encode v)]), so resumed and uninterrupted sweeps
     aggregate bit-identical inputs.
 
-    Quarantined keys (the thunk kept failing under supervision) come
-    back as [None]; sweeps drop the row and keep going. *)
+    Quarantined keys (the thunk raised under supervision) come back as
+    [None]; sweeps drop the row and keep going. *)
 
 val row :
   ?journal:Qaoa_journal.Journal.t ->
-  ?deadline_s:float ->
-  ?tries:int ->
   key:string ->
   label:string ->
   (unit -> float list) ->
   (string * float list) option
 (** One figure/ablation row ([label, values]) as a supervised trial
-    under [key].  Without a journal the thunk just runs (single try, no
-    persistence) - the pre-journal behaviour. *)
+    under [key].  Without a journal the thunk runs under quarantine
+    with nothing persisted. *)
 
 val value :
   ?journal:Qaoa_journal.Journal.t ->
-  ?deadline_s:float ->
-  ?tries:int ->
   key:string ->
   (unit -> float) ->
   float option

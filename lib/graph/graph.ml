@@ -86,9 +86,6 @@ let is_connected t =
     Array.for_all (fun b -> b) seen
   end
 
-let complement_degree_sum t =
-  Array.fold_left (fun acc s -> acc + Int_set.cardinal s) 0 t.adj
-
 let equal a b =
   a.n = b.n && Array.for_all2 Int_set.equal a.adj b.adj
 

@@ -54,9 +54,6 @@ val common_neighbors : t -> int -> int -> int list
 val is_connected : t -> bool
 (** True iff the graph has one connected component ([true] for n <= 1). *)
 
-val complement_degree_sum : t -> int
-(** Sum of degrees = 2 * #edges; exposed for cheap sanity assertions. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

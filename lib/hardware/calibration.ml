@@ -88,6 +88,12 @@ let filter_edges f t =
 let map_errors f t =
   rebuild t (List.map (fun (u, v, e) -> (u, v, f u v e)) (entries t))
 
+let unrecorded_error t =
+  let worst =
+    Edge_map.fold (fun _ e acc -> Float.max acc e) t.cnot_errors 0.0
+  in
+  if worst > 0.0 then worst else 0.5
+
 let worst_edge t =
   match Edge_map.bindings t.cnot_errors with
   | [] -> invalid_arg "Calibration.worst_edge: no recorded couplings"

@@ -3,7 +3,9 @@
 
     VIC (paper Sec. IV.D) and the success-probability metric (Sec. II)
     consume these.  Edge keys are unordered: looking up [(u, v)] and
-    [(v, u)] returns the same rate. *)
+    [(v, u)] returns the same rate.  A coupling with no recorded rate
+    is charged {!unrecorded_error} by every consumer that tolerates
+    partial snapshots. *)
 
 type t
 
@@ -82,3 +84,11 @@ val map_errors : (int -> int -> float -> float) -> t -> t
 val worst_edge : t -> (int * int) * float
 (** Coupling with the highest CNOT error.  @raise Invalid_argument if no
     edges are recorded. *)
+
+val unrecorded_error : t -> float
+(** The CNOT error charged to a coupling the snapshot records no rate
+    for: the worst recorded rate, or the 0.5 clamp ceiling when no
+    recorded rate is above 0 (an empty or all-zero snapshot).  One rule
+    for VIC's weighted distances ({!Profile.weighted_distances}), lint
+    rule QL008 and the resilience sweep's success score, so a partial
+    snapshot is never scored better than the data supports. *)

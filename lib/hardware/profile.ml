@@ -52,18 +52,12 @@ let weighted_distances device =
   let cal = Device.calibration_exn device in
   weighted_cache (Calibration.id cal) (fun () ->
       (* Couplings without a recorded rate (stale or partial calibration
-         snapshots) score as the worst rate the snapshot does record - or
-         the 0.5 clamp ceiling when it records nothing - so the scorer
-         steers away from uncalibrated couplings yet still routes over
-         them when nothing better exists, instead of raising mid-route. *)
-      let fallback_error =
-        List.fold_left
-          (fun acc (_, _, e) -> Float.max acc e)
-          0.0 (Calibration.entries cal)
-      in
-      let fallback_error = if fallback_error > 0.0 then fallback_error else 0.5 in
+         snapshots) score pessimistically, so the scorer steers away from
+         uncalibrated couplings yet still routes over them when nothing
+         better exists, instead of raising mid-route. *)
+      let default = Calibration.unrecorded_error cal in
       Paths.all_pairs_weighted device.Device.coupling ~weight:(fun u v ->
-          let e = Calibration.cnot_error_or ~default:fallback_error cal u v in
+          let e = Calibration.cnot_error_or ~default cal u v in
           let s = (1.0 -. e) *. (1.0 -. e) in
           1.0 /. Float.max s 1e-9))
 

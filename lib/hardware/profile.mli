@@ -6,7 +6,9 @@
       suggests including higher-order neighbors; [order] generalizes this.
     - {b Distance matrices}: hop distances for QAIM/IC; reliability-
       weighted distances for VIC (edge weight = 1 / CPHASE success rate,
-      Fig. 6(d)), both via Floyd-Warshall computed once per device. *)
+      Fig. 6(d), a coupling with no recorded rate charged
+      {!Calibration.unrecorded_error}), both via Floyd-Warshall computed
+      once per device. *)
 
 val connectivity_strength : ?order:int -> Device.t -> int -> int
 (** Unique qubits within hop distance [order] (default 2) of the given
@@ -20,11 +22,10 @@ val hop_distances : Device.t -> Qaoa_util.Float_matrix.t
 
 val weighted_distances : Device.t -> Qaoa_util.Float_matrix.t
 (** All-pairs shortest paths with edge weights 1 / CPHASE-success
-    (Fig. 6(d)).  Couplings the calibration does not cover are scored
-    pessimistically (the worst recorded rate, or the 0.5 clamp ceiling
-    for an empty snapshot), so partial calibrations degrade routing
-    quality instead of raising.  @raise Invalid_argument if the device
-    has no calibration at all. *)
+    (Fig. 6(d)).  Couplings the calibration does not cover are charged
+    {!Calibration.unrecorded_error}, computed once per snapshot, so
+    partial calibrations degrade routing quality instead of raising.
+    @raise Invalid_argument if the device has no calibration at all. *)
 
 val distance_matrix : variation_aware:bool -> Device.t -> Qaoa_util.Float_matrix.t
 (** [hop_distances] or [weighted_distances] according to the flag - the

@@ -19,13 +19,9 @@ let log_gate ?(include_readout = false) ?unrecorded cal g =
   | Gate.Rz _ | Gate.Phase _ ->
     log (1.0 -. Calibration.single_qubit_error cal)
 
-let fold_log_success ?include_readout ?unrecorded cal circuit =
-  List.fold_left
-    (fun acc g -> acc +. log_gate ?include_readout ?unrecorded cal g)
-    0.0
-    (Circuit.gates (Decompose.circuit circuit))
-
-let log_success cal circuit = fold_log_success cal circuit
-
 let of_circuit ?include_readout ?unrecorded cal circuit =
-  exp (fold_log_success ?include_readout ?unrecorded cal circuit)
+  exp
+    (List.fold_left
+       (fun acc g -> acc +. log_gate ?include_readout ?unrecorded cal g)
+       0.0
+       (Circuit.gates (Decompose.circuit circuit)))

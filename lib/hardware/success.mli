@@ -5,8 +5,8 @@
     the basis-decomposed circuit: per-coupling CNOT rates, the scalar
     one-qubit rate, and optionally the readout rate per measurement.
     Fig. 10 compares VIC against IC on exactly this metric.  This is the
-    one definition of the product: {!Coherence.estimated_success_probability},
-    lint rule QL008 and [Qaoa_core.Error_budget] all score gates here. *)
+    one definition of the product: [Qaoa_core.Compile], lint rule QL008
+    and [Qaoa_core.Error_budget] all score gates here. *)
 
 val log_gate :
   ?include_readout:bool ->
@@ -35,7 +35,3 @@ val of_circuit :
     uses).
     @raise Failure if a CNOT pair has no calibrated rate and no
     [unrecorded] rate is given. *)
-
-val log_success : Calibration.t -> Qaoa_circuit.Circuit.t -> float
-(** Natural log of [of_circuit] computed by summation - numerically
-    stable for deep circuits whose product underflows. *)

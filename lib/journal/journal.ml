@@ -106,7 +106,6 @@ let open_ ?(resume = false) ~dir () =
   at_exit (fun () -> close t);
   t
 
-let path t = t.file
 let mem t key = Hashtbl.mem t.table key
 
 let find t key =
@@ -142,3 +141,13 @@ let stats t =
         t.table 0;
     torn_truncated = t.torn_truncated;
   }
+
+let summary t =
+  let s = stats t in
+  Printf.sprintf
+    "journal: %d trial(s) on record at %s (%d cached, %d executed, %d \
+     quarantined%s)"
+    (entries t) t.file s.hits s.appended s.quarantined
+    (if s.torn_truncated > 0 then
+       Printf.sprintf ", %d torn record(s) truncated" s.torn_truncated
+     else "")

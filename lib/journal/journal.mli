@@ -5,11 +5,11 @@
     fault sweep, a benchmark campaign) has a deterministic key -
     conventionally ["experiment/strategy/instance/seed"] - and appends
     exactly one record when it finishes, either successfully ([Done]
-    with the trial's payload) or permanently failed after supervision
-    gave up ([Quarantined] with the failure description).  Records are
-    flushed as they are written, so after a crash, SIGKILL or power
-    loss the journal holds every trial that completed before the
-    failure, plus at most one torn trailing record.
+    with the trial's payload) or permanently failed ([Quarantined] with
+    the failure description).  Records are flushed as they are written,
+    so after a crash, SIGKILL or power loss the journal holds every
+    trial that completed before the failure, plus at most one torn
+    trailing record.
 
     {b On-disk format.}  A {!Framed} log - one
     [<crc32-hex> <compact JSON>\n] record per line - whose JSON objects
@@ -28,7 +28,7 @@
 type status =
   | Done  (** the trial completed; the payload is its result *)
   | Quarantined
-      (** supervision exhausted its retries; the payload describes the
+      (** the trial raised under supervision; the payload describes the
           failure.  Resumed sweeps skip quarantined trials instead of
           re-running them. *)
 
@@ -64,9 +64,6 @@ val open_ : ?resume:bool -> dir:string -> unit -> t
     @raise Failure on mid-file corruption, duplicate keys, or a
     non-empty journal without [resume]. *)
 
-val path : t -> string
-(** The journal file's path (inside the directory given to {!open_}). *)
-
 val find : t -> string -> entry option
 (** Look a trial up by key; [Some] means the trial already ran (this
     run or a previous one) and counts as a cache hit in {!stats}. *)
@@ -86,6 +83,12 @@ val entries : t -> int
 (** Number of recorded trials visible to {!find}. *)
 
 val stats : t -> stats
+
+val summary : t -> string
+(** One line for a program to print after a journaled run:
+    ["journal: N trial(s) on record at PATH (C cached, E executed, Q
+    quarantined)"], with [", T torn record(s) truncated"] inside the
+    parentheses when reload cut a torn tail. *)
 
 val close : t -> unit
 (** Flush, fsync and close the file.  Idempotent. *)

@@ -2,7 +2,7 @@
 
     A deadline is started once at the top of a bounded operation (one
     compile, one fallback chain) and then checked from the hot loops of
-    the router, SABRE and incremental compilation.  A check past the
+    the router and incremental compilation.  A check past the
     budget raises {!Exceeded}; callers translate that into their own
     structured error (e.g. [Compile.Deadline_exceeded]) so a slow or
     adversarial instance aborts promptly instead of hanging the whole

@@ -62,8 +62,6 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
-let to_channel oc j = output_string oc (to_string j)
-
 (* --- parser --- *)
 
 type cursor = { src : string; mutable pos : int }

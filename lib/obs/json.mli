@@ -15,8 +15,6 @@ val to_string : t -> string
 (** Compact (single-line) serialization. Non-finite floats serialize as
     [null] to stay within strict JSON. *)
 
-val to_channel : out_channel -> t -> unit
-
 val of_string : string -> t
 (** Strict-ish recursive-descent parser for the output of {!to_string}
     (objects, arrays, strings with escapes, numbers, booleans, null).

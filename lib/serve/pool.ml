@@ -6,41 +6,6 @@ let check_workers = function
   | Some _ -> invalid_arg "Pool: workers must be >= 1"
 
 (* ------------------------------------------------------------------ *)
-(* Batch map: an atomic next-index counter is all the scheduling an
-   in-memory array needs; each result cell is written by exactly one
-   domain and read only after every domain is joined, so the plain
-   array is race-free under the OCaml memory model. *)
-
-let map ?workers f arr =
-  let n = Array.length arr in
-  let w = min (check_workers workers) (max 1 n) in
-  if n = 0 then [||]
-  else if w = 1 then Array.map f arr
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let body () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          results.(i) <-
-            Some (match f arr.(i) with v -> Ok v | exception e -> Error e)
-      done
-    in
-    let domains = List.init (w - 1) (fun _ -> Domain.spawn body) in
-    body ();
-    List.iter Domain.join domains;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
-      results
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Streaming pool.  One mutex guards the queue, the completion table
    and the closed flag; [work_available] wakes workers, [progress]
    wakes the driver.  The driver (calling domain) alternates between

@@ -1,34 +1,23 @@
-(** OCaml 5 [Domain]-based worker pool with a bounded work queue.
+(** OCaml 5 [Domain]-based worker pool with a bounded work queue: the
+    engine {!Serve} runs every batch and daemon connection on.
 
-    Two entry points:
-
-    - {!map} for batch fan-out over an in-memory array (work stealing
-      via an atomic index - no queue needed, perfectly balanced);
-    - {!stream} for the serving loop: items are pulled lazily from a
-      producer, at most [queue_capacity] items are in flight
-      (submitted but not yet consumed - this bounds both the work
-      queue and the reorder buffer, giving the producer backpressure),
-      and results are handed to the consumer {e in submission order}
-      from the calling domain, so output is deterministic regardless
-      of worker count or completion interleaving.
+    Items are pulled lazily from a producer, at most [queue_capacity]
+    items are in flight (submitted but not yet consumed - this bounds
+    both the work queue and the reorder buffer, giving the producer
+    backpressure), and results are handed to the consumer {e in
+    submission order} from the calling domain, so output is
+    deterministic regardless of worker count or completion
+    interleaving.  {!stream} pulls from a plain producer; {!stream_poll}
+    also lets the producer report that it has nothing right now.
 
     The job function runs on worker domains: it must not touch
     non-synchronized shared mutable state (see the reentrancy notes on
     {!Qaoa_core.Compile.compile}).  Exceptions raised by a job are
-    captured; remaining items still run, and the first exception (in
-    submission order for [stream], in index order for [map]) is
-    re-raised after all workers have been joined. *)
+    captured; remaining items still run, and the first exception in
+    submission order is re-raised after all workers have been joined. *)
 
 val default_workers : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
-
-val map : ?workers:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~workers f arr] applies [f] to every element across [workers]
-    domains (the calling domain participates, so exactly
-    [workers - 1] domains are spawned) and returns the results in
-    input order.  [workers] defaults to {!default_workers}; it is
-    clamped to the array length.  @raise Invalid_argument if
-    [workers < 1]. *)
 
 val stream :
   ?workers:int ->

@@ -209,35 +209,6 @@ let depolarize_2q t p a b =
   done;
   depolarize_with t !paulis p
 
-let amplitude_damp t gamma q =
-  if gamma < 0.0 || gamma > 1.0 then
-    invalid_arg "Density_matrix: bad error rate";
-  let bit = 1 lsl q in
-  let dim = t.dim in
-  let keep = sqrt (1.0 -. gamma) in
-  for r0 = 0 to dim - 1 do
-    if r0 land bit = 0 then
-      for c0 = 0 to dim - 1 do
-        if c0 land bit = 0 then begin
-          let r1 = r0 lor bit and c1 = c0 lor bit in
-          let i00 = (r0 * dim) + c0
-          and i01 = (r0 * dim) + c1
-          and i10 = (r1 * dim) + c0
-          and i11 = (r1 * dim) + c1 in
-          (* K1 rho K1+ feeds the excited population into the ground
-             block; read rho11 before scaling it *)
-          t.re.(i00) <- t.re.(i00) +. (gamma *. t.re.(i11));
-          t.im.(i00) <- t.im.(i00) +. (gamma *. t.im.(i11));
-          t.re.(i01) <- t.re.(i01) *. keep;
-          t.im.(i01) <- t.im.(i01) *. keep;
-          t.re.(i10) <- t.re.(i10) *. keep;
-          t.im.(i10) <- t.im.(i10) *. keep;
-          t.re.(i11) <- t.re.(i11) *. (1.0 -. gamma);
-          t.im.(i11) <- t.im.(i11) *. (1.0 -. gamma)
-        end
-      done
-  done
-
 let apply_noisy_circuit cal circuit =
   let c = Decompose.circuit circuit in
   let t = create (Circuit.num_qubits c) in

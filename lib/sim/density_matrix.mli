@@ -54,13 +54,6 @@ val depolarize_2q : t -> float -> int -> int -> unit
     channel whose stochastic unravelling {!Noise.run_trajectory}
     samples. *)
 
-val amplitude_damp : t -> float -> int -> unit
-(** Amplitude-damping (T1 relaxation) channel with decay probability
-    [gamma] on one qubit: Kraus operators K0 = diag(1, sqrt(1-gamma))
-    and K1 = sqrt(gamma) |0><1|.  Complements the Pauli channels with
-    the non-unital process behind {!Qaoa_hardware.Coherence}'s decay
-    model. *)
-
 val apply_noisy_circuit : Qaoa_hardware.Calibration.t -> Qaoa_circuit.Circuit.t -> t
 (** Evolve |0..0> through the basis-decomposed circuit, applying
     {!depolarize_2q} with the pair's calibrated CNOT error after every

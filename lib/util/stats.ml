@@ -35,11 +35,6 @@ let percentile_sorted_array p a =
     a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
   end
 
-let percentile p l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  percentile_sorted_array p a
-
 let min_max = function
   | [] -> invalid_arg "Stats.min_max: empty list"
   | x :: rest ->

@@ -13,13 +13,11 @@ val std : float list -> float
 val median : float list -> float
 (** Median (average of middle two for even length). *)
 
-val percentile : float -> float list -> float
-(** [percentile p samples] is the [p]-th percentile ([0. <= p <= 100.],
-    clamped) with linear interpolation between order statistics, so
-    [percentile 50.] agrees with {!median}.  [nan] on the empty list. *)
-
 val percentile_sorted_array : float -> float array -> float
-(** {!percentile} over an already-sorted array (no copy, no sort). *)
+(** [percentile_sorted_array p sorted] is the [p]-th percentile
+    ([0. <= p <= 100.], clamped) of an already-sorted array, with
+    linear interpolation between order statistics, so [p = 50.] agrees
+    with {!median}.  [nan] on the empty array. *)
 
 val min_max : float list -> float * float
 (** @raise Invalid_argument on the empty list. *)

@@ -1,18 +1,9 @@
-type align = Left | Right
-
 type t = {
   headers : string list;
-  aligns : align list;
   mutable rows : string list list; (* reversed *)
 }
 
-let create ?aligns headers =
-  let aligns =
-    match aligns with
-    | Some a -> a
-    | None -> List.mapi (fun i _ -> if i = 0 then Left else Right) headers
-  in
-  { headers; aligns; rows = [] }
+let create headers = { headers; rows = [] }
 
 let add_row t row =
   let ncols = List.length t.headers in
@@ -24,8 +15,8 @@ let add_row t row =
 let float_cell ?(decimals = 3) v =
   if Float.is_nan v then "-" else Printf.sprintf "%.*f" decimals v
 
-let add_float_row t ?(fmt = float_cell ~decimals:3) label values =
-  add_row t (label :: List.map fmt values)
+let add_float_row t label values =
+  add_row t (label :: List.map (float_cell ~decimals:3) values)
 
 let render t =
   let rows = List.rev t.rows in
@@ -37,21 +28,13 @@ let render t =
       0 all
   in
   let widths = List.init ncols width in
-  let pad align w s =
-    let n = w - String.length s in
-    match align with
-    | Left -> s ^ String.make n ' '
-    | Right -> String.make n ' ' ^ s
+  (* the label column is left-aligned, every value column right-aligned *)
+  let pad i w s =
+    let fill = String.make (w - String.length s) ' ' in
+    if i = 0 then s ^ fill else fill ^ s
   in
   let render_row row =
-    let cells =
-      List.mapi
-        (fun i cell ->
-          let w = List.nth widths i in
-          let a = try List.nth t.aligns i with _ -> Right in
-          pad a w cell)
-        row
-    in
+    let cells = List.mapi (fun i cell -> pad i (List.nth widths i) cell) row in
     "| " ^ String.concat " | " cells ^ " |"
   in
   let rule =

@@ -3,24 +3,21 @@
     Produces aligned, pipe-separated tables so that the per-figure series the
     harness prints read like the rows of the paper's tables. *)
 
-type align = Left | Right
-
 type t
 (** A table under construction. *)
 
-val create : ?aligns:align list -> string list -> t
-(** [create headers] starts a table with the given column headers.
-    [aligns] defaults to [Left] for the first column and [Right] for the
-    rest. *)
+val create : string list -> t
+(** [create headers] starts a table with the given column headers.  The
+    first column renders left-aligned, the rest right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** Append a row.  Rows shorter than the header are padded with empty
     cells; longer rows raise [Invalid_argument]. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> string -> float list -> unit
+val add_float_row : t -> string -> float list -> unit
 (** [add_float_row t label values] appends a row whose first cell is
-    [label] and whose remaining cells render [values] ([fmt] defaults to
-    three decimal places). *)
+    [label] and whose remaining cells render [values] to three decimal
+    places ({!float_cell}). *)
 
 val render : t -> string
 (** Render the table with column-aligned cells and a header rule. *)

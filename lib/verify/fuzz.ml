@@ -19,16 +19,19 @@ let guarded run_case c =
   try run_case c
   with e -> Some ("exception: " ^ Printexc.to_string e)
 
+(* Extra case executions each failure may spend on shrinking. *)
+let max_shrink_runs = 200
+
 (* Greedy descent: keep replacing the failure with the first still-failing
    shrink candidate until none fails or the run budget is exhausted. *)
-let shrink_failure ~shrink ~run_case ~budget case detail =
+let shrink_failure ~shrink ~run_case case detail =
   let runs = ref 0 in
   let steps = ref 0 in
   let rec descend case detail =
     let rec try_candidates = function
       | [] -> (case, detail)
       | c :: rest ->
-        if !runs >= budget then (case, detail)
+        if !runs >= max_shrink_runs then (case, detail)
         else begin
           incr runs;
           match guarded run_case c with
@@ -43,7 +46,7 @@ let shrink_failure ~shrink ~run_case ~budget case detail =
   let shrunk, shrunk_detail = descend case detail in
   (shrunk, shrunk_detail, !steps, !runs)
 
-let run ?(shrink = fun _ -> []) ?(max_shrink_runs = 200) ~run_case cases =
+let run ?(shrink = fun _ -> []) ~run_case cases =
   Trace.with_span "verify.fuzz.run"
     ~attrs:[ ("cases", Trace.int (List.length cases)) ]
   @@ fun () ->
@@ -59,8 +62,7 @@ let run ?(shrink = fun _ -> []) ?(max_shrink_runs = 200) ~run_case cases =
       | Some detail ->
         Metrics_registry.incr "verify.fuzz.failures";
         let shrunk, shrunk_detail, shrink_steps, runs =
-          shrink_failure ~shrink ~run_case ~budget:max_shrink_runs case
-            detail
+          shrink_failure ~shrink ~run_case case detail
         in
         shrink_runs := !shrink_runs + runs;
         failures :=

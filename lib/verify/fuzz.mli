@@ -24,14 +24,13 @@ type 'a stats = {
 
 val run :
   ?shrink:('a -> 'a list) ->
-  ?max_shrink_runs:int ->
   run_case:('a -> string option) ->
   'a list ->
   'a stats
 (** Run every case, shrinking each failure greedily: repeatedly move to
     the first candidate from [shrink] that still fails, spending at most
-    [max_shrink_runs] (default 200) extra executions per failure.
-    [shrink] defaults to no shrinking. *)
+    200 extra executions per failure.  [shrink] defaults to no
+    shrinking. *)
 
 val pp_stats :
   ?case_repro:('a -> string option) ->

@@ -24,7 +24,6 @@ let () =
       ("encodings", Test_encodings.suite);
       ("solver", Test_solver.suite);
       ("families+budget", Test_families.suite);
-      ("estimator+orient", Test_estimator.suite);
       ("pipeline-fuzz", Test_pipeline.suite);
       ("verify", Test_verify.suite);
       ("analysis", Test_analysis.suite);

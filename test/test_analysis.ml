@@ -435,7 +435,23 @@ let test_ql008_success_probability () =
   Alcotest.(check bool) "unrecorded silent at the worst rate" false (fires_at worst);
   Alcotest.(check bool) "unrecorded fires just above it" true
     (fires_at (Float.succ worst));
-  Alcotest.(check bool) "not scored at the best rate" true (fires_at 0.8)
+  Alcotest.(check bool) "not scored at the best rate" true (fires_at 0.8);
+  (* a snapshot whose every recorded rate is 0 charges an unrecorded
+     coupling the 0.5 ceiling, as VIC's router does (weighted distance
+     1 / 0.5^2 = 4), not the 0.0 it records *)
+  let device =
+    Device.with_calibration (Topologies.linear 3)
+      (Calibration.create [ (0, 1, 0.0) ])
+  in
+  Alcotest.(check (float 1e-12)) "router charges 0.5" 4.0
+    (Qaoa_util.Float_matrix.get
+       (Qaoa_hardware.Profile.weighted_distances device)
+       1 2);
+  Alcotest.(check bool) "all-zero snapshot fires at 0.9" true
+    (List.mem "QL008"
+       (rule_ids
+          (lint ~device ~min_success_prob:0.9 ~role:Lint.Compiled ~n:3
+             [ Gate.Cnot (1, 2) ])))
 
 let test_ql009_critical_swap () =
   let fires =

@@ -1,6 +1,5 @@
-(* Tests for the extension modules: coherence model, QASM parsing,
-   reverse-traversal refinement, VQA allocation and iterative
-   recompilation. *)
+(* Tests for the extension modules: QASM parsing, reverse-traversal
+   refinement, VQA allocation and iterative recompilation. *)
 
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
@@ -8,8 +7,6 @@ module Qasm = Qaoa_circuit.Qasm
 module Decompose = Qaoa_circuit.Decompose
 module Device = Qaoa_hardware.Device
 module Calibration = Qaoa_hardware.Calibration
-module Coherence = Qaoa_hardware.Coherence
-module Success = Qaoa_hardware.Success
 module Topologies = Qaoa_hardware.Topologies
 module Mapping = Qaoa_backend.Mapping
 module Compliance = Qaoa_backend.Compliance
@@ -24,117 +21,6 @@ module Vqa = Qaoa_core.Vqa
 module Iterative = Qaoa_core.Iterative
 module Generators = Qaoa_graph.Generators
 module Rng = Qaoa_util.Rng
-
-(* --- Coherence --- *)
-
-let test_coherence_duration () =
-  let model =
-    Coherence.uniform ~gate_duration_1q:50e-9 ~gate_duration_2q:300e-9
-      ~num_qubits:2 ~t1:50e-6 ~t2:50e-6 ()
-  in
-  (* H; CNOT decomposes to two layers: 1q then 2q *)
-  let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Cnot (0, 1) ] in
-  Alcotest.(check (float 1e-15)) "duration" (50e-9 +. 300e-9)
-    (Coherence.circuit_duration model c)
-
-let test_coherence_decoherence_factor () =
-  let model =
-    Coherence.uniform ~gate_duration_1q:1e-6 ~gate_duration_2q:1e-6
-      ~num_qubits:2 ~t1:10e-6 ~t2:10e-6 ()
-  in
-  (* Single H on qubit 0: active window is 1 layer of 1 us; qubit 1 idle
-     (never active, no decay counted). *)
-  let c = Circuit.of_gates 2 [ Gate.H 0 ] in
-  Alcotest.(check (float 1e-9)) "single qubit decay" (exp (-0.1))
-    (Coherence.decoherence_factor model c);
-  (* deeper circuit decays more *)
-  let deep = Circuit.of_gates 2 (List.init 10 (fun _ -> Gate.H 0)) in
-  Alcotest.(check bool) "monotone in depth" true
-    (Coherence.decoherence_factor model deep
-    < Coherence.decoherence_factor model c)
-
-let test_coherence_active_window () =
-  let c = Circuit.of_gates 3 [ Gate.H 0; Gate.H 1; Gate.H 0; Gate.H 0 ] in
-  let w = Coherence.active_window c in
-  Alcotest.(check (option (pair int int))) "q0 window" (Some (0, 2)) w.(0);
-  Alcotest.(check (option (pair int int))) "q1 window" (Some (0, 0)) w.(1);
-  Alcotest.(check (option (pair int int))) "q2 untouched" None w.(2)
-
-let test_coherence_esp () =
-  let model =
-    Coherence.uniform ~gate_duration_1q:1e-6 ~gate_duration_2q:1e-6
-      ~num_qubits:2 ~t1:100e-6 ~t2:100e-6 ()
-  in
-  let cal = Calibration.create ~single_qubit_error:0.01 [ (0, 1, 0.1) ] in
-  let c = Circuit.of_gates 2 [ Gate.H 0; Gate.Cnot (0, 1) ] in
-  let esp = Coherence.estimated_success_probability model cal c in
-  let gates_only = 0.99 *. 0.9 in
-  Alcotest.(check bool) "below gates-only" true (esp < gates_only);
-  Alcotest.(check bool) "close for long T1" true (esp > gates_only *. 0.9);
-  Alcotest.(check (float 0.0)) "gate product times decoherence"
-    (Success.of_circuit cal c *. Coherence.decoherence_factor model c)
-    esp
-
-let test_coherence_validation () =
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Coherence.create: T1/T2 length mismatch") (fun () ->
-      ignore (Coherence.create ~t1:[| 1.0 |] ~t2:[| 1.0; 2.0 |] ()));
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Coherence.create: non-positive time") (fun () ->
-      ignore (Coherence.create ~t1:[| 0.0 |] ~t2:[| 1.0 |] ()))
-
-let test_coherence_schedules_bounded () =
-  (* both schedules give valid probabilities; neither dominates in
-     general (ALAP trades tail slack for head slack) *)
-  let rng = Rng.create 51 in
-  for _ = 1 to 10 do
-    let gates =
-      List.init 25 (fun _ ->
-          match Rng.int rng 3 with
-          | 0 -> Gate.H (Rng.int rng 4)
-          | 1 ->
-            let a = Rng.int rng 4 in
-            Gate.Cnot (a, (a + 1) mod 4)
-          | _ -> Gate.Rz (Rng.int rng 4, 0.4))
-    in
-    let c = Circuit.of_gates 4 gates in
-    let model =
-      Coherence.uniform ~gate_duration_1q:1e-6 ~gate_duration_2q:1e-6
-        ~num_qubits:4 ~t1:30e-6 ~t2:30e-6 ()
-    in
-    List.iter
-      (fun schedule ->
-        let f = Coherence.decoherence_factor ~schedule model c in
-        Alcotest.(check bool) "in (0, 1]" true (f > 0.0 && f <= 1.0))
-      [ Coherence.Asap; Coherence.Alap ]
-  done
-
-let test_coherence_alap_strictly_better_sometimes () =
-  (* H 0 early with a long chain on q1: ALAP sinks it, shrinking q0's
-     window *)
-  let c =
-    Circuit.of_gates 2
-      ([ Gate.H 0 ]
-      @ List.init 8 (fun _ -> Gate.Rz (1, 0.1))
-      @ [ Gate.Cnot (0, 1) ])
-  in
-  let model =
-    Coherence.uniform ~gate_duration_1q:1e-6 ~gate_duration_2q:1e-6
-      ~num_qubits:2 ~t1:10e-6 ~t2:10e-6 ()
-  in
-  let asap = Coherence.decoherence_factor ~schedule:Coherence.Asap model c in
-  let alap = Coherence.decoherence_factor ~schedule:Coherence.Alap model c in
-  Alcotest.(check bool) "alap strictly better" true (alap > asap +. 1e-9)
-
-let test_coherence_random () =
-  let rng = Rng.create 5 in
-  let model = Coherence.random rng ~num_qubits:10 () in
-  Array.iteri
-    (fun q t1 ->
-      Alcotest.(check bool) "t1 positive" true (t1 > 0.0);
-      Alcotest.(check bool) "t2 <= 1.5 t1" true
-        (model.Coherence.t2.(q) <= (1.5 *. t1) +. 1e-12))
-    model.Coherence.t1
 
 (* --- QASM parsing --- *)
 
@@ -358,14 +244,6 @@ let test_iterative_validation () =
 
 let suite =
   [
-    ("coherence duration", `Quick, test_coherence_duration);
-    ("coherence decay factor", `Quick, test_coherence_decoherence_factor);
-    ("coherence active window", `Quick, test_coherence_active_window);
-    ("coherence ESP", `Quick, test_coherence_esp);
-    ("coherence validation", `Quick, test_coherence_validation);
-    ("coherence schedules bounded", `Quick, test_coherence_schedules_bounded);
-    ("coherence alap strictly better", `Quick, test_coherence_alap_strictly_better_sometimes);
-    ("coherence random model", `Quick, test_coherence_random);
     ("qasm parse simple", `Quick, test_qasm_parse_simple);
     ("qasm roundtrip semantics", `Quick, test_qasm_roundtrip_semantics);
     ("qasm parse errors", `Quick, test_qasm_parse_errors);

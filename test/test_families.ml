@@ -1,9 +1,8 @@
-(* Tests for the scale-free/small-world generators, bootstrap confidence
-   intervals and the error-budget analyzer. *)
+(* Tests for the scale-free/small-world generators and the error-budget
+   analyzer. *)
 
 module Graph = Qaoa_graph.Graph
 module Generators = Qaoa_graph.Generators
-module Bootstrap = Qaoa_util.Bootstrap
 module Rng = Qaoa_util.Rng
 module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
@@ -67,52 +66,6 @@ let test_watts_strogatz_validation () =
     (Invalid_argument "Generators.watts_strogatz: need 2 <= k < n - 1")
     (fun () -> ignore (Generators.watts_strogatz rng ~n:5 ~k:4 ~beta:0.1))
 
-(* --- bootstrap --- *)
-
-let test_bootstrap_point_mass () =
-  let rng = Rng.create 6 in
-  let ci = Bootstrap.mean_interval rng [ 2.0; 2.0; 2.0; 2.0 ] in
-  Alcotest.(check (float 1e-12)) "estimate" 2.0 ci.Bootstrap.estimate;
-  Alcotest.(check (float 1e-12)) "lower" 2.0 ci.Bootstrap.lower;
-  Alcotest.(check (float 1e-12)) "upper" 2.0 ci.Bootstrap.upper
-
-let test_bootstrap_covers_mean () =
-  let rng = Rng.create 7 in
-  let samples = List.init 40 (fun _ -> Rng.normal rng ~mu:5.0 ~sigma:1.0) in
-  let ci = Bootstrap.mean_interval rng samples in
-  Alcotest.(check bool) "ordered" true
-    (ci.Bootstrap.lower <= ci.Bootstrap.estimate
-    && ci.Bootstrap.estimate <= ci.Bootstrap.upper);
-  Alcotest.(check bool) "contains true mean" true
-    (ci.Bootstrap.lower < 5.5 && ci.Bootstrap.upper > 4.5);
-  (* higher confidence widens the interval *)
-  let wide = Bootstrap.mean_interval ~confidence:0.99 (Rng.create 7) samples in
-  Alcotest.(check bool) "99% wider than 95%" true
-    (wide.Bootstrap.upper -. wide.Bootstrap.lower
-    >= ci.Bootstrap.upper -. ci.Bootstrap.lower -. 1e-9)
-
-let test_bootstrap_ratio () =
-  let rng = Rng.create 8 in
-  let num = List.init 30 (fun _ -> 2.0 +. Rng.float rng 0.2) in
-  let den = List.init 30 (fun _ -> 4.0 +. Rng.float rng 0.2) in
-  let ci = Bootstrap.ratio_of_means_interval rng ~num ~den in
-  Alcotest.(check bool) "near 0.5" true
-    (Float.abs (ci.Bootstrap.estimate -. 0.5) < 0.05);
-  Alcotest.(check bool) "tight" true
-    (ci.Bootstrap.upper -. ci.Bootstrap.lower < 0.1)
-
-let test_bootstrap_validation () =
-  let rng = Rng.create 9 in
-  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap: empty sample")
-    (fun () -> ignore (Bootstrap.mean_interval rng []));
-  Alcotest.check_raises "confidence"
-    (Invalid_argument "Bootstrap: confidence must lie in (0, 1)") (fun () ->
-      ignore (Bootstrap.mean_interval ~confidence:1.0 rng [ 1.0 ]));
-  Alcotest.check_raises "unpaired"
-    (Invalid_argument "Bootstrap: paired samples must have equal length")
-    (fun () ->
-      ignore (Bootstrap.ratio_of_means_interval rng ~num:[ 1.0 ] ~den:[ 1.0; 2.0 ]))
-
 (* --- error budget --- *)
 
 let test_error_budget_matches_success () =
@@ -175,10 +128,6 @@ let suite =
     ("barabasi-albert validation", `Quick, test_barabasi_albert_validation);
     ("watts-strogatz shape", `Quick, test_watts_strogatz_shape);
     ("watts-strogatz validation", `Quick, test_watts_strogatz_validation);
-    ("bootstrap point mass", `Quick, test_bootstrap_point_mass);
-    ("bootstrap covers mean", `Quick, test_bootstrap_covers_mean);
-    ("bootstrap ratio", `Quick, test_bootstrap_ratio);
-    ("bootstrap validation", `Quick, test_bootstrap_validation);
     ("error budget matches success", `Quick, test_error_budget_matches_success);
     ("error budget worst first", `Quick, test_error_budget_worst_first);
   ]

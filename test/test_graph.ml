@@ -4,7 +4,6 @@ module Rng = Qaoa_util.Rng
 module Graph = Qaoa_graph.Graph
 module Generators = Qaoa_graph.Generators
 module Paths = Qaoa_graph.Paths
-module Subgraph = Qaoa_graph.Subgraph
 module Float_matrix = Qaoa_util.Float_matrix
 
 let test_build_and_query () =
@@ -139,20 +138,6 @@ let test_diameter () =
   Alcotest.(check int) "cycle diameter" 3 (Paths.diameter (Generators.cycle 6));
   Alcotest.(check int) "complete diameter" 1 (Paths.diameter (Generators.complete 4))
 
-let test_induced_subgraph () =
-  let g = Generators.cycle 6 in
-  let sub, back = Subgraph.induced g [ 0; 1; 2; 4 ] in
-  Alcotest.(check int) "sub vertices" 4 (Graph.num_vertices sub);
-  Alcotest.(check int) "sub edges" 2 (Graph.num_edges sub);
-  Alcotest.(check (array int)) "back map" [| 0; 1; 2; 4 |] back;
-  Alcotest.(check int) "edge count within" 2 (Subgraph.edge_count_within g [ 0; 1; 2; 4 ])
-
-let test_relabel () =
-  let g = Graph.of_edges 3 [ (0, 1) ] in
-  let r = Subgraph.relabel g [| 2; 0; 1 |] in
-  Alcotest.(check bool) "relabeled" true (Graph.has_edge r 2 0);
-  Alcotest.(check bool) "old gone" false (Graph.has_edge r 0 1)
-
 (* QCheck: BFS distances from vertex 0 agree with Floyd-Warshall hops. *)
 let prop_bfs_matches_fw =
   QCheck.Test.make ~name:"bfs agrees with floyd-warshall" ~count:50
@@ -221,8 +206,6 @@ let suite =
     ("shortest path endpoints", `Quick, test_shortest_path_endpoints);
     ("all pairs hops", `Quick, test_all_pairs_hops);
     ("diameter", `Quick, test_diameter);
-    ("induced subgraph", `Quick, test_induced_subgraph);
-    ("relabel", `Quick, test_relabel);
     QCheck_alcotest.to_alcotest prop_bfs_matches_fw;
     QCheck_alcotest.to_alcotest prop_regular_degrees;
     QCheck_alcotest.to_alcotest prop_shortest_path_length;

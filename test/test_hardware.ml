@@ -72,7 +72,14 @@ let test_melbourne_calibration () =
     (Device.coupling_edges d);
   let (wu, wv), we = Calibration.worst_edge cal in
   Alcotest.(check (float 1e-9)) "worst edge is (3,4)" 8.60e-2 we;
-  Alcotest.(check (pair int int)) "worst pair" (3, 4) (wu, wv)
+  Alcotest.(check (pair int int)) "worst pair" (3, 4) (wu, wv);
+  Alcotest.(check (float 1e-9)) "unrecorded charged the worst rate" 8.60e-2
+    (Calibration.unrecorded_error cal);
+  Alcotest.(check (float 0.0)) "empty snapshot charges 0.5" 0.5
+    (Calibration.unrecorded_error (Calibration.create []));
+  Alcotest.(check (float 0.0)) "all-zero snapshot charges 0.5" 0.5
+    (Calibration.unrecorded_error
+       (Calibration.create [ (0, 1, 0.0); (1, 2, 0.0) ]))
 
 let test_calibration_success_rates () =
   let cal = Calibration.create [ (0, 1, 0.1) ] in

@@ -1,76 +1,14 @@
-(* Tests for ALAP layering, the ASCII circuit renderer and the parameter
-   landscape module. *)
+(* Tests for the ASCII circuit renderer and the parameter landscape
+   module. *)
 
 module Gate = Qaoa_circuit.Gate
 module Circuit = Qaoa_circuit.Circuit
-module Layering = Qaoa_circuit.Layering
 module Render = Qaoa_circuit.Render
 module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Analytic = Qaoa_core.Analytic
 module Landscape = Qaoa_core.Landscape
 module Generators = Qaoa_graph.Generators
-module Statevector = Qaoa_sim.Statevector
-module Rng = Qaoa_util.Rng
-
-(* --- ALAP --- *)
-
-let test_alap_same_depth_and_gates () =
-  let rng = Rng.create 1 in
-  for _ = 1 to 10 do
-    let gates =
-      List.init 20 (fun _ ->
-          match Rng.int rng 3 with
-          | 0 -> Gate.H (Rng.int rng 4)
-          | 1 ->
-            let a = Rng.int rng 4 in
-            Gate.Cnot (a, (a + 1) mod 4)
-          | _ -> Gate.Rz (Rng.int rng 4, 0.5))
-    in
-    let c = Circuit.of_gates 4 gates in
-    let asap = Layering.layers c and alap = Layering.alap_layers c in
-    Alcotest.(check int) "same depth" (List.length asap) (List.length alap);
-    Alcotest.(check bool) "alap disjoint" true (Layering.check_layers_disjoint alap);
-    Alcotest.(check int) "all gates present" (Circuit.length c)
-      (List.length (List.concat alap))
-  done
-
-let test_alap_sinks_gates () =
-  (* H on q0 has no consumer until the end; ALAP must push it past q1's
-     long chain *)
-  let c =
-    Circuit.of_gates 2
-      [ Gate.H 0; Gate.H 1; Gate.Rz (1, 0.1); Gate.Rz (1, 0.2); Gate.Cnot (0, 1) ]
-  in
-  let alap = Layering.alap_layers c in
-  (* the H 0 should appear in the next-to-last layer (just before CNOT) *)
-  let layer_of_h0 =
-    List.mapi (fun i l -> (i, l)) alap
-    |> List.find_map (fun (i, l) ->
-           if List.exists (fun g -> Gate.equal g (Gate.H 0)) l then Some i
-           else None)
-  in
-  Alcotest.(check (option int)) "h0 sunk to layer 2" (Some 2) layer_of_h0
-
-let test_alap_semantics () =
-  let rng = Rng.create 2 in
-  for _ = 1 to 5 do
-    let gates =
-      List.init 15 (fun _ ->
-          match Rng.int rng 3 with
-          | 0 -> Gate.H (Rng.int rng 3)
-          | 1 ->
-            let a = Rng.int rng 3 in
-            Gate.Cnot (a, (a + 1) mod 3)
-          | _ -> Gate.Rx (Rng.int rng 3, Rng.float rng 3.0))
-    in
-    let c = Circuit.of_gates 3 gates in
-    let relaid = Circuit.of_gates 3 (List.concat (Layering.alap_layers c)) in
-    Alcotest.(check bool) "alap preserves semantics" true
-      (Statevector.equal_up_to_global_phase
-         (Statevector.of_circuit c)
-         (Statevector.of_circuit relaid))
-  done
 
 (* --- Render --- *)
 
@@ -152,9 +90,6 @@ let test_landscape_csv () =
 
 let suite =
   [
-    ("alap same depth", `Quick, test_alap_same_depth_and_gates);
-    ("alap sinks gates", `Quick, test_alap_sinks_gates);
-    ("alap semantics", `Quick, test_alap_semantics);
     ("render bell (golden)", `Quick, test_render_bell);
     ("render symbols (golden)", `Quick, test_render_gate_symbols);
     ("render empty", `Quick, test_render_empty);

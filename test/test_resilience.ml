@@ -11,7 +11,6 @@ module Mapping = Qaoa_backend.Mapping
 module Router = Qaoa_backend.Router
 module Fault = Qaoa_resilience.Fault
 module Faultspace = Qaoa_resilience.Faultspace
-module Repair = Qaoa_resilience.Repair
 module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Compile = Qaoa_core.Compile
@@ -131,27 +130,22 @@ let test_dropped_calibration () =
   Alcotest.(check int)
     "20% of entries dropped" (n - expected_drop)
     (List.length (cal_entries faulty));
-  Alcotest.(check int)
-    "missing couplings found" expected_drop
-    (List.length (Repair.missing_couplings faulty));
+  let cal = Device.calibration_exn faulty in
+  let missing =
+    List.filter
+      (fun (u, v) -> Calibration.cnot_error_opt cal u v = None)
+      (Device.coupling_edges faulty)
+  in
+  Alcotest.(check int) "missing couplings found" expected_drop
+    (List.length missing);
   check_validate faulty;
-  let repaired = Repair.complete_calibration faulty in
-  Alcotest.(check (list (pair int int)))
-    "repair completes the snapshot" []
-    (Repair.missing_couplings repaired);
   let worst =
     List.fold_left (fun acc (_, _, e) -> Float.max acc e) 0.0
       (cal_entries faulty)
   in
-  let filled_rates =
-    List.filter_map
-      (fun (u, v) ->
-        Calibration.cnot_error_opt (Device.calibration_exn repaired) u v)
-      (Repair.missing_couplings faulty)
-  in
-  Alcotest.(check bool)
-    "filled pessimistically with the worst recorded rate" true
-    (filled_rates <> [] && List.for_all (fun e -> e = worst) filled_rates)
+  Alcotest.(check (float 0.0))
+    "unrecorded couplings are charged the worst recorded rate" worst
+    (Calibration.unrecorded_error cal)
 
 let test_calibration_create_rejects_duplicates () =
   Alcotest.check_raises "duplicate coupling"

@@ -21,27 +21,6 @@ module Check = Qaoa_verify.Check
 
 (* --- pool ---------------------------------------------------------- *)
 
-let test_pool_map_matches_sequential () =
-  let input = Array.init 97 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  let expected = Array.map f input in
-  List.iter
-    (fun workers ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "map with %d workers" workers)
-        expected
-        (Pool.map ~workers f input))
-    [ 1; 2; 4; 8 ]
-
-let test_pool_map_empty_and_exceptions () =
-  Alcotest.(check (array int)) "empty input" [||] (Pool.map ~workers:4 succ [||]);
-  Alcotest.check_raises "first failure by index re-raised"
-    (Failure "item 5") (fun () ->
-      ignore
-        (Pool.map ~workers:4
-           (fun i -> if i >= 5 then failwith (Printf.sprintf "item %d" i) else i)
-           (Array.init 64 (fun i -> i))))
-
 let test_pool_stream_ordered () =
   List.iter
     (fun (workers, capacity) ->
@@ -1017,8 +996,18 @@ let test_cross_domain_compile_equivalence () =
         in
         (i, n, draw (), strategies.(i mod Array.length strategies)))
   in
-  let reports =
-    Pool.map ~workers:4
+  let reports = Array.make (Array.length cases) None in
+  let next = ref 0 in
+  let produce () =
+    if !next >= Array.length cases then None
+    else begin
+      incr next;
+      Some cases.(!next - 1)
+    end
+  in
+  let processed =
+    Pool.stream ~workers:4 ~produce
+      ~consume:(fun seq report -> reports.(seq) <- Some report)
       (fun (i, _n, g, strategy) ->
         let problem = Problem.of_maxcut g in
         let params = Ansatz.params_p1 ~gamma:0.7 ~beta:0.4 in
@@ -1033,10 +1022,11 @@ let test_cross_domain_compile_equivalence () =
               ~logical r.Compile.circuit
           in
           (i, strategy, Ok report))
-      cases
   in
+  Alcotest.(check int) "every case processed" (Array.length cases) processed;
   Array.iter
-    (fun (i, strategy, outcome) ->
+    (fun report ->
+      let i, strategy, outcome = Option.get report in
       match outcome with
       | Error e ->
         Alcotest.failf "case %d (%s) failed to compile: %s" i
@@ -1051,8 +1041,6 @@ let test_cross_domain_compile_equivalence () =
 
 let suite =
   [
-    ("pool map matches sequential", `Quick, test_pool_map_matches_sequential);
-    ("pool map empty + exceptions", `Quick, test_pool_map_empty_and_exceptions);
     ("pool stream emits in submission order", `Quick, test_pool_stream_ordered);
     ( "pool stream propagates job exceptions",
       `Quick,

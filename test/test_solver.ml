@@ -1,11 +1,7 @@
-(* Tests for the one-call Solver pipeline and the amplitude-damping
-   channel added to the density-matrix backend. *)
+(* Tests for the one-call Solver pipeline. *)
 
-module Gate = Qaoa_circuit.Gate
-module Circuit = Qaoa_circuit.Circuit
 module Device = Qaoa_hardware.Device
 module Topologies = Qaoa_hardware.Topologies
-module Density_matrix = Qaoa_sim.Density_matrix
 module Problem = Qaoa_core.Problem
 module Encodings = Qaoa_core.Encodings
 module Solver = Qaoa_core.Solver
@@ -78,39 +74,6 @@ let test_solve_p2_at_least_p1 () =
     true
     (p2.Solver.approximation_ratio >= p1.Solver.approximation_ratio -. 0.05)
 
-(* --- amplitude damping --- *)
-
-let test_amplitude_damp_excited_state () =
-  let t = Density_matrix.create 1 in
-  Density_matrix.apply_gate t (Gate.X 0);
-  Density_matrix.amplitude_damp t 0.3 0;
-  Alcotest.(check (float 1e-12)) "p(1)" 0.7 (Density_matrix.probability t 1);
-  Alcotest.(check (float 1e-12)) "p(0)" 0.3 (Density_matrix.probability t 0);
-  Alcotest.(check (float 1e-12)) "trace" 1.0 (Density_matrix.trace t)
-
-let test_amplitude_damp_ground_invariant () =
-  let t = Density_matrix.create 2 in
-  Density_matrix.amplitude_damp t 0.5 0;
-  Density_matrix.amplitude_damp t 0.5 1;
-  Alcotest.(check (float 1e-12)) "ground untouched" 1.0
-    (Density_matrix.probability t 0)
-
-let test_amplitude_damp_coherence_shrinks () =
-  let t = Density_matrix.create 1 in
-  Density_matrix.apply_gate t (Gate.H 0);
-  Density_matrix.amplitude_damp t 0.36 0;
-  (* off-diagonal scales by sqrt(1 - gamma) = 0.8 -> purity drops *)
-  Alcotest.(check bool) "mixed" true (Density_matrix.purity t < 1.0);
-  Alcotest.(check (float 1e-12)) "population transfer" (0.5 +. (0.36 *. 0.5))
-    (Density_matrix.probability t 0)
-
-let test_amplitude_damp_full () =
-  let t = Density_matrix.create 1 in
-  Density_matrix.apply_gate t (Gate.X 0);
-  Density_matrix.amplitude_damp t 1.0 0;
-  Alcotest.(check (float 1e-12)) "fully relaxed" 1.0 (Density_matrix.probability t 0);
-  Alcotest.(check (float 1e-12)) "pure again" 1.0 (Density_matrix.purity t)
-
 let suite =
   [
     ("solve small maxcut", `Quick, test_solve_small_maxcut);
@@ -119,8 +82,4 @@ let suite =
     ("solve deterministic", `Quick, test_solve_deterministic);
     ("solve validation", `Quick, test_solve_validation);
     ("solve p2 >= p1", `Slow, test_solve_p2_at_least_p1);
-    ("amplitude damp excited", `Quick, test_amplitude_damp_excited_state);
-    ("amplitude damp ground", `Quick, test_amplitude_damp_ground_invariant);
-    ("amplitude damp coherence", `Quick, test_amplitude_damp_coherence_shrinks);
-    ("amplitude damp full", `Quick, test_amplitude_damp_full);
   ]

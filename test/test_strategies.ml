@@ -22,7 +22,6 @@ module Greedy_mapper = Qaoa_core.Greedy_mapper
 module Qaim = Qaoa_core.Qaim
 module Ip = Qaoa_core.Ip
 module Ic = Qaoa_core.Ic
-module Vic = Qaoa_core.Vic
 module Compile = Qaoa_core.Compile
 module Success = Qaoa_hardware.Success
 module Arg = Qaoa_core.Arg
@@ -314,7 +313,11 @@ let test_vic_requires_calibration () =
   let initial = Qaim.initial_mapping rng device problem in
   Alcotest.check_raises "no calibration"
     (Invalid_argument "ibmq_20_tokyo: device has no calibration data")
-    (fun () -> ignore (Vic.compile rng device ~initial problem params))
+    (fun () ->
+      ignore
+        (Ic.compile
+           ~config:{ Ic.default_config with variation_aware = true }
+           rng device ~initial problem params))
 
 let test_strategy_parsing () =
   Alcotest.(check bool) "naive" true (Compile.strategy_of_string "NAIVE" = Some Compile.Naive);
@@ -338,9 +341,7 @@ let test_success_probability_manual () =
   Alcotest.(check (float 1e-12)) "product" expected (Success.of_circuit cal c);
   (* agrees with the noise model's analytic value *)
   Alcotest.(check (float 1e-12)) "matches noise model" expected
-    (Qaoa_sim.Noise.expected_success_probability (Qaoa_sim.Noise.create cal) c);
-  (* log form agrees *)
-  Alcotest.(check (float 1e-9)) "log form" (log expected) (Success.log_success cal c)
+    (Qaoa_sim.Noise.expected_success_probability (Qaoa_sim.Noise.create cal) c)
 
 let test_success_readout () =
   let cal =
