@@ -109,10 +109,10 @@ let run () file demo device json max_depth min_success_prob lower_bound_factor
         ~role circuit
     in
     let findings = Lint.run ctx in
-    (* DAG exports ride on the same parsed circuit, so malformed input
-       keeps the exit-3 contract before anything is written *)
+    (* DAG exports reuse the lint rules' DAG; malformed input has already
+       failed the parse, keeping the exit-3 contract before any write *)
     (if dot <> None || dag_json <> None then
-       let df = Qaoa_analysis.Dataflow.of_circuit circuit in
+       let df = Lazy.force ctx.Lint.dataflow in
        Option.iter
          (fun path -> write_file path (Qaoa_analysis.Dataflow.to_dot df))
          dot;

@@ -1,79 +1,42 @@
 module Config = Qaoa_obs.Config
 open Cmdliner
 
-let sink_conv =
+let format_conv =
   Arg.conv
     ( (fun s ->
-        match Config.sink_of_string s with
-        | Some sink -> Ok sink
-        | None -> Error (`Msg "expected report | jsonl | chrome | folded")),
-      fun ppf s -> Format.pp_print_string ppf (Config.sink_name s) )
-
-let metrics_conv =
-  Arg.conv
-    ( (fun s ->
-        match Config.metrics_format_of_string s with
+        match Config.format_of_string s with
         | Some f -> Ok f
-        | None -> Error (`Msg "expected prometheus | json")),
-      fun ppf f -> Format.pp_print_string ppf (Config.metrics_format_name f) )
+        | None ->
+          Error
+            (`Msg "expected report | jsonl | chrome | folded | prometheus | json")),
+      fun ppf f -> Format.pp_print_string ppf (Config.format_name f) )
 
 let trace_arg =
   Arg.(
     value
-    & opt (some sink_conv) None
-    & info [ "trace" ] ~docv:"SINK" ~docs:Manpage.s_common_options
+    & opt (some format_conv) None
+    & info [ "trace" ] ~docv:"FORMAT" ~docs:Manpage.s_common_options
         ~doc:
-          "Enable compiler telemetry: report (span tree on stderr), jsonl, \
-           chrome (trace_event JSON for chrome://tracing / Perfetto) or \
-           folded (flamegraph.pl input with per-span self time). Equivalent \
-           to setting $(b,QAOA_TRACE).")
+          "Export telemetry at exit as report (span tree), jsonl, chrome \
+           (trace_event JSON for chrome://tracing / Perfetto), folded \
+           (flamegraph.pl input with per-span self time), prometheus (text \
+           exposition) or json (counters, histograms and span roll-ups). \
+           Equivalent to setting $(b,QAOA_TRACE).")
 
 let trace_file_arg =
   Arg.(
     value
     & opt (some string) None
-    & info
-        [ "trace-file"; "trace-out" ]
-        ~docv:"PATH" ~docs:Manpage.s_common_options
+    & info [ "trace-file" ] ~docv:"PATH" ~docs:Manpage.s_common_options
         ~doc:
-          "Output path for jsonl/chrome/folded traces (default \
-           qaoa_trace.jsonl / qaoa_trace.json / qaoa_trace.folded; \
-           equivalent to $(b,QAOA_TRACE_FILE)).")
+          "Write the telemetry to PATH instead of stderr (equivalent to \
+           $(b,QAOA_TRACE_FILE)).")
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some metrics_conv) None
-    & info [ "metrics" ] ~docv:"FORMAT" ~docs:Manpage.s_common_options
-        ~doc:
-          "Expose merged counters/histograms/span roll-ups at process exit \
-           as prometheus text or a self-describing json document. \
-           Equivalent to setting $(b,QAOA_METRICS).")
-
-let metrics_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-file" ] ~docv:"PATH" ~docs:Manpage.s_common_options
-        ~doc:
-          "Output path for --metrics (default stderr; equivalent to \
-           $(b,QAOA_METRICS_FILE)).")
-
-(* A flag-provided sink wins over the environment; a lone --trace-file /
-   --metrics-file retargets whatever the environment configured. *)
-let apply trace trace_file metrics metrics_file =
-  (match (trace, trace_file) with
-  | Some sink, _ -> Config.set ?out:trace_file (Some sink)
-  | None, Some _ ->
-    if Config.sink () <> None then Config.set ?out:trace_file (Config.sink ())
-  | None, None -> ());
-  match (metrics, metrics_file) with
-  | Some format, _ -> Config.set_metrics ?out:metrics_file (Some format)
-  | None, Some _ ->
-    if Config.metrics_format () <> None then
-      Config.set_metrics ?out:metrics_file (Config.metrics_format ())
+(* A flag-provided format wins over the environment; a lone --trace-file
+   retargets whatever the environment configured. *)
+let apply format out =
+  match (format, Config.format ()) with
+  | Some f, _ | None, Some f -> Config.set ?out (Some f)
   | None, None -> ()
 
-let setup =
-  Term.(
-    const apply $ trace_arg $ trace_file_arg $ metrics_arg $ metrics_file_arg)
+let setup = Term.(const apply $ trace_arg $ trace_file_arg)

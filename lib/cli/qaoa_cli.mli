@@ -1,13 +1,10 @@
 (** Shared Cmdliner terms for the observability layer, wired uniformly
     into every CLI ([qaoa-compile], [qaoa-verify], [qaoa-lint],
-    [qaoa-resilience], [qaoa-experiments], [qaoa-solve]):
-
-    - [--trace report|jsonl|chrome|folded] and [--trace-file PATH]
-      (alias [--trace-out], kept for compatibility) configure the trace
-      sink, like [QAOA_TRACE] / [QAOA_TRACE_FILE];
-    - [--metrics prometheus|json] and [--metrics-file PATH] configure
-      the metrics exposition written at process exit, like
-      [QAOA_METRICS] / [QAOA_METRICS_FILE].
+    [qaoa-resilience], [qaoa-experiments], [qaoa-solve], [qaoa-serve]):
+    [--trace report|jsonl|chrome|folded|prometheus|json] and
+    [--trace-file PATH] select the telemetry format written at process
+    exit and its output file (default stderr), like [QAOA_TRACE] /
+    [QAOA_TRACE_FILE].
 
     Evaluating {!setup} applies the configuration as a side effect;
     compose it in front of the command's main term:

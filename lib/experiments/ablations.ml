@@ -41,8 +41,8 @@ let print_rows ~quiet columns rows =
 
 let params = Workload.default_params
 
-let router_lookahead ?(scale = Figures.Default) ?journal ?(seed = 20100)
-    ?(quiet = false) () =
+let router_lookahead ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20100 in
   (* whole-circuit routing (QAIM strategy): IC routes a single layer per
      backend call, so the next-layer lookahead never engages there *)
   header ~quiet "router-lookahead" "QAIM whole-circuit routing vs lookahead weight, ER(0.5)-20, tokyo" scale;
@@ -74,8 +74,8 @@ let router_lookahead ?(scale = Figures.Default) ?journal ?(seed = 20100)
   print_rows ~quiet [ "mean depth"; "mean swaps" ] rows;
   rows
 
-let qaim_strength_order ?(scale = Figures.Default) ?journal ?(seed = 20200)
-    ?(quiet = false) () =
+let qaim_strength_order ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20200 in
   header ~quiet "qaim-strength-order"
     "connectivity-strength neighbor order on a 36-qubit grid" scale;
   let device = Topologies.grid_6x6 () in
@@ -111,7 +111,8 @@ let qaim_strength_order ?(scale = Figures.Default) ?journal ?(seed = 20200)
   print_rows ~quiet [ "QAIM/NAIVE depth"; "QAIM/NAIVE gates" ] rows;
   rows
 
-let peephole ?(scale = Figures.Default) ?journal ?(seed = 20300) ?(quiet = false) () =
+let peephole ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20300 in
   header ~quiet "peephole" "post-routing CNOT cancellation per strategy, ER(0.5)-20, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let problems =
@@ -146,8 +147,8 @@ let peephole ?(scale = Figures.Default) ?journal ?(seed = 20300) ?(quiet = false
   print_rows ~quiet [ "gates (off)"; "gates (on)"; "reduction %" ] rows;
   rows
 
-let reverse_traversal ?(scale = Figures.Default) ?journal ?(seed = 20400)
-    ?(quiet = false) () =
+let reverse_traversal ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20400 in
   header ~quiet "reverse-traversal" "mapping refinement iterations, 10-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let problems =
@@ -184,8 +185,8 @@ let reverse_traversal ?(scale = Figures.Default) ?journal ?(seed = 20400)
   print_rows ~quiet [ "mean swaps" ] rows;
   rows
 
-let mapper_shootout ?(scale = Figures.Default) ?journal ?(seed = 20500)
-    ?(quiet = false) () =
+let mapper_shootout ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20500 in
   header ~quiet "mapper-shootout" "initial-mapping policies incl. VQA, 10-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let cal = Device.calibration_exn device in
@@ -237,8 +238,8 @@ let mapper_shootout ?(scale = Figures.Default) ?journal ?(seed = 20500)
   print_rows ~quiet [ "mean depth"; "mean gates"; "mean success" ] rows;
   rows
 
-let iterative_recompilation ?(scale = Figures.Default) ?journal ?(seed = 20600)
-    ?(quiet = false) () =
+let iterative_recompilation ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20600 in
   header ~quiet "iterative" "single-shot IC vs iterative recompilation (Sec. VII trade-off)" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let problems =
@@ -291,8 +292,8 @@ let iterative_recompilation ?(scale = Figures.Default) ?journal ?(seed = 20600)
       "  (paper Sec. VII quotes ~10x-600x time penalty for iterative flows)\n";
   rows
 
-let qaoa_levels ?(scale = Figures.Default) ?journal ?(seed = 20700) ?(quiet = false) ()
-    =
+let qaoa_levels ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20700 in
   header ~quiet "qaoa-levels" "IC depth/gates scaling with p, 12-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let problems =
@@ -317,8 +318,8 @@ let qaoa_levels ?(scale = Figures.Default) ?journal ?(seed = 20700) ?(quiet = fa
   print_rows ~quiet [ "mean depth"; "mean gates" ] rows;
   rows
 
-let swap_network_crossover ?(scale = Figures.Default) ?journal ?(seed = 20900)
-    ?(quiet = false) () =
+let swap_network_crossover ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20900 in
   header ~quiet "swap-network" "IC vs odd-even swap network across densities, 24-node ER, 6x6 grid" scale;
   let device = Topologies.grid_6x6 () in
   let line = Qaoa_core.Swap_network.serpentine_line ~rows:6 ~cols:6 in
@@ -368,8 +369,8 @@ let swap_network_crossover ?(scale = Figures.Default) ?journal ?(seed = 20900)
     rows;
   rows
 
-let graph_families ?(scale = Figures.Default) ?journal ?(seed = 21200)
-    ?(quiet = false) () =
+let graph_families ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 21200 in
   header ~quiet "graph-families" "QAIM/IC benefit across workload families, 20-node, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let strategies = [ Compile.Naive; Compile.Qaim; Compile.Ic None ] in
@@ -408,8 +409,8 @@ let graph_families ?(scale = Figures.Default) ?journal ?(seed = 21200)
     rows;
   rows
 
-let router_shootout ?(scale = Figures.Default) ?journal ?(seed = 21100)
-    ?(quiet = false) () =
+let router_shootout ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 21100 in
   header ~quiet "router-shootout" "layer-partitioned vs SABRE-style router, QAIM mapping, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let rows =
@@ -459,8 +460,8 @@ let router_shootout ?(scale = Figures.Default) ?journal ?(seed = 21100)
     rows;
   rows
 
-let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(seed = 21000)
-    ?(quiet = false) () =
+let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 21000 in
   header ~quiet "heavy-hex" "methodologies on the 27-qubit heavy-hex lattice, 20-node 3-regular" scale;
   let device = Topologies.heavy_hex_27 () in
   let problems =
@@ -486,7 +487,8 @@ let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(seed = 21000)
   print_rows ~quiet [ "depth/NAIVE"; "gates/NAIVE" ] rows;
   rows
 
-let crosstalk ?(scale = Figures.Default) ?journal ?(seed = 20800) ?(quiet = false) () =
+let crosstalk ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+  let seed = 20800 in
   header ~quiet "crosstalk" "sequentializing the k most error-prone couplings, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let cal = Device.calibration_exn device in

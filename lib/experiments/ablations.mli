@@ -7,53 +7,53 @@ type row = string * float list
 
 val router_lookahead : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Sweep the router's lookahead weight (0, 0.25, 0.5, 1.0) for
     IC(+QAIM) on 20-node ER(0.5)/tokyo.  Columns: [mean depth;
     mean swaps]. *)
 
 val qaim_strength_order : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Connectivity-strength neighbor order 1..3 (the paper suggests
     higher orders for larger machines) on the 6x6 grid, 28-node
     3-regular workload.  Columns: [QAIM/NAIVE depth; QAIM/NAIVE gates]. *)
 
 val peephole : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Post-routing CNOT-cancellation gains per strategy on 20-node
     ER(0.5)/tokyo.  Columns: [gates without; gates with; reduction %]. *)
 
 val reverse_traversal : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Reverse-traversal refinement iterations 0..4 over a NAIVE initial
     mapping (melbourne, 10-node 3-regular).  Columns: [mean swaps of a
     fresh route from the refined mapping]. *)
 
 val mapper_shootout : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** All initial-mapping policies (NAIVE, GreedyV, GreedyE, QAIM, VQA)
     under the same random-order compilation on calibrated melbourne.
     Columns: [mean depth; mean gates; mean success probability]. *)
 
 val iterative_recompilation : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Single-shot IC vs iterative recompilation (depth objective), the
     Sec. VII trade-off.  Columns: [mean depth; mean compile time (s)]. *)
 
 val qaoa_levels : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** IC-compiled depth/gates scaling with p = 1..3 (12-node 3-regular,
     melbourne).  Columns: [mean depth; mean gates]. *)
 
 val swap_network_crossover : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** IC(+QAIM) vs the odd-even SWAP network on the 6x6 grid across edge
     densities p in {0.2, 0.4, 0.6, 0.8} (24-node ER): the structured
     network should win on dense graphs and lose on sparse ones - the
@@ -63,7 +63,7 @@ val swap_network_crossover : ?scale:Figures.scale ->
 
 val graph_families : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** QAIM and IC benefit across structurally different 20-node workload
     families (ER, 3-regular, scale-free BA, small-world WS) on tokyo -
     hub-dominated and lattice-like graphs stress the heaviest-first
@@ -73,14 +73,14 @@ val graph_families : ?scale:Figures.scale ->
 
 val router_shootout : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Layer-partitioned router vs the SABRE-style front/extended-set
     router on identical workloads (QAIM mapping, 20-node graphs, tokyo).
     Columns: [primary depth; sabre depth; primary swaps; sabre swaps]. *)
 
 val heavy_hex_generalization : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** The paper's methodologies on a modern sparse device: NAIVE / QAIM /
     IP / IC depth and gate-count ratios on the 27-qubit heavy-hex
     lattice (20-node 3-regular workload).  Columns: [depth/NAIVE;
@@ -88,7 +88,7 @@ val heavy_hex_generalization : ?scale:Figures.scale ->
 
 val crosstalk : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Depth overhead of sequentializing parallel operations on the k worst
     couplings, k in {0, 1, 3, 5} (Sec. VI, following Murali et al.).
     Columns: [mean depth; mean conflicts]. *)

@@ -39,7 +39,7 @@ let default_strategies =
 
 let default_topologies = [ "tokyo"; "melbourne"; "grid6x6"; "linear16"; "ring16" ]
 
-let default_kinds =
+let kinds =
   [
     Workload.Erdos_renyi 0.3;
     Workload.Erdos_renyi 0.5;
@@ -196,9 +196,8 @@ let shrink case =
   smaller @ (if case.p > 1 then [ { case with p = 1 } ] else [])
 
 let cases ?(seed = 2026) ?(count = 100) ?(topologies = default_topologies)
-    ?(strategies = default_strategies) ?(kinds = default_kinds)
-    ?(min_nodes = 6) ?(max_nodes = 12) () =
-  if topologies = [] || strategies = [] || kinds = [] then
+    ?(strategies = default_strategies) ?(min_nodes = 6) ?(max_nodes = 12) () =
+  if topologies = [] || strategies = [] then
     invalid_arg "Differential.cases: empty dimension";
   let rng = Rng.create seed in
   List.concat
@@ -218,8 +217,8 @@ let cases ?(seed = 2026) ?(count = 100) ?(topologies = default_topologies)
              { seed = case_seed; nodes; kind; topology; strategy; p = 1 })
            strategies))
 
-let fuzz ?seed ?count ?topologies ?strategies ?kinds ?min_nodes ?max_nodes
+let fuzz ?seed ?count ?topologies ?strategies ?min_nodes ?max_nodes
     ?max_semantic_qubits () =
   Fuzz.run ~shrink
     ~run_case:(run_case ?max_semantic_qubits)
-    (cases ?seed ?count ?topologies ?strategies ?kinds ?min_nodes ?max_nodes ())
+    (cases ?seed ?count ?topologies ?strategies ?min_nodes ?max_nodes ())

@@ -64,14 +64,14 @@ val cases :
   ?count:int ->
   ?topologies:string list ->
   ?strategies:Qaoa_core.Compile.strategy list ->
-  ?kinds:Workload.graph_kind list ->
   ?min_nodes:int ->
   ?max_nodes:int ->
   unit ->
   case list
 (** [count] (default 100) seeded graph/topology instances, each expanded
     across all [strategies] - so the default sweep yields [7 * count]
-    validations.  Node counts are drawn uniformly from
+    validations.  Graph families are drawn from ER(0.3), ER(0.5),
+    3-regular and Barabasi-Albert(2).  Node counts are drawn uniformly from
     [[min_nodes, max_nodes]] (default [[6, 12]]). *)
 
 val fuzz :
@@ -79,7 +79,6 @@ val fuzz :
   ?count:int ->
   ?topologies:string list ->
   ?strategies:Qaoa_core.Compile.strategy list ->
-  ?kinds:Workload.graph_kind list ->
   ?min_nodes:int ->
   ?max_nodes:int ->
   ?max_semantic_qubits:int ->

@@ -82,7 +82,8 @@ let mapping_comparison_rows ?journal ~experiment ~scale ~seed ~n ~kinds
         ] ))
     kinds
 
-let fig7 ?(scale = Default) ?journal ?(seed = 7000) ?(quiet = false) () =
+let fig7 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 7000 in
   header ~quiet "Fig.7" "QAIM vs GreedyV vs NAIVE, 20-node graphs, ibmq_20_tokyo" scale;
   let rows =
     mapping_comparison_rows ?journal ~experiment:"fig7" ~scale ~seed ~n:20
@@ -103,7 +104,8 @@ let fig7 ?(scale = Default) ?journal ?(seed = 7000) ?(quiet = false) () =
 (* Fig. 8: problem-size sweep (3-regular, n = 12..20).                *)
 (* ------------------------------------------------------------------ *)
 
-let fig8 ?(scale = Default) ?journal ?(seed = 8000) ?(quiet = false) () =
+let fig8 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 8000 in
   header ~quiet "Fig.8" "mapping quality vs problem size, 3-regular, ibmq_20_tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let c = count ~paper:20 scale in
@@ -142,7 +144,8 @@ let fig8 ?(scale = Default) ?journal ?(seed = 8000) ?(quiet = false) () =
 (* Fig. 9: IP and IC vs QAIM-only.                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fig9 ?(scale = Default) ?journal ?(seed = 9000) ?(quiet = false) () =
+let fig9 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 9000 in
   header ~quiet "Fig.9" "IP(+QAIM) and IC(+QAIM) vs QAIM-only, 20-node graphs, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let c = count ~paper:50 scale in
@@ -189,7 +192,8 @@ let fig9 ?(scale = Default) ?journal ?(seed = 9000) ?(quiet = false) () =
 (* Fig. 10: VIC vs IC success probability on calibrated melbourne.    *)
 (* ------------------------------------------------------------------ *)
 
-let fig10 ?(scale = Default) ?journal ?(seed = 10000) ?(quiet = false) () =
+let fig10 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 10000 in
   header ~quiet "Fig.10" "VIC vs IC success probability, ibmq_16_melbourne (Fig.10a calibration)" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let c = count ~paper:20 scale in
@@ -231,7 +235,8 @@ let fig10 ?(scale = Default) ?journal ?(seed = 10000) ?(quiet = false) () =
 (* Fig. 11(a): normalized summary over 20-node instances.             *)
 (* ------------------------------------------------------------------ *)
 
-let fig11a ?(scale = Default) ?journal ?(seed = 11000) ?(quiet = false) () =
+let fig11a ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 11000 in
   header ~quiet "Fig.11a" "summary normalized by NAIVE (20-node ER + regular, tokyo)" scale;
   let rng = Rng.create seed in
   let device =
@@ -278,7 +283,8 @@ let fig11a ?(scale = Default) ?journal ?(seed = 11000) ?(quiet = false) () =
 (* Fig. 11(b): ARG on (simulated) hardware.                           *)
 (* ------------------------------------------------------------------ *)
 
-let fig11b ?(scale = Default) ?journal ?(seed = 11500) ?(quiet = false) () =
+let fig11b ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 11500 in
   header ~quiet "Fig.11b"
     "ARG of QAIM/IP/IC/VIC, 12-node instances, melbourne + trajectory noise" scale;
   let device = Topologies.ibmq_16_melbourne () in
@@ -348,7 +354,8 @@ let fig11b ?(scale = Default) ?journal ?(seed = 11500) ?(quiet = false) () =
 (* Fig. 12: packing-limit sweep on the 36-qubit grid.                 *)
 (* ------------------------------------------------------------------ *)
 
-let fig12 ?(scale = Default) ?journal ?(seed = 12000) ?(quiet = false) () =
+let fig12 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 12000 in
   header ~quiet "Fig.12" "IC(+QAIM) vs packing limit, 36-node graphs, 6x6 grid" scale;
   let device = Topologies.grid_6x6 () in
   let c = count ~paper:20 scale in
@@ -393,7 +400,8 @@ let fig12 ?(scale = Default) ?journal ?(seed = 12000) ?(quiet = false) () =
 (* Sec. VI: ring-8 comparison against the temporal planner [46].      *)
 (* ------------------------------------------------------------------ *)
 
-let fig_ring8 ?(scale = Default) ?journal ?(seed = 4600) ?(quiet = false) () =
+let fig_ring8 ?(scale = Default) ?journal ?(quiet = false) () =
+  let seed = 4600 in
   header ~quiet "Sec.VI" "IC(+QAIM) on 8-node/8-edge ER instances, 8-qubit ring" scale;
   let device = Topologies.ring 8 in
   let c = count ~paper:50 scale in
@@ -416,8 +424,7 @@ let fig_ring8 ?(scale = Default) ?journal ?(seed = 4600) ?(quiet = false) () =
     ];
   rows
 
-let all ?(scale = Default) ?journal ?(seed = 1) () =
-  ignore seed;
+let all ?(scale = Default) ?journal () =
   (* sequential lets: OCaml list-literal evaluation order is unspecified,
      and the figures print as they run *)
   let f7 = fig7 ~scale ?journal () in

@@ -32,7 +32,7 @@ type row = string * float list
 val fig7 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 7: QAIM vs GreedyV vs NAIVE on 20-node graphs (ibmq_20_tokyo).
     One row per graph family (ER p = 0.1..0.6 and d-regular d = 3..8);
     columns: [GreedyV/NAIVE depth; QAIM/NAIVE depth; GreedyV/NAIVE gates;
@@ -41,14 +41,14 @@ val fig7 :
 val fig8 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 8: problem-size sweep, 3-regular, n = 12..20, tokyo.  Columns as
     {!fig7}. *)
 
 val fig9 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 9: IP and IC vs QAIM-only on 20-node graphs, tokyo.  Columns:
     [IP/QAIM depth; IC/QAIM depth; IP/QAIM gates; IC/QAIM gates;
     IP/QAIM time; IC/QAIM time]. *)
@@ -56,7 +56,7 @@ val fig9 :
 val fig10 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 10: VIC vs IC success probability on calibrated melbourne,
     n = 13..15.  Columns: [VIC/IC success ratio] - above 1.0 means VIC
     more reliable. *)
@@ -64,7 +64,7 @@ val fig10 :
 val fig11a :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 11(a): summary over 20-node ER + regular instances on tokyo
     (random calibration for VIC).  One row per strategy; columns:
     [depth; gates; time], each normalized by NAIVE. *)
@@ -72,7 +72,7 @@ val fig11a :
 val fig11b :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 11(b): ARG of QAIM / IP / IC / VIC on melbourne, 12-node ER(0.5)
     and 6-regular instances, p=1 parameters found analytically, noisy
     execution on the trajectory simulator.  One row per strategy;
@@ -81,7 +81,7 @@ val fig11b :
 val fig12 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Fig. 12: packing-limit sweep of IC(+QAIM) on the 36-qubit grid,
     36-node ER(0.5) and 15-regular workloads.  One row per packing
     limit; columns: [mean depth; mean gates; mean time(s)]. *)
@@ -89,7 +89,7 @@ val fig12 :
 val fig_ring8 :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int -> ?quiet:bool -> unit -> row list
+  ?quiet:bool -> unit -> row list
 (** Sec. VI comparison point: IC(+QAIM) on 8-node, 8-edge ER instances
     over an 8-qubit ring.  One row; columns: [mean depth; mean gates;
     mean time(s)].  The paper quotes the temporal planner [46] at 70 s
@@ -98,7 +98,6 @@ val fig_ring8 :
 val all :
   ?scale:scale ->
   ?journal:Qaoa_journal.Journal.t ->
-  ?seed:int ->
   unit ->
   (string * row list) list
 (** Run every figure in order, printing each; returns [(figure id, rows)]

@@ -1,77 +1,42 @@
-type sink = Report | Jsonl | Chrome | Folded
+type format = Report | Jsonl | Chrome | Folded | Prometheus | Json
 
-let sink_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "report" | "tree" -> Some Report
-  | "jsonl" | "json-lines" -> Some Jsonl
-  | "chrome" | "trace" | "perfetto" -> Some Chrome
-  | "folded" | "flamegraph" -> Some Folded
-  | _ -> None
-
-let sink_name = function
+let format_name = function
   | Report -> "report"
   | Jsonl -> "jsonl"
   | Chrome -> "chrome"
   | Folded -> "folded"
+  | Prometheus -> "prometheus"
+  | Json -> "json"
 
-type metrics_format = Prometheus | Json
-
-let metrics_format_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "prometheus" | "prom" | "openmetrics" -> Some Prometheus
-  | "json" -> Some Json
-  | _ -> None
-
-let metrics_format_name = function Prometheus -> "prometheus" | Json -> "json"
+let format_of_string s =
+  let s = String.lowercase_ascii (String.trim s) in
+  List.find_opt
+    (fun f -> format_name f = s)
+    [ Report; Jsonl; Chrome; Folded; Prometheus; Json ]
 
 let enabled_flag = ref false
-let current_sink : sink option ref = ref None
+let current_format : format option ref = ref None
 let current_out : string option ref = ref None
-let current_metrics : metrics_format option ref = ref None
-let current_metrics_out : string option ref = ref None
 let epoch = Unix.gettimeofday ()
 
-(* Recording is on whenever any consumer (trace sink or metrics
-   exposition) is configured; both feed off the same registries. *)
-let recompute_enabled () =
-  enabled_flag := Option.is_some !current_sink || Option.is_some !current_metrics
-
-let set ?out sink =
-  current_sink := sink;
+let set ?out format =
+  current_format := format;
   (match out with Some _ -> current_out := out | None -> ());
-  recompute_enabled ()
-
-let set_metrics ?out format =
-  current_metrics := format;
-  (match out with Some _ -> current_metrics_out := out | None -> ());
-  recompute_enabled ()
+  enabled_flag := Option.is_some format
 
 let enabled () = !enabled_flag
-let sink () = !current_sink
+let format () = !current_format
 let out_path () = !current_out
-let metrics_format () = !current_metrics
-let metrics_out () = !current_metrics_out
 
-(* Environment-driven setup at module load: QAOA_TRACE selects the sink,
-   QAOA_TRACE_FILE the output path; QAOA_METRICS selects the metrics
-   exposition format, QAOA_METRICS_FILE its output path.  An
-   unrecognized value is reported once on stderr rather than silently
-   ignored. *)
+(* Environment-driven setup at module load: QAOA_TRACE selects the
+   format, QAOA_TRACE_FILE the output path.  An unrecognized value is
+   reported once on stderr rather than silently ignored. *)
 let () =
-  (match Sys.getenv_opt "QAOA_TRACE" with
+  match Sys.getenv_opt "QAOA_TRACE" with
   | None | Some "" -> ()
   | Some v -> (
-    match sink_of_string v with
-    | Some s -> set ?out:(Sys.getenv_opt "QAOA_TRACE_FILE") (Some s)
+    match format_of_string v with
+    | Some f -> set ?out:(Sys.getenv_opt "QAOA_TRACE_FILE") (Some f)
     | None ->
-      Printf.eprintf
-        "qaoa_obs: ignoring QAOA_TRACE=%s (expected report|jsonl|chrome|folded)\n%!"
-        v));
-  match Sys.getenv_opt "QAOA_METRICS" with
-  | None | Some "" -> ()
-  | Some v -> (
-    match metrics_format_of_string v with
-    | Some f -> set_metrics ?out:(Sys.getenv_opt "QAOA_METRICS_FILE") (Some f)
-    | None ->
-      Printf.eprintf
-        "qaoa_obs: ignoring QAOA_METRICS=%s (expected prometheus|json)\n%!" v)
+      Printf.eprintf "qaoa_obs: ignoring QAOA_TRACE=%s (expected %s)\n%!" v
+        "report|jsonl|chrome|folded|prometheus|json")

@@ -1,18 +1,15 @@
-(** Global on/off switch, export-sink selection and metrics-exposition
-    selection for the observability layer.
+(** Global on/off switch and export-format selection for the
+    observability layer.
 
-    Tracing is configured once per process, either from the environment
-    ([QAOA_TRACE=report|jsonl|chrome|folded], optional
-    [QAOA_TRACE_FILE=path]) or programmatically via {!set} (e.g. from a
-    [--trace] CLI flag); metrics exposition likewise via
-    [QAOA_METRICS=prometheus|json] / [QAOA_METRICS_FILE=path] or
-    {!set_metrics} ([--metrics] / [--metrics-file]).  Every
-    instrumentation call site guards on {!enabled}, a single [bool ref]
-    dereference, so the disabled path costs a few nanoseconds and
-    allocates nothing. *)
+    Telemetry is configured once per process, either from the
+    environment ([QAOA_TRACE=<format>], optional [QAOA_TRACE_FILE=path])
+    or programmatically via {!set} (e.g. from the shared [--trace] /
+    [--trace-file] CLI flags).  Every instrumentation call site guards
+    on {!enabled}, a single [bool ref] dereference, so the disabled path
+    costs a few nanoseconds and allocates nothing. *)
 
-type sink =
-  | Report  (** human-readable aggregated span tree, written to stderr *)
+type format =
+  | Report  (** human-readable aggregated span tree *)
   | Jsonl  (** one JSON object per span/counter/histogram, one per line *)
   | Chrome
       (** Chrome [trace_event] JSON, loadable in [chrome://tracing] or
@@ -20,44 +17,29 @@ type sink =
   | Folded
       (** folded stacks ("a;b;c <self-time-us>" lines) for
           [flamegraph.pl] / speedscope, self-time per span path *)
-
-val sink_of_string : string -> sink option
-(** ["report" | "jsonl" | "chrome" | "folded"] (case-insensitive). *)
-
-val sink_name : sink -> string
-
-type metrics_format =
   | Prometheus  (** Prometheus/OpenMetrics text exposition *)
-  | Json  (** self-describing JSON document *)
+  | Json  (** self-describing JSON document of counters, histograms and
+              per-name span roll-ups *)
 
-val metrics_format_of_string : string -> metrics_format option
-(** ["prometheus" | "json"] (case-insensitive; ["prom"] accepted). *)
+val format_of_string : string -> format option
+(** ["report" | "jsonl" | "chrome" | "folded" | "prometheus" | "json"]
+    (case-insensitive). *)
 
-val metrics_format_name : metrics_format -> string
+val format_name : format -> string
 
-val set : ?out:string -> sink option -> unit
-(** [set (Some sink)] enables tracing with the given export sink;
-    [set None] disables the trace sink (recorded data stays until
-    [Trace.reset]; recording stays on if metrics exposition is still
-    configured). [?out] overrides the export path for file sinks
-    (default ["qaoa_trace.jsonl"] / ["qaoa_trace.json"] /
-    ["qaoa_trace.folded"], or [QAOA_TRACE_FILE]). *)
-
-val set_metrics : ?out:string -> metrics_format option -> unit
-(** Enable/disable metrics exposition ({!Expose.write} and the at-exit
-    flush). [?out] overrides the output path (default stderr). *)
+val set : ?out:string -> format option -> unit
+(** [set (Some format)] enables recording and selects the export
+    format; [set None] disables both (recorded data stays until
+    [Trace.reset]). [?out] sets the output path (default stderr, or
+    [QAOA_TRACE_FILE]). *)
 
 val enabled : unit -> bool
 (** The fast-path guard used by every instrumentation call site: true
-    when a trace sink or a metrics exposition format is configured. *)
+    when an export format is configured. *)
 
-val sink : unit -> sink option
+val format : unit -> format option
 val out_path : unit -> string option
-(** Explicit trace output override, when one was given. *)
-
-val metrics_format : unit -> metrics_format option
-val metrics_out : unit -> string option
-(** Explicit metrics output override, when one was given. *)
+(** Explicit output path, when one was given. *)
 
 val epoch : float
 (** Wall-clock process start (module load) — the zero of exported

@@ -4,9 +4,9 @@
 
     A snapshot is a plain value: capturing never mutates the live
     registries (capturing twice with no intervening recording yields
-    equal snapshots — no drain-and-add double counting), and all
-    consumer layers ({!Expose}, {!Flamegraph}, bench tooling) read from
-    snapshots rather than from live shards. *)
+    equal snapshots — no drain-and-add double counting), and every
+    export format ({!Exporter.render}) reads from a snapshot rather
+    than from live shards. *)
 
 type t = {
   counters : (string * int) list;  (** sorted by name *)

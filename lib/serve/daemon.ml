@@ -245,7 +245,6 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
   in
   let rec produce () =
     if not (Queue.is_empty pending) then begin
-      Metrics_registry.incr "serve.inflight";
       Atomic.incr config.Serve.inflight;
       Pool.Item (Queue.pop pending)
     end
@@ -261,7 +260,6 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
     end
   in
   let consume _seq (c, outcome) =
-    Metrics_registry.incr ~by:(-1) "serve.inflight";
     Atomic.decr config.Serve.inflight;
     incr requests;
     if Serve.outcome_error outcome then incr errors;

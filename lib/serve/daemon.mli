@@ -35,8 +35,8 @@
     caller then flushes its cache journal and exits 130/143.  An idle
     daemon notices the flag within 50ms.
 
-    Counters: [serve.connections], [serve.inflight] (up-down), plus
-    everything {!Serve} counts. *)
+    Counters: [serve.connections], plus everything {!Serve} counts;
+    the [stats] verb reports the in-flight gauge. *)
 
 module Client : sig
   (** Line-framed client for the daemon protocol: connect with a

@@ -1,6 +1,7 @@
 (* qaoa_obs: spans (nesting, exception unwinding), counters, histograms,
-   JSONL / Chrome-trace export round-trips through the bundled JSON
-   parser, and the disabled no-op guard. *)
+   every export format rendered from a snapshot (JSONL / Chrome-trace
+   round-trips through the bundled JSON parser, golden output for the
+   rest), and the disabled no-op guard. *)
 
 module Config = Qaoa_obs.Config
 module Trace = Qaoa_obs.Trace
@@ -8,8 +9,6 @@ module Metrics = Qaoa_obs.Metrics_registry
 module Exporter = Qaoa_obs.Exporter
 module Json = Qaoa_obs.Json
 module Snapshot = Qaoa_obs.Snapshot
-module Expose = Qaoa_obs.Expose
-module Flamegraph = Qaoa_obs.Flamegraph
 module Bench_diff = Qaoa_obs.Bench_diff
 
 (* Every test runs against a clean, enabled registry and leaves tracing
@@ -103,7 +102,8 @@ let test_jsonl_roundtrip () =
   Metrics.incr "swaps" ~by:7;
   Metrics.observe "layer_size" 3.0;
   let lines =
-    Exporter.jsonl_string () |> String.trim |> String.split_on_char '\n'
+    Exporter.render Config.Jsonl (Snapshot.capture ())
+    |> String.trim |> String.split_on_char '\n'
   in
   Alcotest.(check int) "2 spans + 1 counter + 1 histogram" 4
     (List.length lines);
@@ -132,7 +132,9 @@ let test_chrome_roundtrip () =
   Trace.with_span "compile" (fun () ->
       Trace.with_span "route" (fun () -> ignore (Sys.opaque_identity 1)));
   Metrics.incr "swaps" ~by:3;
-  let doc = Json.of_string (Exporter.chrome_string ()) in
+  let doc =
+    Json.of_string (Exporter.render Config.Chrome (Snapshot.capture ()))
+  in
   let all_evs =
     match Json.member "traceEvents" doc with
     | Some (Json.List evs) -> evs
@@ -231,18 +233,25 @@ let test_json_parser () =
 
 let test_config_parsing () =
   Alcotest.(check bool) "report" true
-    (Config.sink_of_string "report" = Some Config.Report);
+    (Config.format_of_string "report" = Some Config.Report);
   Alcotest.(check bool) "JSONL case-insensitive" true
-    (Config.sink_of_string "JSONL" = Some Config.Jsonl);
+    (Config.format_of_string "JSONL" = Some Config.Jsonl);
   Alcotest.(check bool) "chrome" true
-    (Config.sink_of_string "chrome" = Some Config.Chrome);
-  Alcotest.(check bool) "unknown" true (Config.sink_of_string "tsv" = None)
+    (Config.format_of_string "chrome" = Some Config.Chrome);
+  Alcotest.(check bool) "unknown" true (Config.format_of_string "tsv" = None);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Config.format_name f ^ " round-trips")
+        true
+        (Config.format_of_string (Config.format_name f) = Some f))
+    Config.[ Report; Jsonl; Chrome; Folded; Prometheus; Json ]
 
 let test_report_renders () =
   Trace.with_span "a" (fun () -> Trace.with_span "b" (fun () -> ()));
   Metrics.incr "c";
   Metrics.observe "h" 2.0;
-  let s = Exporter.report_string () in
+  let s = Exporter.render Config.Report (Snapshot.capture ()) in
   let contains needle =
     let n = String.length needle and m = String.length s in
     let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
@@ -316,7 +325,7 @@ let test_prometheus_exposition () =
     Metrics.observe "router.layer_size" (float_of_int i)
   done;
   Trace.with_span "core.compile" (fun () -> ());
-  let text = Expose.prometheus_string () in
+  let text = Exporter.render Config.Prometheus (Snapshot.capture ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains text needle))
@@ -336,7 +345,7 @@ let test_json_exposition () =
   Metrics.incr "swaps" ~by:3;
   Metrics.observe "h" 2.0;
   Trace.with_span "c" (fun () -> ());
-  let doc = Json.of_string (Expose.json_string ()) in
+  let doc = Json.of_string (Exporter.render Config.Json (Snapshot.capture ())) in
   (match Option.bind (Json.member "counters" doc) (Json.member "swaps") with
   | Some (Json.Int 3) -> ()
   | _ -> Alcotest.fail "counter lost in json exposition");
@@ -353,22 +362,22 @@ let test_json_exposition () =
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "span roll-up lost"
 
+let ev ?(domain = 0) ?cpu ?(attrs = []) ~id ~parent ~depth ~start ~dur name =
+  {
+    Trace.name;
+    id;
+    parent;
+    depth;
+    domain;
+    start_wall = start;
+    dur_wall = dur;
+    dur_cpu = Option.value cpu ~default:dur;
+    attrs;
+  }
+
 (* Deterministic flamegraph check on a hand-built snapshot: self time is
    a span's wall duration minus its direct children's. *)
 let test_flamegraph_folded () =
-  let ev ?(domain = 0) ~id ~parent ~depth ~start ~dur name =
-    {
-      Trace.name;
-      id;
-      parent;
-      depth;
-      domain;
-      start_wall = start;
-      dur_wall = dur;
-      dur_cpu = dur;
-      attrs = [];
-    }
-  in
   let snapshot =
     {
       Snapshot.counters = [];
@@ -382,18 +391,11 @@ let test_flamegraph_folded () =
       dropped_spans = 0;
     }
   in
-  let folded = Flamegraph.folded ~snapshot () in
-  Alcotest.(check int) "two distinct stacks" 2 (List.length folded);
-  (match List.assoc_opt "compile" folded with
-  | Some self -> Alcotest.(check (float 1e-9)) "parent self time" 0.004 self
-  | None -> Alcotest.fail "missing root stack");
-  (match List.assoc_opt "compile;route" folded with
-  | Some self ->
-    Alcotest.(check (float 1e-9)) "leaf self time aggregates" 0.006 self
-  | None -> Alcotest.fail "missing leaf stack");
-  let text = Flamegraph.folded_string ~snapshot () in
-  Alcotest.(check bool) "folded lines" true
-    (contains text "compile 4000\n" && contains text "compile;route 6000\n");
+  Alcotest.(check (list string))
+    "parent self time, leaf self time aggregated"
+    [ "compile 4000"; "compile;route 6000" ]
+    (String.split_on_char '\n'
+       (String.trim (Exporter.render Config.Folded snapshot)));
   (* multi-domain streams get a synthetic per-domain root frame *)
   let multi =
     {
@@ -406,10 +408,109 @@ let test_flamegraph_folded () =
         ];
     }
   in
-  let folded = Flamegraph.folded ~snapshot:multi () in
-  Alcotest.(check bool) "per-domain roots" true
-    (List.mem_assoc "domain-0;compile" folded
-    && List.mem_assoc "domain-3;compile" folded)
+  Alcotest.(check (list string))
+    "per-domain roots"
+    [ "domain-0;compile 10000"; "domain-3;compile 10000" ]
+    (String.split_on_char '\n'
+       (String.trim (Exporter.render Config.Folded multi)))
+
+(* Golden output for a hand-built snapshot: 4 spans on 2 domains, 1
+   dropped span, 2 counters and 1 histogram.  Any byte change in these
+   formats breaks downstream parsers (flamegraph.pl, Prometheus, CI's
+   JSON checks).  jsonl and chrome are checked structurally above,
+   since their timestamps depend on [Config.epoch]. *)
+let golden_snapshot =
+  {
+    Snapshot.counters = [ ("router.swaps_inserted", 7); ("serve.requests", 2) ];
+    histograms =
+      [
+        ( "router.layer_size",
+          {
+            Metrics.h_count = 4;
+            h_sum = 10.0;
+            h_min = 1.0;
+            h_max = 4.0;
+            h_samples = [| 1.0; 2.0; 3.0; 4.0 |];
+          } );
+      ];
+    spans =
+      [
+        ev ~id:1 ~parent:0 ~depth:1 ~start:0.25 ~dur:0.25
+          ~attrs:[ ("swaps", Trace.Int 3) ]
+          "route";
+        ev ~id:0 ~parent:(-1) ~depth:0 ~start:0.0 ~dur:1.0 ~cpu:0.75 "compile";
+        ev ~domain:1 ~id:3 ~parent:2 ~depth:1 ~start:0.5 ~dur:0.125
+          ~cpu:0.0625 "route";
+        ev ~domain:1 ~id:2 ~parent:(-1) ~depth:0 ~start:0.25 ~dur:0.5
+          "compile";
+      ];
+    dropped_spans = 1;
+  }
+
+let golden_report =
+  {|== qaoa_obs report ==
+spans [1 dropped past buffer cap] (name, count, wall s, cpu s):
+  compile                                           2    1.500000    1.250000
+    route                                           2    0.375000    0.312500
+counters:
+  router.swaps_inserted                                   7
+  serve.requests                                          2
+histograms (name, count, mean, p50, p90, p99, max):
+  router.layer_size                             4     2.500     2.500     3.700     3.970     4.000
+|}
+
+let golden_folded =
+  {|domain-0;compile 750000
+domain-0;compile;route 250000
+domain-1;compile 375000
+domain-1;compile;route 125000
+|}
+
+let golden_prometheus =
+  {|# TYPE qaoa_router_swaps_inserted counter
+qaoa_router_swaps_inserted 7
+# TYPE qaoa_serve_requests counter
+qaoa_serve_requests 2
+# TYPE qaoa_router_layer_size summary
+qaoa_router_layer_size{quantile="0.5"} 2.5
+qaoa_router_layer_size{quantile="0.9"} 3.7000000000000002
+qaoa_router_layer_size{quantile="0.99"} 3.9699999999999998
+qaoa_router_layer_size_sum 10
+qaoa_router_layer_size_count 4
+# TYPE qaoa_router_layer_size_min gauge
+qaoa_router_layer_size_min 1
+# TYPE qaoa_router_layer_size_max gauge
+qaoa_router_layer_size_max 4
+# TYPE qaoa_span_count counter
+qaoa_span_count{name="compile"} 2
+qaoa_span_count{name="route"} 2
+# TYPE qaoa_span_wall_seconds_total counter
+qaoa_span_wall_seconds_total{name="compile"} 1.5
+qaoa_span_wall_seconds_total{name="route"} 0.375
+# TYPE qaoa_span_cpu_seconds_total counter
+qaoa_span_cpu_seconds_total{name="compile"} 1.25
+qaoa_span_cpu_seconds_total{name="route"} 0.3125
+# TYPE qaoa_dropped_spans_total counter
+qaoa_dropped_spans_total 1
+|}
+
+let golden_json =
+  {|{"schema_version":1,"kind":"qaoa_metrics","counters":{"router.swaps_inserted":7,"serve.requests":2},"histograms":{"router.layer_size":{"count":4,"sum":10.0,"min":1.0,"max":4.0,"mean":2.5,"p50":2.5,"p90":3.7000000000000002,"p99":3.9699999999999998}},"spans":{"compile":{"count":2,"wall_s":1.5,"cpu_s":1.25},"route":{"count":2,"wall_s":0.375,"cpu_s":0.3125}},"dropped_spans":1}
+|}
+
+let test_golden_render () =
+  List.iter
+    (fun (format, expected) ->
+      Alcotest.(check string)
+        (Config.format_name format)
+        expected
+        (Exporter.render format golden_snapshot))
+    [
+      (Config.Report, golden_report);
+      (Config.Folded, golden_folded);
+      (Config.Prometheus, golden_prometheus);
+      (Config.Json, golden_json);
+    ]
 
 let bench_doc kernels resilience =
   Json.Assoc
@@ -550,6 +651,8 @@ let suite =
       (with_tracing test_prometheus_exposition);
     Alcotest.test_case "json exposition" `Quick (with_tracing test_json_exposition);
     Alcotest.test_case "flamegraph folded stacks" `Quick test_flamegraph_folded;
+    Alcotest.test_case "golden render of a hand-built snapshot" `Quick
+      test_golden_render;
     Alcotest.test_case "bench regression diff" `Quick test_bench_diff;
     Alcotest.test_case "retry stops on a non-retryable error" `Quick
       test_retry_stops_on_non_retryable;
