@@ -26,18 +26,20 @@ let build circuit =
   in
   let preds = Array.make n [] in
   let succs = Array.make n [] in
+  (* stamp.(i) = j: gate i was already reached while building gate j.
+     Stamping with j resets every mark for the next gate for free. *)
+  let stamp = Array.make n (-1) in
   for j = 0 to n - 1 do
     (* transitive reduction on the fly: skip i if some existing
        predecessor of j already (transitively) depends on i *)
-    let reached = Hashtbl.create 8 in
     let rec mark i =
-      if not (Hashtbl.mem reached i) then begin
-        Hashtbl.replace reached i ();
+      if stamp.(i) <> j then begin
+        stamp.(i) <- j;
         List.iter mark preds.(i)
       end
     in
     for i = j - 1 downto 0 do
-      if (not (Hashtbl.mem reached i)) && depends i j then begin
+      if stamp.(i) <> j && depends i j then begin
         preds.(j) <- i :: preds.(j);
         succs.(i) <- j :: succs.(i);
         mark i

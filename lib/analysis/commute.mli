@@ -11,10 +11,13 @@
     non-unitary gates ([Barrier], [Measure]) never commute on shared
     wires ([Barrier] additionally fences {e everything}).
 
-    Construction is O(n^2) pairwise with on-the-fly transitive
-    reduction, so the edge set is the minimal relation whose closure is
-    the full dependency order - fine for compiled-circuit sizes (a
-    20-qubit tokyo compile is a few hundred gates).
+    Construction is still a pairwise backward scan over all earlier
+    gates, with on-the-fly transitive reduction, so the edge set is the
+    minimal relation whose closure is the full dependency order.  The
+    gates already reached while placing gate [j] are marked in one
+    stamped [int array] per build ([stamp.(i) = j]).  The decomposed
+    circuit of a 6x6-grid IC compile (1,827 gates) builds in 30-50 ms
+    on a 2-core x86-64 VM (OCaml 5.1.1, release build).
 
     The point of the module: any topological order of this DAG denotes
     the same unitary as the original circuit (the relation is sound), so

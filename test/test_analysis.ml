@@ -22,6 +22,7 @@ module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Compile = Qaoa_core.Compile
 module Differential = Qaoa_experiments.Differential
+module Workload = Qaoa_experiments.Workload
 module Generators = Qaoa_graph.Generators
 module Statevector = Qaoa_sim.Statevector
 module Json = Qaoa_obs.Json
@@ -632,6 +633,94 @@ let test_circuit_of_order_validation () =
     (Invalid_argument "Commute.circuit_of_order: not a permutation of node ids")
     (fun () -> ignore (Commute.circuit_of_order dag [ 0; 0; 2 ]))
 
+(* --- commutation DAG build vs the pairwise reference ----------------- *)
+
+(* The pairwise construction with a fresh [Hashtbl] of reached gates
+   per gate [j]: the reference [Commute.build] must match edge for
+   edge. *)
+let reference_edges circuit =
+  let gates = Array.of_list (Circuit.gates circuit) in
+  let n = Array.length gates in
+  let depends i j =
+    match (gates.(i), gates.(j)) with
+    | Gate.Barrier, _ | _, Gate.Barrier -> true
+    | a, b -> not (Gate.commutes a b)
+  in
+  let preds = Array.make n [] in
+  let succs = Array.make n [] in
+  for j = 0 to n - 1 do
+    let reached = Hashtbl.create 8 in
+    let rec mark i =
+      if not (Hashtbl.mem reached i) then begin
+        Hashtbl.replace reached i ();
+        List.iter mark preds.(i)
+      end
+    in
+    for i = j - 1 downto 0 do
+      if (not (Hashtbl.mem reached i)) && depends i j then begin
+        preds.(j) <- i :: preds.(j);
+        succs.(i) <- j :: succs.(i);
+        mark i
+      end
+    done
+  done;
+  List.concat
+    (List.init n (fun i -> List.rev_map (fun j -> (i, j)) succs.(i)))
+
+(* [random_linear] with H, Rx, Measure and Barrier gates spliced in at
+   random positions, so the Barrier fence and the non-unitary paths of
+   the commutation relation run too. *)
+let random_spliced rng n len =
+  Circuit.of_gates n
+    (List.concat_map
+       (fun g ->
+         if Rng.int rng 4 > 0 then [ g ]
+         else
+           let q = Rng.int rng n in
+           (match Rng.int rng 4 with
+           | 0 -> Gate.H q
+           | 1 -> Gate.Rx (q, Rng.float rng 6.2)
+           | 2 -> Gate.Measure q
+           | _ -> Gate.Barrier)
+           :: [ g ])
+       (Circuit.gates (random_linear rng n len)))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"Commute.build edges == pairwise reference"
+    ~count:200
+    QCheck.(pair (int_bound 1_000_000) (int_bound 8))
+    (fun (seed, k) ->
+      (* n = k + 2, so shrinking stays within the 2..10 qubits
+         [random_linear] needs *)
+      let c = random_spliced (Rng.create seed) (k + 2) 40 in
+      Commute.edges (Commute.build c) = reference_edges c)
+
+(* The IC compiles bench/main.ml times: tokyo ER(0.5) n = 20 and the
+   6x6 grid, 15-regular n = 36, on the routed circuit lint sees and the
+   decomposed circuit analyze sees. *)
+let test_build_matches_reference_on_compiles () =
+  List.iter
+    (fun (name, device, kind, n, seed) ->
+      let problem =
+        List.hd (Workload.problems (Rng.create seed) kind ~n ~count:1)
+      in
+      let routed =
+        (Compile.compile ~strategy:(Compile.Ic None) device problem
+           Workload.default_params)
+          .Compile.circuit
+      in
+      List.iter
+        (fun (basis, c) ->
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s %s edges" name basis)
+            (reference_edges c)
+            (Commute.edges (Commute.build c)))
+        [ ("routed", routed); ("decomposed", Decompose.circuit routed) ])
+    [
+      ("tokyo", Topologies.ibmq_20_tokyo (), Workload.Erdos_renyi 0.5, 20, 101);
+      ("grid36", Topologies.grid_6x6 (), Workload.Regular 15, 36, 104);
+    ]
+
 (* --- qcheck: schedule-validity oracle ------------------------------ *)
 
 (* Any topological order of the commutation DAG must denote the same
@@ -828,6 +917,9 @@ let suite =
     ("dataflow slack and critical path", `Quick,
      test_dataflow_slack_and_critical);
     ("circuit_of_order validation", `Quick, test_circuit_of_order_validation);
+    QCheck_alcotest.to_alcotest prop_build_matches_reference;
+    ("commute build matches reference on compiles", `Quick,
+     test_build_matches_reference_on_compiles);
     QCheck_alcotest.to_alcotest prop_reorder_oracle;
     QCheck_alcotest.to_alcotest prop_lower_bound_chain;
     ("20-qubit static bound, all policies", `Quick,
