@@ -12,17 +12,14 @@ module Metrics_registry = Qaoa_obs.Metrics_registry
 type config = {
   lookahead_weight : float;
   reliability_aware : bool;
-  seed : int;
   deadline : Qaoa_obs.Deadline.t option;
 }
 
 let default_config =
-  {
-    lookahead_weight = 0.5;
-    reliability_aware = false;
-    seed = 17;
-    deadline = None;
-  }
+  { lookahead_weight = 0.5; reliability_aware = false; deadline = None }
+
+(* Every [route_layers] call restarts its tie-break stream here. *)
+let seed = 17
 
 exception Unroutable of string
 
@@ -263,7 +260,7 @@ let route_layers ?(config = default_config) ~device ~initial ~num_logical
       dist;
       edges = Device.coupling_edges device;
       comp = component_labels device;
-      rng = Rng.create config.seed;
+      rng = Rng.create seed;
       mapping = initial;
       out = Circuit.create (Device.num_qubits device);
       swaps = 0;

@@ -22,11 +22,12 @@
     measurement outcomes (or stitch further partial circuits - the IC/VIC
     use case).
 
-    Routing holds no module-level mutable state: the seeded tie-break
-    RNG and all work queues live in a per-[route] call record, and the
-    shared distance matrices ({!Qaoa_hardware.Profile}) are read-only
-    after construction - so concurrent [route] calls from multiple
-    domains are safe and per-seed deterministic.
+    Routing holds no module-level mutable state: the tie-break RNG (a
+    fixed seed-17 stream, restarted by every call) and all work queues
+    live in a per-[route] call record, and the shared distance matrices
+    ({!Qaoa_hardware.Profile}) are read-only after construction - so
+    concurrent [route] calls from multiple domains are safe and
+    deterministic.
 
     [Measure] gates are deferred: they are stripped from the layers and
     re-emitted after all routing, on each logical qubit's final physical
@@ -34,8 +35,10 @@
     still-pending gate could move (or even re-use) an already-measured
     wire, making final-mapping readout silently wrong; the translation
     validator ({!Qaoa_verify.Check}) rejects such circuits.  This assumes
-    terminal measurement, which is the only mode the ansatz builders
-    produce. *)
+    terminal measurement: the ansatz builders only produce it, and
+    OpenQASM programs routed for [qaoa-serve] must measure terminally
+    (a gate after a measurement is refused as a [bad_request] before it
+    reaches the router, see {!Qaoa_serve.Request}). *)
 
 type config = {
   lookahead_weight : float;
@@ -43,7 +46,6 @@ type config = {
   reliability_aware : bool;
       (** Score swaps with the calibration-weighted distance matrix
           (VQM-style router extension; default false = hop distances). *)
-  seed : int;  (** Tie-break randomness seed (default 17). *)
   deadline : Qaoa_obs.Deadline.t option;
       (** Cooperative cancellation: the routing loops check this once per
           swap decision and raise {!Qaoa_obs.Deadline.Exceeded} past the
@@ -58,12 +60,6 @@ exception Unroutable of string
     bridge), so no SWAP sequence can ever satisfy it.  Raised eagerly
     when the gate first becomes pending; the message names the logical
     pair, the physical hosts and the device. *)
-
-val component_labels : Qaoa_hardware.Device.t -> int array
-(** Connected-component id of every physical qubit.  SWAPs move logical
-    qubits only along coupling edges, so these labels are invariant
-    across routing - the basis of the {!Unroutable} check (shared with
-    {!Sabre}). *)
 
 type result = {
   circuit : Qaoa_circuit.Circuit.t;

@@ -152,8 +152,8 @@ val compile :
     {b Reentrancy.}  [compile] is safe to call concurrently from
     multiple domains on shared [device]/[problem] values (the serving
     layer's worker pool does exactly that): every randomized choice
-    draws from a per-call [Rng.create options.seed], the router/SABRE
-    tie-break streams are seeded per call from [options.router.seed],
+    draws from a per-call [Rng.create options.seed], every router call
+    restarts its own fixed-seed tie-break stream ({!Qaoa_backend.Router}),
     and the only cross-call state - the per-device distance-matrix
     memo ({!Qaoa_hardware.Profile}) and the telemetry registries
     ({!Qaoa_obs}) - is mutex-guarded or domain-sharded.  Identical

@@ -8,8 +8,7 @@ let reverse_circuit circuit =
   in
   Circuit.of_gates (Circuit.num_qubits circuit) (List.rev unitary)
 
-let refine ?(iterations = 3) ?(router = Router.default_config) ~device
-    ~initial circuit =
+let refine ?(iterations = 3) ~device ~initial circuit =
   let forward =
     Circuit.of_gates (Circuit.num_qubits circuit)
       (List.filter Gate.is_unitary (Circuit.gates circuit))
@@ -18,7 +17,7 @@ let refine ?(iterations = 3) ?(router = Router.default_config) ~device
   let mapping = ref initial in
   for i = 1 to iterations do
     let dir = if i mod 2 = 1 then forward else backward in
-    let r = Router.route ~config:router ~device ~initial:!mapping dir in
+    let r = Router.route ~device ~initial:!mapping dir in
     mapping := r.Router.final_mapping
   done;
   !mapping

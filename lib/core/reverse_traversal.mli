@@ -12,7 +12,6 @@
 
 val refine :
   ?iterations:int ->
-  ?router:Qaoa_backend.Router.config ->
   device:Qaoa_hardware.Device.t ->
   initial:Qaoa_backend.Mapping.t ->
   Qaoa_circuit.Circuit.t ->

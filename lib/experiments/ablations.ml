@@ -409,57 +409,6 @@ let graph_families ?(scale = Figures.Default) ?journal ?(quiet = false) () =
     rows;
   rows
 
-let router_shootout ?(scale = Figures.Default) ?journal ?(quiet = false) () =
-  let seed = 21100 in
-  header ~quiet "router-shootout" "layer-partitioned vs SABRE-style router, QAIM mapping, tokyo" scale;
-  let device = Topologies.ibmq_20_tokyo () in
-  let rows =
-    List.filter_map
-      (fun kind ->
-        Sweep.row ?journal
-          ~key:
-            (Printf.sprintf "ablation/router-shootout/%s"
-               (Workload.kind_name kind))
-          ~label:(Workload.kind_name kind)
-          (fun () ->
-            let problems =
-              Workload.problems
-                (Rng.create (seed + Hashtbl.hash (Workload.kind_name kind)))
-                kind ~n:20 ~count:(count scale ~paper:16)
-            in
-            let stats =
-              List.mapi
-                (fun i problem ->
-                  let rng = Rng.create (seed + i) in
-                  let initial = Qaim.initial_mapping rng device problem in
-                  let circuit =
-                    Ansatz.circuit ~orders:[ Qaoa_core.Ip.order rng problem ]
-                      problem params
-                  in
-                  let a = Router.route ~device ~initial circuit in
-                  let b = Qaoa_backend.Sabre.route ~device ~initial circuit in
-                  ( float_of_int
-                      (Metrics.of_circuit a.Router.circuit).Metrics.depth,
-                    float_of_int
-                      (Metrics.of_circuit b.Router.circuit).Metrics.depth,
-                    float_of_int a.Router.swap_count,
-                    float_of_int b.Router.swap_count ))
-                problems
-            in
-            let pick f = Stats.mean (List.map f stats) in
-            [
-              pick (fun (a, _, _, _) -> a);
-              pick (fun (_, b, _, _) -> b);
-              pick (fun (_, _, c, _) -> c);
-              pick (fun (_, _, _, d) -> d);
-            ]))
-      [ Workload.Erdos_renyi 0.3; Workload.Regular 3; Workload.Regular 6 ]
-  in
-  print_rows ~quiet
-    [ "primary depth"; "sabre depth"; "primary swaps"; "sabre swaps" ]
-    rows;
-  rows
-
 let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(quiet = false) () =
   let seed = 21000 in
   header ~quiet "heavy-hex" "methodologies on the 27-qubit heavy-hex lattice, 20-node 3-regular" scale;
@@ -556,8 +505,7 @@ let all ?(scale = Figures.Default) ?journal () =
   let a8 = swap_network_crossover ~scale ?journal () in
   let a9 = heavy_hex_generalization ~scale ?journal () in
   let a10 = crosstalk ~scale ?journal () in
-  let a11 = router_shootout ~scale ?journal () in
-  let a12 = graph_families ~scale ?journal () in
+  let a11 = graph_families ~scale ?journal () in
   [
     ("router-lookahead", a1);
     ("qaim-strength-order", a2);
@@ -569,6 +517,5 @@ let all ?(scale = Figures.Default) ?journal () =
     ("swap-network", a8);
     ("heavy-hex", a9);
     ("crosstalk", a10);
-    ("router-shootout", a11);
-    ("graph-families", a12);
+    ("graph-families", a11);
   ]

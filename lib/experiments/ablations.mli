@@ -71,13 +71,6 @@ val graph_families : ?scale:Figures.scale ->
     [QAIM/NAIVE depth; IC/NAIVE depth; QAIM/NAIVE gates; IC/NAIVE
     gates]. *)
 
-val router_shootout : ?scale:Figures.scale ->
-  ?journal:Qaoa_journal.Journal.t ->
-  ?quiet:bool -> unit -> row list
-(** Layer-partitioned router vs the SABRE-style front/extended-set
-    router on identical workloads (QAIM mapping, 20-node graphs, tokyo).
-    Columns: [primary depth; sabre depth; primary swaps; sabre swaps]. *)
-
 val heavy_hex_generalization : ?scale:Figures.scale ->
   ?journal:Qaoa_journal.Journal.t ->
   ?quiet:bool -> unit -> row list

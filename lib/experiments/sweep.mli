@@ -3,7 +3,7 @@
     {!Runner.run} journals at the finest granularity - one record per
     (experiment, strategy, instance, seed) compile.  Experiments whose
     inner loop is not a plain [Compile.compile] (ARG evaluation,
-    mapper/router shootouts, iterative recompilation, ...) checkpoint at
+    the mapper shootout, iterative recompilation, ...) checkpoint at
     the granularity they naturally produce: a whole printed row, or a
     single scalar.  Both adapters are deterministic-replay caches: with
     a journal the thunk runs at most once per key across all resumed

@@ -21,7 +21,10 @@
     the requested policy ({!Qaoa_core.Compile}).  Qasm requests parse
     the program with {!Qaoa_circuit.Qasm.of_string} and route it
     directly through the backend router under the trivial initial
-    mapping - the policy field is ignored for them.
+    mapping - the policy field is ignored for them.  The program must
+    measure terminally: the router defers every measurement to the end
+    ({!Qaoa_backend.Router}), so a gate after a measurement (lint rule
+    QL003) is answered [bad_request] with the lint finding's message.
 
     Edges are normalized at parse time ((min, max), sorted, deduplicated),
     so every textual spelling of the same graph produces the same

@@ -14,6 +14,7 @@ module Metrics = Qaoa_circuit.Metrics
 module Qasm = Qaoa_circuit.Qasm
 module Decompose = Qaoa_circuit.Decompose
 module Dataflow = Qaoa_analysis.Dataflow
+module Lint = Qaoa_analysis.Lint
 module Graph = Qaoa_graph.Graph
 module Chaos = Qaoa_journal.Chaos
 
@@ -208,6 +209,12 @@ let primary t (req : Request.t) device ~n ~edges =
     uncacheable (success_body req device ~qubits:n r @ retried)
   | Error e -> uncacheable (attempt_error_body ~extra:retried e)
 
+(* The router defers every measurement to the end, so a gate after a
+   measurement would be silently reordered: lint rule QL003 refuses such
+   a program up front. *)
+let gate_after_measure =
+  List.find (fun r -> r.Lint.id = "QL003") Lint.builtin_rules
+
 (* Route a raw OpenQASM program straight through the backend router
    under the trivial initial mapping; the policy field is moot and
    there is nothing to reseed, but containment and the request deadline
@@ -218,7 +225,13 @@ let route_qasm t (req : Request.t) device ~qasm =
   | circuit -> (
     let nq = Circuit.num_qubits circuit in
     let available = Device.num_qubits device in
-    if nq > available then
+    let after_measure =
+      gate_after_measure.Lint.check (Lint.context ~role:Logical circuit)
+    in
+    if after_measure <> [] then
+      uncacheable
+        (error_body ~kind:"bad_request" (List.hd after_measure).Lint.message)
+    else if nq > available then
       uncacheable
         (error_body ~kind:"too_many_qubits"
            (Printf.sprintf "program needs %d qubits but the device has %d" nq

@@ -12,7 +12,6 @@ let () =
       ("render+landscape", Test_render.suite);
       ("hardware", Test_hardware.suite);
       ("backend", Test_backend.suite);
-      ("sabre", Test_sabre.suite);
       ("sim", Test_sim.suite);
       ("density-matrix", Test_density.suite);
       ("core", Test_core.suite);

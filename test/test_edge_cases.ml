@@ -68,24 +68,6 @@ let test_router_reliability_aware_without_calibration () =
   Alcotest.(check bool) "compliant" true
     (Compliance.is_compliant device r.Router.circuit)
 
-let test_router_seed_changes_tie_breaks () =
-  (* distinct seeds may pick different (equally good) swaps; both stay
-     correct *)
-  let device = Topologies.ibmq_20_tokyo () in
-  let rng = Rng.create 1 in
-  let problem = Problem.of_maxcut (Generators.erdos_renyi rng ~n:14 ~p:0.4) in
-  let circuit =
-    Ansatz.circuit problem (Ansatz.params_p1 ~gamma:0.7 ~beta:0.4)
-  in
-  let initial = Mapping.random rng ~num_logical:14 ~num_physical:20 in
-  List.iter
-    (fun seed ->
-      let config = { Router.default_config with seed } in
-      let r = Router.route ~config ~device ~initial circuit in
-      Alcotest.(check bool) "compliant" true
-        (Compliance.is_compliant device r.Router.circuit))
-    [ 1; 2; 3 ]
-
 let test_route_empty_circuit () =
   let device = Topologies.linear 3 in
   let r =
@@ -185,7 +167,6 @@ let suite =
     ("p=0 ansatz", `Quick, test_p0_ansatz);
     ("gate equality corners", `Quick, test_gate_equality_corner);
     ("router reliability fallback", `Quick, test_router_reliability_aware_without_calibration);
-    ("router seed tie-breaks", `Quick, test_router_seed_changes_tie_breaks);
     ("route empty circuit", `Quick, test_route_empty_circuit);
     ("qaim weighted by ops", `Quick, test_qaim_weighted_by_ops);
     ("qaim order one", `Quick, test_qaim_order_one);

@@ -607,6 +607,48 @@ let test_qasm_route_honours_deadline () =
        (answer
           (Some { Supervise.default_config with deadline_s = Some 1e-6 })))
 
+(* The router defers every measurement to the end, so a QASM program
+   that measures mid-circuit would come back reordered (here x; x;
+   measure, which reads 0 where the input reads 1).  It is refused as
+   a bad_request carrying lint rule QL003's message; a terminally
+   measured program still routes, and the neighbouring lines keep their
+   bytes at any worker count. *)
+let test_qasm_mid_circuit_measure_refused () =
+  let qasm ~id body =
+    Printf.sprintf
+      {|{"id":"%s","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n%s","device":"tokyo","qasm_out":true}|}
+      id body
+  in
+  let mid = qasm ~id:"mid" {|x q[0];\nmeasure q[0] -> c[0];\nx q[0];\n|} in
+  let terminal = qasm ~id:"end" {|x q[0];\nx q[0];\nmeasure q[0] -> c[0];\n|} in
+  let req = List.nth (Lazy.force corpus) in
+  let neighbours = [ req 0; req 1; req 2; req 3; terminal ] in
+  let lines = [ req 0; req 1; mid; req 2; req 3; terminal ] in
+  let reference, _ = Serve.run_lines (config ()) neighbours in
+  List.iter
+    (fun workers ->
+      let cache = Cache.create ~capacity:16 () in
+      let out, stats = Serve.run_lines (config ~workers ~cache ()) lines in
+      let answer = parse_response (List.nth out 2) in
+      Alcotest.(check string) "mid-circuit measure kind" "bad_request"
+        (kind_of answer);
+      Alcotest.(check bool) "QL003's message" true
+        (member_exn "detail" (member_exn "error" answer)
+        = Json.String "x q0 touches qubit 0 after its measurement at gate 1");
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d workers: neighbours keep their bytes" workers)
+        reference
+        (List.filteri (fun i _ -> i <> 2) out);
+      Alcotest.(check bool) "terminal measure still routes" true
+        (Json.member "ok" (parse_response (List.nth out 5))
+        = Some (Json.Bool true));
+      match stats.Serve.cache_stats with
+      | None -> Alcotest.fail "cache stats missing"
+      | Some s ->
+        Alcotest.(check int) "taxonomy balances" s.Cache.lookups
+          (s.Cache.hits + s.Cache.misses + s.Cache.rejects))
+    [ 1; 4 ]
+
 (* --- persistence --------------------------------------------------- *)
 
 let fresh_dir =
@@ -1075,6 +1117,9 @@ let suite =
     ( "qasm route honours the deadline",
       `Quick,
       test_qasm_route_honours_deadline );
+    ( "qasm mid-circuit measure refused",
+      `Quick,
+      test_qasm_mid_circuit_measure_refused );
     ( "persisted cache restarts byte-identical",
       `Slow,
       test_persist_restart_byte_identical_zero_recompiles );
