@@ -68,8 +68,8 @@ let kernels () =
     (* Sec. VI ring-8 comparison *)
     compile_test ~name:"ring8-ic" ~device:ring8 ~strategy:(Compile.Ic None) p8;
     (* commutation-DAG dataflow analysis of a compiled tokyo artifact:
-       the pairwise DAG build (reached marks in one stamp array) plus
-       every schedule/slack/live-range pass *)
+       the DAG build (a walk along shared wires with ancestor bitsets)
+       plus every schedule/slack/live-range pass *)
     (let artifact =
        Qaoa_circuit.Decompose.circuit
          (Compile.compile ~strategy:(Compile.Ic None) tokyo p20 params)

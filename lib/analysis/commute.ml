@@ -10,7 +10,25 @@ type t = {
   gates : Gate.t array;
   preds : int list array;
   succs : int list array;
+  ancestors : int array array;
 }
+
+(* [ancestors.(j)] is a bitset over [0, j): gate [i] sits at bit
+   [i mod word_bits] of word [i / word_bits], and is set iff there is a
+   path [i -> ... -> j]. *)
+let word_bits = Sys.int_size
+
+let mem bits i = bits.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
+
+(* Visit the union of two decreasing index lists in decreasing order,
+   each index once. *)
+let rec walk visit l1 l2 =
+  match (l1, l2) with
+  | [], l | l, [] -> List.iter visit l
+  | i :: r1, k :: r2 ->
+    if i > k then (visit i; walk visit r1 l2)
+    else if k > i then (visit k; walk visit l1 r2)
+    else (visit i; walk visit r1 r2)
 
 let build circuit =
   Trace.with_span "analysis.commute.build"
@@ -26,29 +44,51 @@ let build circuit =
   in
   let preds = Array.make n [] in
   let succs = Array.make n [] in
-  (* stamp.(i) = j: gate i was already reached while building gate j.
-     Stamping with j resets every mark for the next gate for free. *)
-  let stamp = Array.make n (-1) in
+  let ancestors = Array.make n [||] in
+  (* on.(q): the gates on qubit q since the last Barrier, latest first *)
+  let on = Array.make (Circuit.num_qubits circuit) [] in
+  let barrier = ref (-1) in
   for j = 0 to n - 1 do
-    (* transitive reduction on the fly: skip i if some existing
-       predecessor of j already (transitively) depends on i *)
-    let rec mark i =
-      if stamp.(i) <> j then begin
-        stamp.(i) <- j;
-        List.iter mark preds.(i)
-      end
-    in
-    for i = j - 1 downto 0 do
-      if stamp.(i) <> j && depends i j then begin
+    let anc = Array.make ((j + word_bits - 1) / word_bits) 0 in
+    (* Candidates arrive in decreasing order, as in a scan over every
+       earlier gate, so the reduction keeps the same edges: a candidate
+       already below a chosen predecessor is skipped, and a new edge
+       takes in the candidate and its ancestors. *)
+    let visit i =
+      if (not (mem anc i)) && depends i j then begin
         preds.(j) <- i :: preds.(j);
         succs.(i) <- j :: succs.(i);
-        mark i
+        let a = ancestors.(i) in
+        for w = 0 to Array.length a - 1 do
+          anc.(w) <- anc.(w) lor a.(w)
+        done;
+        let w = i / word_bits in
+        anc.(w) <- anc.(w) lor (1 lsl (i mod word_bits))
       end
-    done
+    in
+    (* Off j's wires every gate commutes with j, and below the last
+       Barrier every gate is already an ancestor of that Barrier: so
+       visit j's wires back to the Barrier (every gate for a Barrier),
+       then the Barrier itself. *)
+    let qubits = Gate.qubits gates.(j) in
+    (match qubits with
+    | [] ->
+      for i = j - 1 downto !barrier + 1 do
+        visit i
+      done
+    | [ q ] -> List.iter visit on.(q)
+    | a :: b :: _ -> walk visit on.(a) on.(b));
+    if !barrier >= 0 then visit !barrier;
+    ancestors.(j) <- anc;
+    match qubits with
+    | [] ->
+      barrier := j;
+      Array.fill on 0 (Array.length on) []
+    | qs -> List.iter (fun q -> on.(q) <- j :: on.(q)) qs
   done;
   Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
   (* preds were consed largest-first, so they are already increasing *)
-  { num_qubits = Circuit.num_qubits circuit; gates; preds; succs }
+  { num_qubits = Circuit.num_qubits circuit; gates; preds; succs; ancestors }
 
 let num_nodes t = Array.length t.gates
 let num_qubits t = t.num_qubits
@@ -64,22 +104,7 @@ let edges t =
   done;
   !out
 
-let reachable t i j =
-  if i >= j then false
-  else begin
-    (* walk j's predecessor cone down to i; [seen] memoizes explored
-       nodes that provably do not reach i *)
-    let seen = Hashtbl.create 16 in
-    let rec go k =
-      if k < i || Hashtbl.mem seen k then false
-      else if k = i then true
-      else begin
-        Hashtbl.replace seen k ();
-        List.exists go t.preds.(k)
-      end
-    in
-    go j
-  end
+let reachable t i j = i < j && mem t.ancestors.(j) i
 
 let random_linear_extension rng t =
   let n = num_nodes t in

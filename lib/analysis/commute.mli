@@ -11,13 +11,22 @@
     non-unitary gates ([Barrier], [Measure]) never commute on shared
     wires ([Barrier] additionally fences {e everything}).
 
-    Construction is still a pairwise backward scan over all earlier
-    gates, with on-the-fly transitive reduction, so the edge set is the
-    minimal relation whose closure is the full dependency order.  The
-    gates already reached while placing gate [j] are marked in one
-    stamped [int array] per build ([stamp.(i) = j]).  The decomposed
-    circuit of a 6x6-grid IC compile (1,827 gates) builds in 30-50 ms
-    on a 2-core x86-64 VM (OCaml 5.1.1, release build).
+    The edge set is the minimal relation whose closure is the full
+    dependency order (transitive reduction on the fly).  Gate [j]
+    visits, in decreasing order and each once, only the earlier gates
+    on its own wires back to the last [Barrier], then that [Barrier]; a
+    [Barrier] visits every gate since the previous one.  A skipped gate
+    either commutes with [j] or is already an ancestor of that
+    [Barrier], so the edges are those of a scan over every earlier
+    gate.  Each gate keeps the set of its ancestors as a bitset
+    ([Sys.int_size] gates per [int] word): a candidate already among
+    the ancestors of [j]'s chosen predecessors is skipped, and a new
+    edge ORs the candidate's set in.  The sets take sum over j of
+    ceil(j/63) words: about 220 KB at 1,827 gates, 25 MB at 20,000.
+    On a 2-core x86-64 VM (OCaml 5.1.1, release build) the decomposed
+    circuit of a tokyo IC compile (498 gates) builds in 0.5-0.8 ms and
+    that of a 6x6-grid IC compile (1,827 gates) in 3.4-6.2 ms,
+    allocating 0.2 MB.
 
     The point of the module: any topological order of this DAG denotes
     the same unitary as the original circuit (the relation is sound), so
@@ -54,7 +63,8 @@ val edges : t -> (int * int) list
 val reachable : t -> int -> int -> bool
 (** [reachable t i j]: is there a dependency path [i -> ... -> j]?
     [false] whenever [i >= j] (edges only point forward).  Two nodes
-    with no path either way can be scheduled in either order. *)
+    with no path either way can be scheduled in either order.  One bit
+    test in [j]'s ancestor set. *)
 
 val random_linear_extension : Qaoa_util.Rng.t -> t -> int list
 (** A uniformly-chosen-at-each-step topological order (Kahn's algorithm

@@ -43,6 +43,7 @@ type context = {
   min_success_prob : float option;
   lower_bound_factor : float option;
   dataflow : Dataflow.t Lazy.t;
+  plain_redundancies : (int * int) list Lazy.t;
 }
 
 let context ?device ?max_depth ?min_success_prob ?lower_bound_factor ~role
@@ -55,6 +56,8 @@ let context ?device ?max_depth ?min_success_prob ?lower_bound_factor ~role
     min_success_prob;
     lower_bound_factor;
     dataflow = lazy (Dataflow.of_circuit circuit);
+    plain_redundancies =
+      lazy (Optimize.redundancies ~through_commuting:false circuit);
   }
 
 type rule = {
@@ -203,28 +206,27 @@ let check_redundant_adjacent ctx =
         gate_span = Some (i, j);
         fix_hint = Some "run the Optimize pass (or stop re-emitting the inverse pair)";
       })
-    (Optimize.redundancies ~through_commuting:false ctx.circuit)
+    (Lazy.force ctx.plain_redundancies)
 
 (* QL006: a SWAP followed on both wires only by measurements permutes
    classical bits, not quantum state - it can be deleted and absorbed
    into readout relabeling. *)
 let check_swap_sandwich ctx =
   let gates = Array.of_list (Circuit.gates ctx.circuit) in
-  let absorbable i a b =
-    let ok = ref true in
-    for j = i + 1 to Array.length gates - 1 do
-      match gates.(j) with
+  (* last.(q): the last gate on wire q other than Barrier and Measure;
+     a SWAP is absorbable iff it is that gate on both its wires *)
+  let last = Array.make (Circuit.num_qubits ctx.circuit) (-1) in
+  Array.iteri
+    (fun i g ->
+      match g with
       | Gate.Barrier | Gate.Measure _ -> ()
-      | g ->
-        if List.exists (fun q -> q = a || q = b) (Gate.qubits g) then ok := false
-    done;
-    !ok
-  in
+      | g -> List.iter (fun q -> last.(q) <- i) (Gate.qubits g))
+    gates;
   let findings = ref [] in
   Array.iteri
     (fun i g ->
       match g with
-      | Gate.Swap (a, b) when absorbable i a b ->
+      | Gate.Swap (a, b) when last.(a) = i && last.(b) = i ->
         findings :=
           {
             rule = "QL006";
@@ -415,11 +417,18 @@ let check_measure_delay ctx =
    plain adjacency (QL005) cannot see them; a commutation-aware rewrite
    (the strengthened Optimize pass) cancels or merges them. *)
 let check_commuting_redundancy ctx =
-  let plain = Optimize.redundancies ~through_commuting:false ctx.circuit in
+  (* Both scans ascend in j with at most one pair per j, and a plain
+     pair is the full scan's pair for its j: the plain scan sees through
+     a subset of what [Gate.commutes] does. *)
+  let rec minus full plain =
+    match (full, plain) with
+    | (_, j) :: full, (_, j') :: plain when j = j' -> minus full plain
+    | pair :: full, plain -> pair :: minus full plain
+    | [], _ -> []
+  in
   let full = Optimize.redundancies ~through_commuting:true ctx.circuit in
   let gates = Array.of_list (Circuit.gates ctx.circuit) in
-  full
-  |> List.filter (fun pair -> not (List.mem pair plain))
+  minus full (Lazy.force ctx.plain_redundancies)
   |> List.map (fun (i, j) ->
          {
            rule = "QL012";

@@ -69,6 +69,9 @@ type context = {
   dataflow : Dataflow.t Lazy.t;
       (** commutation-DAG dataflow of [circuit] as given, built on first
           use and shared by the DAG-powered rules (QL009/QL010) *)
+  plain_redundancies : (int * int) list Lazy.t;
+      (** [Optimize.redundancies ~through_commuting:false] on [circuit],
+          built on first use and shared by QL005 and QL012 *)
 }
 
 val context :
@@ -79,8 +82,8 @@ val context :
   role:role ->
   Qaoa_circuit.Circuit.t ->
   context
-(** Build a context; [dataflow] is a lazy {!Dataflow.of_circuit} on the
-    circuit. *)
+(** Build a context; [dataflow] is a lazy {!Dataflow.of_circuit} and
+    [plain_redundancies] a lazy plain redundancy scan on the circuit. *)
 
 type rule = {
   id : string;

@@ -685,40 +685,120 @@ let random_spliced rng n len =
            :: [ g ])
        (Circuit.gates (random_linear rng n len)))
 
+(* 64-200 gates, so the ancestor bitsets of [Commute] span several
+   words, with Barriers first, last and back to back around the
+   spliced body (which brings Barriers and Measures of its own). *)
+let random_long rng n =
+  let len = 64 + Rng.int rng 137 in
+  let body =
+    List.filteri (fun i _ -> i < len - 4)
+      (Circuit.gates (random_spliced rng n len))
+  in
+  let cut = Rng.int rng (len - 3) in
+  Circuit.of_gates n
+    ((Gate.Barrier :: List.filteri (fun i _ -> i < cut) body)
+    @ (Gate.Barrier :: Gate.Barrier :: List.filteri (fun i _ -> i >= cut) body)
+    @ [ Gate.Barrier ])
+
+(* QCHECK_LONG=1 runs the DAG properties [long_factor] times over. *)
+let long_factor = 50
+
 let prop_build_matches_reference =
   QCheck.Test.make ~name:"Commute.build edges == pairwise reference"
-    ~count:200
+    ~count:200 ~long_factor
     QCheck.(pair (int_bound 1_000_000) (int_bound 8))
     (fun (seed, k) ->
       (* n = k + 2, so shrinking stays within the 2..10 qubits
          [random_linear] needs *)
-      let c = random_spliced (Rng.create seed) (k + 2) 40 in
-      Commute.edges (Commute.build c) = reference_edges c)
+      let rng = Rng.create seed in
+      List.for_all
+        (fun c -> Commute.edges (Commute.build c) = reference_edges c)
+        [ random_spliced rng (k + 2) 40; random_long rng (k + 2) ])
+
+(* [reach.(i).(j)]: a path i -> ... -> j over [reference_edges]. *)
+let reference_reach circuit =
+  let n = Circuit.length circuit in
+  let reach = Array.make_matrix n n false in
+  let preds = Array.make n [] in
+  List.iter (fun (i, j) -> preds.(j) <- i :: preds.(j)) (reference_edges circuit);
+  for j = 0 to n - 1 do
+    List.iter
+      (fun p ->
+        reach.(p).(j) <- true;
+        for i = 0 to p - 1 do
+          if reach.(i).(p) then reach.(i).(j) <- true
+        done)
+      preds.(j)
+  done;
+  reach
+
+let prop_reachable_matches_reference =
+  QCheck.Test.make ~name:"Commute.reachable == reference reachability"
+    ~count:100 ~long_factor
+    QCheck.(pair (int_bound 1_000_000) (int_bound 8))
+    (fun (seed, k) ->
+      let c = random_long (Rng.create seed) (k + 2) in
+      let dag = Commute.build c in
+      let reach = reference_reach c in
+      let n = Circuit.length c in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if Commute.reachable dag i j <> reach.(i).(j) then ok := false
+        done
+      done;
+      !ok)
 
 (* The IC compiles bench/main.ml times: tokyo ER(0.5) n = 20 and the
    6x6 grid, 15-regular n = 36, on the routed circuit lint sees and the
    decomposed circuit analyze sees. *)
+let ic_compiles =
+  lazy
+    (List.concat_map
+       (fun (name, device, kind, n, seed) ->
+         let problem =
+           List.hd (Workload.problems (Rng.create seed) kind ~n ~count:1)
+         in
+         let routed =
+           (Compile.compile ~strategy:(Compile.Ic None) device problem
+              Workload.default_params)
+             .Compile.circuit
+         in
+         [
+           (name ^ " routed", routed);
+           (name ^ " decomposed", Decompose.circuit routed);
+         ])
+       [
+         ("tokyo", Topologies.ibmq_20_tokyo (), Workload.Erdos_renyi 0.5, 20, 101);
+         ("grid36", Topologies.grid_6x6 (), Workload.Regular 15, 36, 104);
+       ])
+
 let test_build_matches_reference_on_compiles () =
   List.iter
-    (fun (name, device, kind, n, seed) ->
-      let problem =
-        List.hd (Workload.problems (Rng.create seed) kind ~n ~count:1)
-      in
-      let routed =
-        (Compile.compile ~strategy:(Compile.Ic None) device problem
-           Workload.default_params)
-          .Compile.circuit
-      in
-      List.iter
-        (fun (basis, c) ->
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "%s %s edges" name basis)
-            (reference_edges c)
-            (Commute.edges (Commute.build c)))
-        [ ("routed", routed); ("decomposed", Decompose.circuit routed) ])
+    (fun (name, c) ->
+      Alcotest.(check (list (pair int int)))
+        (name ^ " edges") (reference_edges c)
+        (Commute.edges (Commute.build c)))
+    (Lazy.force ic_compiles)
+
+(* MD5 of [Dataflow.to_json] and [Dataflow.to_dot] on the same compiles,
+   recorded with the pairwise-scan build: the exports must not move by
+   a byte. *)
+let test_dataflow_exports_pinned_on_compiles () =
+  let digest s = Digest.to_hex (Digest.string s) in
+  List.iter2
+    (fun (name, c) (json, dot) ->
+      let df = Dataflow.of_circuit c in
+      Alcotest.(check string)
+        (name ^ " to_json") json
+        (digest (Json.to_string (Dataflow.to_json df)));
+      Alcotest.(check string) (name ^ " to_dot") dot (digest (Dataflow.to_dot df)))
+    (Lazy.force ic_compiles)
     [
-      ("tokyo", Topologies.ibmq_20_tokyo (), Workload.Erdos_renyi 0.5, 20, 101);
-      ("grid36", Topologies.grid_6x6 (), Workload.Regular 15, 36, 104);
+      ("149549549fe114f52e0b697daec65e36", "b75b9981110dced592a82501229e851d");
+      ("ef4c88020993007729afd39c49a3a06f", "c41355a78acbc73e6d42c3684220a8b6");
+      ("8c12394aad385e49b859f328d43561f7", "fba5651f136e4ae08299b6857be6dc5b");
+      ("b61ff49a1dacf6321e7f7ca60b7de81d", "6c3cccc4262fa5b4fe53df2e0a527dd5");
     ]
 
 (* --- qcheck: schedule-validity oracle ------------------------------ *)
@@ -918,8 +998,11 @@ let suite =
      test_dataflow_slack_and_critical);
     ("circuit_of_order validation", `Quick, test_circuit_of_order_validation);
     QCheck_alcotest.to_alcotest prop_build_matches_reference;
+    QCheck_alcotest.to_alcotest prop_reachable_matches_reference;
     ("commute build matches reference on compiles", `Quick,
      test_build_matches_reference_on_compiles);
+    ("dataflow exports pinned on compiles", `Quick,
+     test_dataflow_exports_pinned_on_compiles);
     QCheck_alcotest.to_alcotest prop_reorder_oracle;
     QCheck_alcotest.to_alcotest prop_lower_bound_chain;
     ("20-qubit static bound, all policies", `Quick,
