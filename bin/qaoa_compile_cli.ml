@@ -38,27 +38,6 @@ let kind_conv =
         | Er p -> Format.fprintf ppf "er:%g" p
         | Regular d -> Format.fprintf ppf "regular:%d" d )
 
-let strategy_conv =
-  Arg.conv
-    ( (fun s ->
-        match Compile.strategy_of_string s with
-        | Some st -> Ok st
-        | None ->
-          Error (`Msg "expected naive | greedyv | greedye | qaim | ip | ic | vic")),
-      fun ppf s -> Format.pp_print_string ppf (Compile.strategy_name s) )
-
-let device_conv =
-  Arg.conv
-    ( (fun s ->
-        match Topologies.by_name s with
-        | Some d -> Ok d
-        | None ->
-          Error
-            (`Msg
-               ("unknown device; known: "
-               ^ String.concat ", " Topologies.known_names))),
-      fun ppf (d : Device.t) -> Format.pp_print_string ppf d.Device.name )
-
 (* Malformed input or a structured compile failure is a one-line
    diagnostic and exit 2, never a backtrace. *)
 let guard f =
@@ -149,16 +128,19 @@ let cmd =
   let device =
     Arg.(
       value
-      & opt device_conv (Topologies.ibmq_20_tokyo ())
+      & opt Qaoa_cli.device_conv (Topologies.ibmq_20_tokyo ())
       & info [ "device" ] ~docv:"NAME"
           ~doc:"Target device (tokyo, melbourne, grid6x6, linear<N>, ring<N>).")
   in
   let strategy =
     Arg.(
       value
-      & opt strategy_conv (Compile.Ic None)
+      & opt Qaoa_cli.strategy_conv (Compile.Ic None)
       & info [ "strategy" ] ~docv:"NAME"
-          ~doc:"Compilation strategy: naive, greedyv, greedye, qaim, ip, ic, vic.")
+          ~doc:
+            ("Compilation strategy: "
+            ^ String.concat ", " Compile.strategy_names
+            ^ "."))
   in
   let nodes =
     Arg.(value & opt int 12 & info [ "nodes"; "n" ] ~doc:"Problem graph size.")

@@ -19,18 +19,6 @@ module Device = Qaoa_hardware.Device
 module Json = Qaoa_obs.Json
 open Cmdliner
 
-let device_conv =
-  Arg.conv
-    ( (fun s ->
-        match Topologies.by_name s with
-        | Some d -> Ok d
-        | None ->
-          Error
-            (`Msg
-               ("unknown device; known: "
-               ^ String.concat ", " Topologies.known_names))),
-      fun ppf (d : Device.t) -> Format.pp_print_string ppf d.Device.name )
-
 let severity_conv =
   Arg.conv
     ( (fun s ->
@@ -86,33 +74,29 @@ let write_file path contents =
 let run () file demo device json max_depth min_success_prob lower_bound_factor
     deny dot dag_json =
   try
-    let circuit, role, device =
+    (* with a device (the demo always has one) the circuit is judged as
+       a compiled artifact on physical qubits; without one, as a
+       logical circuit *)
+    let circuit, device =
       match (demo, file) with
       | true, _ ->
         let d =
           match device with Some d -> d | None -> Topologies.ibmq_20_tokyo ()
         in
-        (demo_circuit d, Lint.Compiled, Some d)
-      | false, Some path ->
-        let circuit = Qasm.of_string (read_file path) in
-        (* with a device the circuit is judged as a compiled artifact on
-           physical qubits; without one, as a logical circuit *)
-        let role =
-          match device with Some _ -> Lint.Compiled | None -> Lint.Logical
-        in
-        (circuit, role, device)
+        (demo_circuit d, Some d)
+      | false, Some path -> (Qasm.of_string (read_file path), device)
       | false, None ->
         failwith "expected a .qasm file argument or --demo (see --help)"
     in
     let ctx =
       Lint.context ?device ?max_depth ?min_success_prob ?lower_bound_factor
-        ~role circuit
+        circuit
     in
     let findings = Lint.run ctx in
     (* DAG exports reuse the lint rules' DAG; malformed input has already
        failed the parse, keeping the exit-3 contract before any write *)
     (if dot <> None || dag_json <> None then
-       let df = Lazy.force ctx.Lint.dataflow in
+       let df = Lint.dataflow ctx in
        Option.iter
          (fun path -> write_file path (Qaoa_analysis.Dataflow.to_dot df))
          dot;
@@ -147,7 +131,7 @@ let cmd =
   let device =
     Arg.(
       value
-      & opt (some device_conv) None
+      & opt (some Qaoa_cli.device_conv) None
       & info [ "device" ] ~docv:"NAME"
           ~doc:
             "Judge the circuit as a compiled artifact on this device \

@@ -49,26 +49,6 @@ let problem_conv =
         Format.pp_print_string ppf
           (match k with `Maxcut -> "maxcut" | `Mis -> "mis" | `Vc -> "vertexcover") )
 
-let device_conv =
-  Arg.conv
-    ( (fun s ->
-        match Topologies.by_name s with
-        | Some d -> Ok d
-        | None ->
-          Error
-            (`Msg
-               ("unknown device; known: "
-               ^ String.concat ", " Topologies.known_names))),
-      fun ppf (d : Device.t) -> Format.pp_print_string ppf d.Device.name )
-
-let strategy_conv =
-  Arg.conv
-    ( (fun s ->
-        match Compile.strategy_of_string s with
-        | Some st -> Ok st
-        | None -> Error (`Msg "unknown strategy")),
-      fun ppf s -> Format.pp_print_string ppf (Compile.strategy_name s) )
-
 (* Malformed input or a structured compile failure is a one-line
    diagnostic and exit 2, never a backtrace. *)
 let guard f =
@@ -134,13 +114,13 @@ let cmd =
   let device =
     Arg.(
       value
-      & opt device_conv (Topologies.ibmq_16_melbourne ())
+      & opt Qaoa_cli.device_conv (Topologies.ibmq_16_melbourne ())
       & info [ "device" ] ~docv:"NAME" ~doc:"Target device.")
   in
   let strategy =
     Arg.(
       value
-      & opt strategy_conv (Compile.Ic None)
+      & opt Qaoa_cli.strategy_conv (Compile.Ic None)
       & info [ "strategy" ] ~docv:"NAME" ~doc:"Compilation strategy.")
   in
   let nodes = Arg.(value & opt int 8 & info [ "nodes"; "n" ] ~doc:"Graph size.") in

@@ -11,14 +11,11 @@
    Exit status 0 = everything validated, 1 = discrepancies found. *)
 
 module Compile = Qaoa_core.Compile
-module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Check = Qaoa_verify.Check
 module Fuzz = Qaoa_verify.Fuzz
 module Differential = Qaoa_experiments.Differential
 module Workload = Qaoa_experiments.Workload
-module Topologies = Qaoa_hardware.Topologies
-module Device = Qaoa_hardware.Device
 module Rng = Qaoa_util.Rng
 open Cmdliner
 
@@ -40,15 +37,6 @@ let kind_conv =
     | _ -> Error (`Msg "expected er:<p>, regular:<d> or ba:<m>")
   in
   Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Workload.kind_name k))
-
-let strategy_conv =
-  Arg.conv
-    ( (fun s ->
-        match Compile.strategy_of_string s with
-        | Some st -> Ok st
-        | None ->
-          Error (`Msg "expected naive | greedyv | greedye | qaim | ip | ic | vic")),
-      fun ppf s -> Format.pp_print_string ppf (Compile.strategy_name s) )
 
 (* Malformed input or a structured compile failure is a one-line
    diagnostic and exit 2, never a backtrace (exit 1 is reserved for
@@ -90,13 +78,7 @@ let run_check () topology strategies all nodes kind seed p max_semantic oracle =
   let params = { Ansatz.gammas = Array.make p 0.7; betas = Array.make p 0.4 } in
   let logical = Ansatz.circuit ~measure:true problem params in
   let options = { Compile.default_options with seed } in
-  let check_options =
-    {
-      (Check.default_options ()) with
-      Check.max_semantic_qubits = max_semantic;
-      oracle;
-    }
-  in
+  let check_options = { Check.max_semantic_qubits = max_semantic; oracle } in
   let failures = ref 0 in
   List.iter
     (fun strategy ->
@@ -122,7 +104,7 @@ let check_cmd =
   let strategies =
     Arg.(
       value
-      & opt_all strategy_conv [ Compile.Ic None ]
+      & opt_all Qaoa_cli.strategy_conv [ Compile.Ic None ]
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:"Strategy to validate (repeatable).")
   in
@@ -209,7 +191,7 @@ let fuzz_cmd =
   let strategies =
     Arg.(
       value
-      & opt_all strategy_conv []
+      & opt_all Qaoa_cli.strategy_conv []
       & info [ "strategy" ] ~docv:"NAME"
           ~doc:"Strategy to sweep (repeatable; default all seven).")
   in

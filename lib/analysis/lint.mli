@@ -1,34 +1,40 @@
 (** Execution-free circuit lint engine (`qaoa-lint`).
 
-    A fixed set of rules ({!builtin_rules}), each with a stable id, a
-    default severity, the circuit roles it applies to, and a checker
-    producing findings with a gate-span location and an optional fix
-    hint.  All rules are static - they inspect the gate list, the device
-    coupling graph and the calibration snapshot, never a simulator - so
-    they run on circuits of any size.
+    A fixed table of rules ({!builtin_rules}).  Each entry states its
+    stable id, severity, the kind of circuit it judges and its fix hint
+    once; its check only locates messages, and {!run_rule} stamps the
+    entry's fields on each finding.  All rules are static - they
+    inspect the gate list, the device coupling graph and the
+    calibration snapshot, never a simulator - so they run on circuits
+    of any size.
+
+    The device decides what a circuit is: linted with a device, it is a
+    compiled artifact on physical qubits; without one, a logical
+    circuit.
 
     Built-in rules:
 
     {v
- id     name                  severity  roles     fires when
- QL001  uncoupled-pair        ERROR     compiled  two-qubit gate on an uncoupled physical pair
- QL002  missing-calibration   WARN      compiled  used coupling edge has no calibration entry
- QL003  gate-after-measure    ERROR     both      a gate touches a wire after its measurement
- QL004  idle-qubit            INFO      logical   allocated qubit never touched by any gate
- QL005  redundant-adjacent    WARN      both      adjacent pair Optimize would cancel or merge
- QL006  swap-sandwich         WARN      compiled  trailing SWAP absorbable into readout relabeling
- QL007  depth-exceeded        WARN      both      decomposed depth above the --max-depth budget
- QL008  low-success-prob      WARN      compiled  estimated success probability below threshold
- QL009  critical-swap         WARN      compiled  SWAP with zero commutation slack (critical path)
- QL010  missed-packing        INFO      both      commuting CPHASEs consecutive on a qubit, layers apart
- QL011  measure-delay         INFO      both      qubit idles 5+ layers between last gate and measure
- QL012  commuting-redundancy  WARN      both      redundant pair reachable only through commuting gates
- QL013  depth-above-bound     WARN      both      depth above --lower-bound-factor x the commutation bound
+ id     severity  judges    fires when
+ QL001  ERROR     compiled  two-qubit gate on an uncoupled physical pair
+ QL002  WARN      compiled  used coupling edge has no calibration entry
+ QL003  ERROR     both      a gate touches a wire after its measurement
+ QL004  INFO      logical   allocated qubit never touched by any gate
+ QL005  WARN      both      adjacent pair Optimize would cancel or merge
+ QL006  WARN      compiled  trailing SWAP absorbable into readout relabeling
+ QL007  WARN      both      decomposed depth above the --max-depth budget
+ QL008  WARN      compiled  estimated success probability below threshold
+ QL009  WARN      compiled  SWAP with zero commutation slack (critical path)
+ QL010  INFO      both      commuting CPHASEs consecutive on a qubit, layers apart
+ QL011  INFO      both      qubit idles 5+ layers between last gate and measure
+ QL012  WARN      both      redundant pair reachable only through commuting gates
+ QL013  WARN      both      depth above --lower-bound-factor x the commutation bound
     v}
 
-    QL009-QL012 run on the {!Dataflow} commutation DAG of the context
-    circuit (built lazily, shared across rules); QL013 analyzes the
-    {e decomposed} circuit so its bound and depth share a gate basis.
+    QL009 and QL010 run on the {!Dataflow} commutation DAG of the
+    context circuit (built lazily, shared across rules); QL013 analyzes
+    the {e decomposed} circuit so its bound and depth share a gate
+    basis.
 
     Exit-code convention (used by the CLI and the CI gate): 0 for a
     clean report, 2 when any ERROR finding is present, 1 when a finding
@@ -54,50 +60,50 @@ type finding = {
   fix_hint : string option;
 }
 
-type role = Logical | Compiled
+type applies = Logical | Compiled | Both
+(** The circuits a rule judges: [Compiled] when the context has a
+    device, [Logical] when it has none, or [Both]. *)
 
-type context = {
-  circuit : Qaoa_circuit.Circuit.t;
-  role : role;
-  device : Qaoa_hardware.Device.t option;
-      (** device-dependent rules skip silently when absent *)
-  max_depth : int option;  (** QL007 threshold; rule skips when absent *)
-  min_success_prob : float option;  (** QL008 threshold; skips when absent *)
-  lower_bound_factor : float option;
-      (** QL013 depth budget as a multiple of the commutation depth
-          lower bound; rule skips when absent *)
-  dataflow : Dataflow.t Lazy.t;
-      (** commutation-DAG dataflow of [circuit] as given, built on first
-          use and shared by the DAG-powered rules (QL009/QL010) *)
-  plain_redundancies : (int * int) list Lazy.t;
-      (** [Optimize.redundancies ~through_commuting:false] on [circuit],
-          built on first use and shared by QL005 and QL012 *)
-}
+type context
+(** A circuit, its device when it is compiled, the rules' thresholds,
+    and what several rules share: the gate array, built at once, and
+    the ASAP layers, the {!Dataflow} DAG and the plain redundancy scan,
+    each built on first use. *)
 
 val context :
   ?device:Qaoa_hardware.Device.t ->
   ?max_depth:int ->
   ?min_success_prob:float ->
   ?lower_bound_factor:float ->
-  role:role ->
   Qaoa_circuit.Circuit.t ->
   context
-(** Build a context; [dataflow] is a lazy {!Dataflow.of_circuit} and
-    [plain_redundancies] a lazy plain redundancy scan on the circuit. *)
+(** The thresholds arm QL007, QL008 and QL013; each rule skips when its
+    threshold is absent, and the device-dependent rules skip without a
+    device. *)
+
+val dataflow : context -> Dataflow.t
+(** The commutation-DAG dataflow the DAG-powered rules use, built on
+    the first call. *)
 
 type rule = {
   id : string;
-  name : string;  (** kebab-case mnemonic *)
   severity : severity;  (** severity of the findings the rule emits *)
-  roles : role list;
-  check : context -> finding list;
+  applies : applies;
+  fix_hint : string;
+  check : context -> ((int * int) option * string) list;
+      (** each located message: an inclusive gate span (or [None] for a
+          whole-circuit finding) and its text *)
 }
 
 val builtin_rules : rule list
 
+val run_rule : context -> rule -> finding list
+(** The rule's check on the context, whatever it [applies] to, each
+    message stamped with the rule's id, severity and fix hint. *)
+
 val run : context -> finding list
-(** Run every rule of {!builtin_rules} applicable to the context's
-    role, findings in rule order then gate order.
+(** {!run_rule} for every rule of {!builtin_rules} that applies to the
+    context's circuit, findings in rule order then gate order.
     Traced as ["analysis.lint.run"]; bumps the
     ["lint.findings.<severity>"] counters. *)
 
@@ -116,7 +122,3 @@ val to_text : finding list -> string
 
 val report_to_json : finding list -> Qaoa_obs.Json.t
 (** [{"version": 1, "findings": [...], "summary": {...}}]. *)
-
-val report_of_json : Qaoa_obs.Json.t -> (finding list, string) result
-(** Inverse of {!report_to_json} (the CI gate uses it to prove the JSON
-    report round-trips). *)

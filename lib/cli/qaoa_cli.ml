@@ -1,5 +1,29 @@
 module Config = Qaoa_obs.Config
+module Compile = Qaoa_core.Compile
+module Device = Qaoa_hardware.Device
+module Topologies = Qaoa_hardware.Topologies
 open Cmdliner
+
+let strategy_conv =
+  Arg.conv
+    ( (fun s ->
+        match Compile.strategy_of_string s with
+        | Some st -> Ok st
+        | None ->
+          Error (`Msg ("expected " ^ String.concat " | " Compile.strategy_names))),
+      fun ppf s -> Format.pp_print_string ppf (Compile.strategy_name s) )
+
+let device_conv =
+  Arg.conv
+    ( (fun s ->
+        match Topologies.by_name s with
+        | Some d -> Ok d
+        | None ->
+          Error
+            (`Msg
+               ("unknown device; known: "
+               ^ String.concat ", " Topologies.known_names))),
+      fun ppf (d : Device.t) -> Format.pp_print_string ppf d.Device.name )
 
 let format_conv =
   Arg.conv

@@ -1,4 +1,11 @@
-(** Shared Cmdliner terms for the observability layer, wired uniformly
+(** Shared Cmdliner pieces.
+
+    The [--strategy] converter of [qaoa-compile], [qaoa-verify] and
+    [qaoa-solve], and the [--device] converter of [qaoa-compile],
+    [qaoa-lint] and [qaoa-solve]: each error message lists exactly what
+    its parser accepts.
+
+    The terms for the observability layer, wired uniformly
     into every CLI ([qaoa-compile], [qaoa-verify], [qaoa-lint],
     [qaoa-resilience], [qaoa-experiments], [qaoa-solve], [qaoa-serve]):
     [--trace report|jsonl|chrome|folded|prometheus|json] and
@@ -12,5 +19,11 @@
     [let run () ... = ...]. *)
 
 open Cmdliner
+
+val strategy_conv : Qaoa_core.Compile.strategy Arg.conv
+(** One of {!Qaoa_core.Compile.strategy_names}, in any case. *)
+
+val device_conv : Qaoa_hardware.Device.t Arg.conv
+(** A {!Qaoa_hardware.Topologies.by_name} device. *)
 
 val setup : unit Term.t

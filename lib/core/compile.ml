@@ -31,20 +31,18 @@ let strategy_name = function
   | Vic None -> "VIC"
   | Vic (Some l) -> Printf.sprintf "VIC(limit=%d)" l
 
-let all_strategies =
-  [ Naive; Greedy_v; Greedy_e; Vqa_alloc; Qaim; Ip; Ic None; Vic None ]
+let strategies_by_name =
+  [
+    ("naive", Naive); ("greedyv", Greedy_v); ("greedye", Greedy_e);
+    ("vqa", Vqa_alloc); ("qaim", Qaim); ("ip", Ip); ("ic", Ic None);
+    ("vic", Vic None);
+  ]
+
+let all_strategies = List.map snd strategies_by_name
+let strategy_names = List.map fst strategies_by_name
 
 let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "naive" -> Some Naive
-  | "greedyv" | "greedy_v" -> Some Greedy_v
-  | "greedye" | "greedy_e" -> Some Greedy_e
-  | "vqa" -> Some Vqa_alloc
-  | "qaim" -> Some Qaim
-  | "ip" -> Some Ip
-  | "ic" -> Some (Ic None)
-  | "vic" -> Some (Vic None)
-  | _ -> None
+  List.assoc_opt (String.lowercase_ascii s) strategies_by_name
 
 type options = {
   seed : int;
@@ -292,8 +290,7 @@ let compile ?(options = default_options) ~strategy device problem params =
     else
       timed "lint" (fun () ->
           Qaoa_analysis.Lint.run
-            (Qaoa_analysis.Lint.context ~device ~role:Qaoa_analysis.Lint.Compiled
-               routed.Router.circuit))
+            (Qaoa_analysis.Lint.context ~device routed.Router.circuit))
   in
   let compile_wall_s = Clock.wall () -. w0 in
   let compile_cpu_s = Clock.cpu () -. c0 in

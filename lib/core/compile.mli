@@ -20,9 +20,13 @@ val all_strategies : strategy list
 (** [Naive; Greedy_v; Greedy_e; Vqa_alloc; Qaim; Ip; Ic None; Vic None].
     [Vqa_alloc] and [Vic] require device calibration. *)
 
+val strategy_names : string list
+(** ["naive"; "greedyv"; "greedye"; "vqa"; "qaim"; "ip"; "ic"; "vic"]:
+    the names {!strategy_of_string} accepts, in {!all_strategies}
+    order. *)
+
 val strategy_of_string : string -> strategy option
-(** Parse "naive" | "greedyv" | "greedye" | "vqa" | "qaim" | "ip" | "ic"
-    | "vic" (case-insensitive). *)
+(** Parse one of {!strategy_names}, in any case. *)
 
 type options = {
   seed : int;  (** drives every randomized choice (default 42) *)
@@ -40,7 +44,7 @@ type options = {
           default false) *)
   lint : bool;
       (** run the {!Qaoa_analysis.Lint} rules on the compiled circuit
-          (role [Compiled], against the target device) and record the
+          (as a compiled artifact, against the target device) and record the
           findings in [result.lint_findings]; accounted as the ["lint"]
           phase in the per-phase breakdown.  Findings never fail the
           compile - callers decide (the CLI's [--lint] exits non-zero on

@@ -7,9 +7,9 @@ module Rng = Qaoa_util.Rng
 module Trace = Qaoa_obs.Trace
 module Metrics_registry = Qaoa_obs.Metrics_registry
 
-type config = { strength_order : int; weighted_by_ops : bool }
+type config = { strength_order : int }
 
-let default_config = { strength_order = 2; weighted_by_ops = false }
+let default_config = { strength_order = 2 }
 
 let argmax_random rng score = function
   | [] -> invalid_arg "Qaim: no candidates"
@@ -86,19 +86,9 @@ let initial_mapping ?(config = default_config) rng device problem =
         let candidates =
           if candidates = [] then free_qubits () else candidates
         in
-        let pair_weight nb =
-          if config.weighted_by_ops then
-            (* Approximate the per-pair multiplicity by the neighbor's
-               total operation count; exact multiplicity is 1 per level
-               for QAOA, where this reduces to the unweighted metric
-               scaled per neighbor. *)
-            float_of_int (max 1 ops.(nb))
-          else 1.0
-        in
         let cumulative_distance p =
           List.fold_left
-            (fun acc nb ->
-              acc +. (pair_weight nb *. Float_matrix.get dist p l2p.(nb)))
+            (fun acc nb -> acc +. Float_matrix.get dist p l2p.(nb))
             0.0 placed_neighbors
         in
         let metric p =

@@ -26,10 +26,6 @@ type config = {
   strength_order : int;
       (** Neighbor order for connectivity strength (default 2; the paper
           suggests raising it for larger architectures). *)
-  weighted_by_ops : bool;
-      (** Weigh distances by the number of operations to each placed
-          neighbor - the cost-metric variation the paper sketches for
-          arbitrary circuits (default false). *)
 }
 
 val default_config : config

@@ -89,7 +89,7 @@ let qaim_strength_order ?(scale = Figures.Default) ?journal ?(quiet = false) () 
         let options =
           {
             Compile.default_options with
-            qaim = { Qaim.default_config with strength_order = order };
+            qaim = { Qaim.strength_order = order };
           }
         in
         let res =

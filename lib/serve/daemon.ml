@@ -1,11 +1,61 @@
 module Metrics_registry = Qaoa_obs.Metrics_registry
 
+(* Above the largest request a client should send: a K256 graph is
+   about 0.3 MB of JSON, and the p = 1 K256 ansatz as a QASM request
+   about 1.8 MB. *)
+let max_line_bytes = 4 * 1024 * 1024
+
+(* Line framing for both ends of the socket.  Each [feed] scans only
+   the bytes just read, so framing is linear in the bytes received.  A
+   line longer than [max_line] is reported once, as soon as it
+   overflows, and then skipped up to its newline; nothing of it is
+   kept. *)
+module Framer = struct
+  type t = {
+    max_line : int;
+    line : Buffer.t;  (** the current line's bytes so far *)
+    mutable skipping : bool;  (** inside an over-long line, reported *)
+  }
+
+  let create ~max_line =
+    { max_line; line = Buffer.create 256; skipping = false }
+
+  let rec newline b pos stop =
+    if pos >= stop || Bytes.unsafe_get b pos = '\n' then pos
+    else newline b (pos + 1) stop
+
+  (* Frame [len] bytes of [b] from [off]: [emit (Some line)] for each
+     complete line, [emit None] once for each over-long one.  A
+     trailing fragment waits for the next feed. *)
+  let feed t b off len emit =
+    let stop = off + len in
+    let rec go pos =
+      if pos < stop then begin
+        let nl = newline b pos stop in
+        if not t.skipping then
+          if Buffer.length t.line + (nl - pos) > t.max_line then begin
+            Buffer.reset t.line;
+            t.skipping <- true;
+            emit None
+          end
+          else Buffer.add_subbytes t.line b pos (nl - pos);
+        if nl < stop then begin
+          if not t.skipping then emit (Some (Buffer.contents t.line));
+          Buffer.clear t.line;
+          t.skipping <- false
+        end;
+        go (nl + 1)
+      end
+    in
+    go off
+end
+
 (* One client connection.  All mutation happens on the calling domain
    (produce/consume both run there); workers only ever carry the
    pointer through the pool. *)
 type conn = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (** bytes read but not yet framed into lines *)
+  framer : Framer.t;
   mutable line_no : int;  (** per-connection 1-based line numbering *)
   mutable inflight : int;  (** requests submitted, response not yet written *)
   mutable eof : bool;  (** peer finished writing; flush then close *)
@@ -21,7 +71,8 @@ let rec write_all fd s off len =
 module Client = struct
   type t = {
     fd : Unix.file_descr;
-    buf : Buffer.t;
+    framer : Framer.t;
+    lines : string Queue.t;  (** framed replies not yet returned *)
     rbuf : Bytes.t;  (** read scratch, reused by every recv *)
     mutable eof : bool;
   }
@@ -52,7 +103,14 @@ module Client = struct
     let rec go () =
       match try_connect path with
       | Some fd ->
-        { fd; buf = Buffer.create 1024; rbuf = Bytes.create 4096; eof = false }
+        {
+          fd;
+          (* replies are not capped *)
+          framer = Framer.create ~max_line:max_int;
+          lines = Queue.create ();
+          rbuf = Bytes.create 4096;
+          eof = false;
+        }
       | None ->
         if Unix.gettimeofday () >= deadline then
           raise
@@ -68,20 +126,10 @@ module Client = struct
   let send_line t line =
     write_all t.fd (line ^ "\n") 0 (String.length line + 1)
 
-  (* Pop one framed line off the read buffer, if a newline arrived. *)
-  let take_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (nl + 1) (String.length s - nl - 1);
-      Some (String.sub s 0 nl)
-
   let recv_line ?(timeout_s = 30.0) t =
     let deadline = Unix.gettimeofday () +. timeout_s in
     let rec go () =
-      match take_line t with
+      match Queue.take_opt t.lines with
       | Some l -> Some l
       | None ->
         if t.eof then None
@@ -95,7 +143,9 @@ module Client = struct
           | _ :: _, _, _ -> (
             match Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) with
             | 0 -> t.eof <- true
-            | n -> Buffer.add_subbytes t.buf t.rbuf 0 n
+            | n ->
+              Framer.feed t.framer t.rbuf 0 n
+                (Option.iter (fun l -> Queue.add l t.lines))
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception
                 Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -119,6 +169,10 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
   if config.Serve.sort then
     invalid_arg "Daemon: sort is batch-only (a daemon stream has no end)";
   let handler = Serve.make_handler config in
+  let too_long =
+    Printf.sprintf "line longer than %d bytes (discarded up to its newline)"
+      max_line_bytes
+  in
   (* a client that disconnects mid-response must cost us an EPIPE, not
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -148,7 +202,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
      arena with the request rate. *)
   let rbuf = Bytes.create 4096 in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
-  let pending : (conn * (int * string)) Queue.t = Queue.create () in
+  let pending : (conn * (int * string option)) Queue.t = Queue.create () in
   let accepting = ref true in
   let requests = ref 0 and errors = ref 0 in
   let drop c =
@@ -158,34 +212,20 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
       try Unix.close c.fd with Unix.Unix_error _ -> ()
     end
   in
-  (* Frame complete lines out of the connection buffer; a trailing
-     fragment stays buffered until its newline (or is discarded at
-     EOF - an unterminated request was never fully sent). *)
-  let enqueue_lines c =
-    let s = Buffer.contents c.buf in
-    let rec go off =
-      match String.index_from_opt s off '\n' with
-      | None ->
-        if off > 0 then begin
-          Buffer.clear c.buf;
-          Buffer.add_substring c.buf s off (String.length s - off)
-        end
-      | Some nl ->
-        c.line_no <- c.line_no + 1;
-        c.inflight <- c.inflight + 1;
-        Queue.add (c, (c.line_no, String.sub s off (nl - off))) pending;
-        go (nl + 1)
-    in
-    go 0
+  (* Each framed line, or over-long line, takes the next line number;
+     a trailing fragment at EOF is discarded - an unterminated request
+     was never fully sent. *)
+  let enqueue c line =
+    c.line_no <- c.line_no + 1;
+    c.inflight <- c.inflight + 1;
+    Queue.add (c, (c.line_no, line)) pending
   in
   let read_conn c =
     match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
       c.eof <- true;
       if c.inflight = 0 then drop c
-    | n ->
-      Buffer.add_subbytes c.buf rbuf 0 n;
-      enqueue_lines c
+    | n -> Framer.feed c.framer rbuf 0 n (enqueue c)
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       drop c
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -222,7 +262,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
               Hashtbl.replace conns cfd
                 {
                   fd = cfd;
-                  buf = Buffer.create 256;
+                  framer = Framer.create ~max_line:max_line_bytes;
                   line_no = 0;
                   inflight = 0;
                   eof = false;
@@ -286,7 +326,10 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
       ignore
         (Pool.stream_poll ~workers:config.Serve.workers
            ~queue_capacity:config.Serve.queue_capacity ~on_complete ~produce
-           ~consume (fun (c, item) -> (c, handler item))));
+           ~consume (fun (c, (line_no, line)) ->
+             match line with
+             | Some line -> (c, handler (line_no, line))
+             | None -> (c, Serve.bad_line line_no too_long))));
   stop_accepting ();
   List.iter drop (Hashtbl.fold (fun _ c acc -> c :: acc) conns []);
   {

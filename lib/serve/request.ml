@@ -103,10 +103,8 @@ let parse_policy json =
   match Compile.strategy_of_string name with
   | None ->
     Error
-      (Printf.sprintf
-         "unknown policy %S (expected naive | greedyv | greedye | vqa | qaim \
-          | ip | ic | vic)"
-         name)
+      (Printf.sprintf "unknown policy %S (expected %s)" name
+         (String.concat " | " Compile.strategy_names))
   | Some s -> (
     match Json.member "packing_limit" json with
     | None -> Ok s

@@ -21,7 +21,11 @@
     the requested policy ({!Qaoa_core.Compile}).  Qasm requests parse
     the program with {!Qaoa_circuit.Qasm.of_string} and route it
     directly through the backend router under the trivial initial
-    mapping - the policy field is ignored for them.  The program must
+    mapping.  They ignore [policy] (and [packing_limit]), [seed], [p],
+    [gamma], [beta], [measure] and [verify]; only [device], [analyze]
+    and [qasm_out] shape the answer.  The ignored fields still enter
+    the {!fingerprint}, so two such requests that differ only there
+    are cached apart, with identical bodies.  The program must
     measure terminally: the router defers every measurement to the end
     ({!Qaoa_backend.Router}), so a gate after a measurement (lint rule
     QL003) is answered [bad_request] with the lint finding's message.

@@ -75,6 +75,24 @@ let stats_body cache inflight =
     ("inflight", Json.Int (Atomic.get inflight)); ("cache", cache_json);
   ]
 
+let finish ~t0 ~line_no ?id ?(cached = false) body =
+  if Supervise.is_error body then Metrics_registry.incr "serve.errors";
+  let ms = 1e3 *. (Clock.wall () -. t0) in
+  Metrics_registry.observe "serve.request_ms" ms;
+  { id; line = line_no; body; cached; ms }
+
+let bad_request ~t0 ~line_no msg =
+  finish ~t0 ~line_no
+    (Supervise.error_body
+       ~extra:[ ("line", Json.Int line_no) ]
+       ~kind:"bad_request" msg)
+
+(* A line that never reached the parser counts as a request, as a line
+   of malformed JSON does. *)
+let bad_line line_no msg =
+  Metrics_registry.incr "serve.requests";
+  bad_request ~t0:(Clock.wall ()) ~line_no msg
+
 (* The full supervised path for one input line: parse it once, answer
    a control verb or validate the same value as a request, answer from
    the cache when possible, otherwise compute under {!Supervise.handle}
@@ -87,18 +105,8 @@ let stats_body cache inflight =
 let handle sup devices cache persist inflight (line_no, line) =
   Trace.with_span "serve.request" @@ fun () ->
   let t0 = Clock.wall () in
-  let finish ?id ?(cached = false) body =
-    if Supervise.is_error body then Metrics_registry.incr "serve.errors";
-    let ms = 1e3 *. (Clock.wall () -. t0) in
-    Metrics_registry.observe "serve.request_ms" ms;
-    { id; line = line_no; body; cached; ms }
-  in
-  let bad_request msg =
-    finish
-      (Supervise.error_body
-         ~extra:[ ("line", Json.Int line_no) ]
-         ~kind:"bad_request" msg)
-  in
+  let finish = finish ~t0 ~line_no in
+  let bad_request = bad_request ~t0 ~line_no in
   let json = Json.of_string_opt line in
   match Option.bind json Request.control_of_json with
   | Some ctl -> (

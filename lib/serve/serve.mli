@@ -123,4 +123,8 @@ val make_handler : config -> int * string -> outcome
 (** One shared device table + supervisor for all calls; safe to call
     from worker domains.  @raise Invalid_argument as {!run}. *)
 
+val bad_line : int -> string -> outcome
+(** The [bad_request] answer, with this message, for an input line that
+    never reached the parser (the daemon's over-long lines). *)
+
 val render : config -> outcome -> string

@@ -225,18 +225,14 @@ let route_qasm t (req : Request.t) device ~qasm =
   | circuit -> (
     let nq = Circuit.num_qubits circuit in
     let available = Device.num_qubits device in
-    let after_measure =
-      gate_after_measure.Lint.check (Lint.context ~role:Logical circuit)
-    in
-    if after_measure <> [] then
-      uncacheable
-        (error_body ~kind:"bad_request" (List.hd after_measure).Lint.message)
-    else if nq > available then
+    match Lint.run_rule (Lint.context circuit) gate_after_measure with
+    | f :: _ -> uncacheable (error_body ~kind:"bad_request" f.Lint.message)
+    | [] when nq > available ->
       uncacheable
         (error_body ~kind:"too_many_qubits"
            (Printf.sprintf "program needs %d qubits but the device has %d" nq
               available))
-    else
+    | [] -> (
       let initial = Mapping.trivial ~num_logical:nq ~num_physical:available in
       let config =
         { Router.default_config with deadline = start_deadline t }
@@ -271,7 +267,7 @@ let route_qasm t (req : Request.t) device ~qasm =
       | exception (Chaos.Injected _ as e) -> raise e
       | exception e ->
         Metrics_registry.incr "serve.contained";
-        uncacheable (error_body ~kind:"internal" (Printexc.to_string e)))
+        uncacheable (error_body ~kind:"internal" (Printexc.to_string e))))
 
 let handle t devices (req : Request.t) =
   match Devices.resolve devices req.Request.device with

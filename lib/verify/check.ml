@@ -41,12 +41,11 @@ let default_max_semantic_qubits = 12
 
 type oracle = Auto | Statevector_only | Phase_poly_only
 
-type options = {
-  check_semantics : bool;
-  max_semantic_qubits : int;
-  eps : float;
-  oracle : oracle;
-}
+type options = { max_semantic_qubits : int; oracle : oracle }
+
+(* Phase-aligned state-distance bound (statevector) and per-term angular
+   tolerance (phase polynomial). *)
+let eps = 1e-6
 
 let default_options () =
   let max_semantic_qubits =
@@ -57,7 +56,7 @@ let default_options () =
       | Some n when n >= 0 -> n
       | _ -> default_max_semantic_qubits)
   in
-  { check_semantics = true; max_semantic_qubits; eps = 1e-6; oracle = Auto }
+  { max_semantic_qubits; oracle = Auto }
 
 let issue_to_string = function
   | Uncoupled_pair { gate_index; gate } ->
@@ -262,7 +261,7 @@ let accounting logical replay =
    "clean" boundary - a point where the emitted gates are exactly the
    gates of a prefix of the logical circuit's ASAP layers - and at the
    end.  The first divergent clean boundary names the offending layer. *)
-let semantic ~eps logical replay =
+let semantic logical replay =
   let n = Circuit.num_qubits logical in
   let layers = Array.of_list (Layering.layers logical) in
   let num_layers = Array.length layers in
@@ -337,7 +336,7 @@ let semantic ~eps logical replay =
    of logical pre-images (in emission order) via their phase-polynomial
    canonical forms.  Exact on the linear fragment; [Error reason] when
    the non-linear skeletons do not line up. *)
-let phase_poly_semantic ~eps logical replay =
+let phase_poly_semantic logical replay =
   let n = Circuit.num_qubits logical in
   let preimage_circuit =
     Circuit.of_gates n (List.map (fun (_, _, pre) -> pre) replay.preimages)
@@ -356,7 +355,7 @@ let validate ?options ~device ~initial ~final ?swap_count ~logical compiled =
   let options =
     match options with Some o -> o | None -> default_options ()
   in
-  let { check_semantics; max_semantic_qubits; eps; oracle } = options in
+  let { max_semantic_qubits; oracle } = options in
   let n_logical = Circuit.num_qubits logical in
   Trace.with_span "verify.check.validate"
     ~attrs:
@@ -411,11 +410,11 @@ let validate ?options ~device ~initial ~final ?swap_count ~logical compiled =
   in
   let statevector_check () =
     Trace.with_span "verify.check.semantic" @@ fun () ->
-    ( semantic ~eps logical replay,
+    ( semantic logical replay,
       Checked { num_qubits = n_logical; method_ = Statevector } )
   in
   let phase_poly_check ~skip_prefix =
-    match phase_poly_semantic ~eps logical replay with
+    match phase_poly_semantic logical replay with
     | Ok issues ->
       (issues, Checked { num_qubits = n_logical; method_ = Phase_polynomial })
     | Error reason ->
@@ -427,8 +426,7 @@ let validate ?options ~device ~initial ~final ?swap_count ~logical compiled =
              skip_prefix reason) )
   in
   let semantic_issues, semantic_status =
-    if not check_semantics then ([], Skipped "disabled")
-    else if structural_issues <> [] then
+    if structural_issues <> [] then
       ([], Skipped "structural issues present")
     else
       match oracle with

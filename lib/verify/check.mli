@@ -104,17 +104,14 @@ type oracle =
   | Phase_poly_only  (** always use the canonicalizer, any size *)
 
 type options = {
-  check_semantics : bool;  (** run the semantic stage at all *)
   max_semantic_qubits : int;  (** statevector cutoff *)
-  eps : float;
-      (** phase-aligned state-distance bound (statevector) and per-term
-          angular tolerance (phase polynomial) *)
   oracle : oracle;
 }
+(** Both oracles compare within 1e-6: the phase-aligned state distance
+    (statevector) and each term's angle (phase polynomial). *)
 
 val default_options : unit -> options
-(** [{ check_semantics = true; max_semantic_qubits; eps = 1e-6;
-    oracle = Auto }], where [max_semantic_qubits] is
+(** [{ max_semantic_qubits; oracle = Auto }], where [max_semantic_qubits] is
     {!default_max_semantic_qubits} unless the [QAOA_MAX_SEMANTIC_QUBITS]
     environment variable holds a non-negative integer (malformed values
     are ignored).  Read afresh on every call. *)

@@ -80,21 +80,11 @@ let test_route_empty_circuit () =
 
 (* --- QAIM config paths --- *)
 
-let test_qaim_weighted_by_ops () =
-  let rng = Rng.create 5 in
-  let device = Topologies.ibmq_20_tokyo () in
-  let problem = Problem.of_maxcut (Generators.random_regular rng ~n:10 ~d:3) in
-  let config = { Qaim.default_config with weighted_by_ops = true } in
-  let m = Qaim.initial_mapping ~config rng device problem in
-  Alcotest.(check int) "valid mapping" 10 (Mapping.num_logical m);
-  let targets = Array.to_list (Mapping.l2p_array m) in
-  Alcotest.(check int) "injective" 10 (List.length (List.sort_uniq compare targets))
-
 let test_qaim_order_one () =
   let rng = Rng.create 6 in
   let device = Topologies.ibmq_20_tokyo () in
   let problem = Problem.of_maxcut (Generators.cycle 6) in
-  let config = { Qaim.default_config with strength_order = 1 } in
+  let config = { Qaim.strength_order = 1 } in
   let m = Qaim.initial_mapping ~config rng device problem in
   Alcotest.(check int) "valid" 6 (Mapping.num_logical m)
 
@@ -168,7 +158,6 @@ let suite =
     ("gate equality corners", `Quick, test_gate_equality_corner);
     ("router reliability fallback", `Quick, test_router_reliability_aware_without_calibration);
     ("route empty circuit", `Quick, test_route_empty_circuit);
-    ("qaim weighted by ops", `Quick, test_qaim_weighted_by_ops);
     ("qaim order one", `Quick, test_qaim_order_one);
     ("compile without measure", `Quick, test_compile_without_measure);
     ("compile problem too large", `Quick, test_compile_problem_too_large);

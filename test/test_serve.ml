@@ -956,6 +956,79 @@ let test_daemon_client_roundtrip () =
   | _ -> Alcotest.fail "connect to a dead path should time out"
   | exception Daemon.Client.Timeout _ -> ()
 
+(* Lines at and over [Daemon.max_line_bytes]: a line of exactly the cap
+   reaches the parser, one byte more is one bad_request in its own
+   position, and the connection carries on; an over-long line that
+   never ends is answered all the same. *)
+let test_daemon_line_cap () =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qaoa-test-cap-%d.sock" (Unix.getpid ()))
+  in
+  let drain = Atomic.make 0 in
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Daemon.run
+          ~on_ready:(fun () -> Atomic.set ready true)
+          (config ~cache:(Cache.create ~capacity:64 ()) ())
+          ~socket_path:sock ~drain)
+  in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set drain 143;
+      ignore (Domain.join daemon))
+  @@ fun () ->
+  let c = Daemon.Client.connect ~timeout_s:10.0 sock in
+  let reply line =
+    match Daemon.Client.request c line with
+    | Some r -> r
+    | None -> Alcotest.fail "daemon closed the connection"
+  in
+  let cap = Daemon.max_line_bytes in
+  let at_cap = reply (String.make cap 'x') in
+  Alcotest.(check bool)
+    "a line at the cap is parsed" true
+    (contains_substring ~sub:"malformed JSON" at_cap
+    && contains_substring ~sub:{|"line":1,|} at_cap);
+  let over = reply (String.make (cap + 1) 'x') in
+  Alcotest.(check bool)
+    "one byte over is a bad_request in its own position" true
+    (contains_substring ~sub:{|"kind":"bad_request"|} over
+    && contains_substring ~sub:"longer than" over
+    && contains_substring ~sub:{|"line":2,|} over);
+  Alcotest.(check string)
+    "the connection carries on" {|{"id":null,"ok":true,"op":"ping"}|}
+    (reply {|{"op":"ping"}|});
+  Alcotest.(check bool)
+    "and numbers its next line 4" true
+    (contains_substring ~sub:{|"line":4,|} (reply "x"));
+  Daemon.Client.close c;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let unterminated = String.make (cap + 4096) 'x' in
+  let rec wr off =
+    if off < String.length unterminated then
+      wr (off + Unix.write_substring fd unterminated off
+                  (String.length unterminated - off))
+  in
+  wr 0;
+  let buf = Buffer.create 256 and b = Bytes.create 256 in
+  let rec rd () =
+    if not (String.contains (Buffer.contents buf) '\n') then
+      match Unix.read fd b 0 256 with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf b 0 n;
+        rd ()
+  in
+  rd ();
+  Alcotest.(check bool)
+    "an unterminated over-long line is answered" true
+    (contains_substring ~sub:{|"line":1,|} (Buffer.contents buf)
+    && contains_substring ~sub:"longer than" (Buffer.contents buf))
+
 (* The control verbs through the ordinary serving path: ping is the
    canonical pong, stats balances the taxonomy, junk ops and extra
    fields are structured bad_requests.  Each line is parsed once, and
@@ -1127,6 +1200,7 @@ let suite =
     ("chaos crash under serve", `Slow, test_chaos_crash_under_serve);
     ("daemon socket roundtrip", `Slow, test_daemon_roundtrip);
     ("daemon client roundtrip", `Slow, test_daemon_client_roundtrip);
+    ("daemon line cap", `Slow, test_daemon_line_cap);
     ("control verbs", `Quick, test_control_verbs);
     ("gen_corpus deterministic", `Quick, test_gen_corpus_deterministic);
     ( "cross-domain compile equivalence",
