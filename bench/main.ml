@@ -1,11 +1,14 @@
-(* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation section (printed as tables with the paper's reference
-   numbers inlined) and then times the compilation kernels of each
-   figure's workload with Bechamel.
+(* Benchmark harness: regenerates every figure and ablation of the
+   paper's evaluation section (printed as tables with the paper's
+   reference numbers inlined, exported to bench_results/) and then
+   times the compilation kernels of each figure's workload with
+   Bechamel.
 
-   Scale via QAOA_BENCH_SCALE = smoke | default | full. *)
+   Scale via QAOA_BENCH_SCALE = smoke | default | full.  The resumable
+   form of the regeneration is
+   qaoa-experiments --figure all --journal DIR --export bench_results. *)
 
-module Figures = Qaoa_experiments.Figures
+module Experiment = Qaoa_experiments.Experiment
 module Workload = Qaoa_experiments.Workload
 module Compile = Qaoa_core.Compile
 module Topologies = Qaoa_hardware.Topologies
@@ -123,9 +126,9 @@ let run_bechamel () =
 let run_serve_bench ~scale =
   let count =
     match scale with
-    | Figures.Smoke -> 24
-    | Figures.Default -> 96
-    | Figures.Full -> 256
+    | Experiment.Smoke -> 24
+    | Experiment.Default -> 96
+    | Experiment.Full -> 256
   in
   let corpus = Serve.gen_corpus ~seed:17 ~count () in
   let config ?persist ~workers cache =
@@ -256,7 +259,7 @@ let write_bench_json ~dir ~scale ~resilience rows =
     Json.Assoc
       [
         ("schema_version", Json.Int 1);
-        ("scale", Json.String (Figures.scale_name scale));
+        ("scale", Json.String (Experiment.scale_name scale));
         ("clock", Json.String "bechamel monotonic_clock, OLS vs run count");
         ("unit", Json.String "ns/run");
         ("kernels", Json.Assoc (List.map kernel_json rows));
@@ -275,77 +278,28 @@ let write_bench_json ~dir ~scale ~resilience rows =
   Qaoa_journal.Atomic_write.write_string ~path (Json.to_string doc ^ "\n");
   Printf.printf "wrote %s\n" path
 
-(* Campaign durability: QAOA_BENCH_JOURNAL=DIR journals every trial so a
-   crashed or killed bench run resumes (QAOA_BENCH_RESUME=1) from its
-   last completed trial instead of starting over. *)
-let journal_from_env () =
-  match Sys.getenv_opt "QAOA_BENCH_JOURNAL" with
-  | None -> None
-  | Some dir ->
-    let resume =
-      match Sys.getenv_opt "QAOA_BENCH_RESUME" with
-      | Some ("1" | "true" | "yes") -> true
-      | _ -> false
-    in
-    Some (Qaoa_journal.Journal.open_ ~resume ~dir ())
-
 let () =
-  let scale = Figures.scale_from_env () in
+  let scale = Experiment.scale_from_env () in
   Printf.printf
     "QAOA circuit-compilation benchmark harness (scale=%s; set \
      QAOA_BENCH_SCALE=smoke|default|full)\n"
-    (Figures.scale_name scale);
-  Qaoa_journal.Chaos.install_from_env ();
-  let journal = journal_from_env () in
-  if Option.is_some journal then
-    Qaoa_journal.Signals.install
-      ~resume_hint:"QAOA_BENCH_RESUME=1 <same bench command>";
+    (Experiment.scale_name scale);
+  (* plot-ready CSVs and report.md alongside the printed tables *)
+  let dir = "bench_results" in
   let t0 = Sys.time () in
-  let figures = Figures.all ~scale ?journal () in
-  Printf.printf "\nfigures regenerated in %.1f CPU s\n" (Sys.time () -. t0);
+  Qaoa_experiments.Report.run ~export:dir ~scale
+    (Qaoa_experiments.Figures.all @ Qaoa_experiments.Ablations.all);
+  Printf.printf "\nfigures and ablations regenerated in %.1f CPU s\n"
+    (Sys.time () -. t0);
   let t1 = Sys.time () in
-  let ablations = Qaoa_experiments.Ablations.all ~scale ?journal () in
-  Printf.printf "\nablations regenerated in %.1f CPU s\n" (Sys.time () -. t1);
-  let t2 = Sys.time () in
   let resilience =
-    resilience_summary (Qaoa_experiments.Resilience.run ~scale ?journal ())
+    resilience_summary (Qaoa_experiments.Resilience.run ~scale ())
   in
   (let instances, compiled, recovered, exhausted = resilience in
    Printf.printf
      "\nresilience sweep in %.1f CPU s: %d/%d compiled, %d recovered by \
       fallback, %d exhausted\n"
-     (Sys.time () -. t2) compiled instances recovered exhausted);
-  Option.iter
-    (fun j -> print_endline (Qaoa_journal.Journal.summary j))
-    journal;
-  (* plot-ready CSVs alongside the printed tables *)
-  let dir = "bench_results" in
-  Qaoa_journal.Atomic_write.mkdir_p dir;
-  let named prefix rows_list =
-    List.map (fun (name, rows) -> (prefix ^ name, [], rows)) rows_list
-  in
-  (* column headers are embedded in the printed tables; the CSVs carry
-     generic value columns sized per figure *)
-  let with_columns =
-    List.map
-      (fun (name, _, rows) ->
-        let width =
-          List.fold_left (fun acc (_, vs) -> max acc (List.length vs)) 0 rows
-        in
-        (name, List.init width (fun i -> Printf.sprintf "v%d" i), rows))
-      (named "" figures @ named "ablation_" ablations)
-  in
-  let paths = Qaoa_experiments.Export.export_all ~dir with_columns in
-  Printf.printf "\nwrote %d CSV files under %s/\n" (List.length paths) dir;
-  let sections =
-    List.map
-      (fun (id, rows) -> Qaoa_experiments.Report.section_of_rows ~scale id rows)
-      (figures @ ablations)
-  in
-  Qaoa_experiments.Report.write
-    ~path:(Filename.concat dir "report.md")
-    ~scale sections;
-  Printf.printf "wrote %s/report.md\n" dir;
+     (Sys.time () -. t1) compiled instances recovered exhausted);
   let rows = run_bechamel () in
   let serve_rows = run_serve_bench ~scale in
   write_bench_json ~dir ~scale ~resilience (rows @ serve_rows)

@@ -1,5 +1,5 @@
-(* qaoa-experiments: regenerate a chosen table/figure of the paper's
-   evaluation section.
+(* qaoa-experiments: regenerate a chosen figure or ablation of the
+   paper's evaluation section, or all of them.
 
    Examples:
      qaoa-experiments --figure fig9 --scale default
@@ -7,71 +7,26 @@
      qaoa-experiments --figure all --journal runs/full --export runs/full/csv
      qaoa-experiments --figure all --journal runs/full --resume *)
 
-module Figures = Qaoa_experiments.Figures
-module Export = Qaoa_experiments.Export
+module Experiment = Qaoa_experiments.Experiment
+module Report = Qaoa_experiments.Report
 module Journal = Qaoa_journal.Journal
 module Chaos = Qaoa_journal.Chaos
 module Signals = Qaoa_journal.Signals
 open Cmdliner
 
-let figures :
-    (string
-    * (scale:Figures.scale -> journal:Journal.t option -> Figures.row list))
-    list =
-  [
-    ("fig7", fun ~scale ~journal -> Figures.fig7 ~scale ?journal ());
-    ("fig8", fun ~scale ~journal -> Figures.fig8 ~scale ?journal ());
-    ("fig9", fun ~scale ~journal -> Figures.fig9 ~scale ?journal ());
-    ("fig10", fun ~scale ~journal -> Figures.fig10 ~scale ?journal ());
-    ("fig11a", fun ~scale ~journal -> Figures.fig11a ~scale ?journal ());
-    ("fig11b", fun ~scale ~journal -> Figures.fig11b ~scale ?journal ());
-    ("fig12", fun ~scale ~journal -> Figures.fig12 ~scale ?journal ());
-    ("ring8", fun ~scale ~journal -> Figures.fig_ring8 ~scale ?journal ());
-  ]
-
-let figure_conv =
-  let parse s =
-    let s = String.lowercase_ascii s in
-    if s = "all" then Ok `All
-    else
-      match List.assoc_opt s figures with
-      | Some _ -> Ok (`One s)
-      | None ->
-        Error
-          (`Msg
-             ("unknown figure; known: all, "
-             ^ String.concat ", " (List.map fst figures)))
-  in
-  let print ppf = function
-    | `All -> Format.pp_print_string ppf "all"
-    | `One id -> Format.pp_print_string ppf id
-  in
-  Arg.conv (parse, print)
+(* figures first, then ablations, as the bench harness runs them *)
+let experiments = Qaoa_experiments.Figures.all @ Qaoa_experiments.Ablations.all
+let ids = "all" :: List.map (fun e -> e.Experiment.id) experiments
 
 let scale_conv =
   Arg.conv
     ( (fun s ->
-        match Figures.scale_of_string s with
+        match Experiment.scale_of_string s with
         | Some sc -> Ok sc
         | None -> Error (`Msg "expected smoke | default | full")),
-      fun ppf s -> Format.pp_print_string ppf (Figures.scale_name s) )
+      fun ppf s -> Format.pp_print_string ppf (Experiment.scale_name s) )
 
-(* The printed tables carry the real column names; exported CSVs use
-   generic value columns sized per figure (same convention as the bench
-   harness's bench_results/). *)
-let export_csvs ~dir results =
-  let triples =
-    List.map
-      (fun (name, rows) ->
-        let width =
-          List.fold_left (fun acc (_, vs) -> max acc (List.length vs)) 0 rows
-        in
-        (name, List.init width (fun i -> Printf.sprintf "v%d" i), rows))
-      results
-  in
-  Export.export_all ~dir triples
-
-let run () figure scale journal_dir resume export_dir =
+let run () figure scale journal_dir resume export =
   try
     if resume && Option.is_none journal_dir then
       failwith "--resume requires --journal DIR";
@@ -81,17 +36,9 @@ let run () figure scale journal_dir resume export_dir =
     in
     if Option.is_some journal then
       Signals.install ~resume_hint:(Signals.resume_hint_of_argv ());
-    let results =
-      match figure with
-      | `All -> Figures.all ~scale ?journal ()
-      | `One id -> [ (id, (List.assoc id figures) ~scale ~journal) ]
-    in
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-      let paths = export_csvs ~dir results in
-      Printf.printf "\nwrote %d CSV file(s) under %s/\n" (List.length paths)
-        dir);
+    Report.run ?journal ?export ~scale
+      (List.filter (fun e -> figure = "all" || e.Experiment.id = figure)
+         experiments);
     Option.iter
       (fun j ->
         print_endline (Journal.summary j);
@@ -111,14 +58,16 @@ let cmd =
   let figure =
     Arg.(
       value
-      & opt figure_conv `All
+      & opt (enum (List.map (fun id -> (id, id)) ids)) "all"
       & info [ "figure"; "f" ] ~docv:"ID"
-          ~doc:"Which experiment to run (fig7..fig12, ring8, all).")
+          ~doc:
+            ("Which experiment to run: $(b,all) (every figure, then every \
+              ablation) or " ^ doc_alts (List.tl ids) ^ "."))
   in
   let scale =
     Arg.(
       value
-      & opt scale_conv Figures.Default
+      & opt scale_conv Experiment.Default
       & info [ "scale" ] ~docv:"SCALE"
           ~doc:"Instance-count scale: smoke, default or full (paper-scale).")
   in
@@ -140,20 +89,22 @@ let cmd =
             "Resume from the journal: completed trials are read back \
              instead of re-executed, quarantined trials stay skipped.")
   in
-  let export_dir =
+  let export =
     Arg.(
       value
       & opt (some string) None
       & info [ "export" ] ~docv:"DIR"
           ~doc:
-            "Write each figure's rows to $(docv)/<figure>.csv (atomic \
-             writes; the directory is created if missing).")
+            "Write each experiment's rows to $(docv)/<id>.csv \
+             (ablation_<id>.csv for an ablation) as it finishes, then \
+             $(docv)/report.md (atomic writes; the directory is created \
+             if missing).")
   in
   Cmd.v
     (Cmd.info "qaoa-experiments" ~version:"1.0.0"
        ~doc:"Regenerate the MICRO'20 QAOA-compilation evaluation figures")
     Term.(
       const run $ Qaoa_cli.setup $ figure $ scale $ journal_dir $ resume
-      $ export_dir)
+      $ export)
 
 let () = exit (Cmd.eval' ~term_err:2 cmd)

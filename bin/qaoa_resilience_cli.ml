@@ -6,7 +6,7 @@
      qaoa-resilience --topology tokyo --topology grid6x6 --verify \
        --deadline 30 --fail-on-exhausted *)
 
-module Figures = Qaoa_experiments.Figures
+module Experiment = Qaoa_experiments.Experiment
 module Resilience = Qaoa_experiments.Resilience
 module Differential = Qaoa_experiments.Differential
 module Compile = Qaoa_core.Compile
@@ -16,10 +16,10 @@ open Cmdliner
 let scale_conv =
   Arg.conv
     ( (fun s ->
-        match Figures.scale_of_string s with
+        match Experiment.scale_of_string s with
         | Some sc -> Ok sc
         | None -> Error (`Msg "expected smoke | default | full")),
-      fun ppf s -> Format.pp_print_string ppf (Figures.scale_name s) )
+      fun ppf s -> Format.pp_print_string ppf (Experiment.scale_name s) )
 
 let deadline_conv =
   Arg.conv
@@ -86,7 +86,7 @@ let cmd =
   let scale =
     Arg.(
       value
-      & opt scale_conv Figures.Default
+      & opt scale_conv Experiment.Default
       & info [ "scale" ] ~docv:"SCALE"
           ~doc:"Instance-count scale: smoke, default or full.")
   in

@@ -45,7 +45,7 @@ let random_sampling rng ?(samples = 1024) problem =
   done;
   (!best, !best_cost)
 
-let local_search rng ?(restarts = 8) problem =
+let local_search rng problem =
   let n = problem.Problem.num_vars in
   let adj = adjacency problem and h = linear_field problem in
   let run () =
@@ -77,16 +77,14 @@ let local_search rng ?(restarts = 8) problem =
       let (_, c) as cand = run () in
       if c > bc then cand else best)
     first
-    (List.init (max 0 (restarts - 1)) (fun i -> i))
+    (List.init 7 Fun.id)
 
-let simulated_annealing rng ?steps problem =
+let simulated_annealing rng problem =
   let n = problem.Problem.num_vars in
   if n = 0 then (0, Problem.cost problem 0)
   else begin
   let adj = adjacency problem and h = linear_field problem in
-  let steps =
-    Option.value ~default:(20 * (1 lsl min n 10)) steps
-  in
+  let steps = 20 * (1 lsl min n 10) in
   let t_end = 1e-3 in
   let t_start =
     (* scale: the largest single-flip |delta| from a random state *)

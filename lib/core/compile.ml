@@ -416,10 +416,8 @@ let compile_with_fallback ?(options = default_options) ?(retries = 1) device
   in
   walk default_chain
 
-let success_probability ?include_readout device result =
-  Success.of_circuit ?include_readout
-    (Device.calibration_exn device)
-    result.circuit
+let success_probability device result =
+  Success.of_circuit (Device.calibration_exn device) result.circuit
 
 let logical_outcome result physical_bits =
   let m = result.final_mapping in

@@ -233,7 +233,7 @@ val compile_with_fallback :
     ["compile.fallback.exhausted"].
     @raise Invalid_argument on negative [retries]. *)
 
-val success_probability : ?include_readout:bool -> Qaoa_hardware.Device.t -> result -> float
+val success_probability : Qaoa_hardware.Device.t -> result -> float
 (** {!Qaoa_hardware.Success.of_circuit} on the compiled circuit. *)
 
 val logical_outcome : result -> int -> int

@@ -59,8 +59,7 @@ let analyze cal circuit =
     success_probability = exp total_log_loss;
   }
 
-let worst_couplings ?(top = 5) t =
-  List.filteri (fun i _ -> i < top) t.by_coupling
+let worst_couplings t = List.filteri (fun i _ -> i < 5) t.by_coupling
 
 let pp ppf t =
   Format.fprintf ppf "success probability: %.3e@." t.success_probability;

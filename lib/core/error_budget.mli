@@ -31,8 +31,8 @@ val analyze :
     @raise Failure if a coupling lacks a calibrated rate
     ({!Qaoa_hardware.Calibration.cnot_error}). *)
 
-val worst_couplings : ?top:int -> t -> entry list
-(** The [top] (default 5) couplings by absolute log loss. *)
+val worst_couplings : t -> entry list
+(** The 5 couplings of largest absolute log loss, worst first. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report (kinds, then the worst couplings). *)

@@ -1,39 +1,22 @@
 module Metrics = Qaoa_circuit.Metrics
 module Device = Qaoa_hardware.Device
 
-type objective = Depth | Gate_count | Success_probability
-
-let objective_name = function
-  | Depth -> "depth"
-  | Gate_count -> "gate-count"
-  | Success_probability -> "success-probability"
-
 type result = {
   best : Compile.result;
   rounds : int;
   improvements : int;
-  total_time : float;
   total_wall_s : float;
   total_cpu_s : float;
 }
 
-(* Lower is better for every objective (success probability negated). *)
-let score objective device (r : Compile.result) =
-  match objective with
-  | Depth -> float_of_int r.Compile.metrics.Metrics.depth
-  | Gate_count -> float_of_int r.Compile.metrics.Metrics.gate_count
-  | Success_probability -> -.Compile.success_probability device r
+let depth (r : Compile.result) = r.Compile.metrics.Metrics.depth
 
-let compile ?(patience = 5) ?(max_rounds = 50) ?(objective = Depth)
+let compile ?(patience = 5) ?(max_rounds = 50)
     ?(base = Compile.default_options) ~strategy device problem params =
   if patience < 1 || max_rounds < 1 then
     invalid_arg "Iterative.compile: patience and max_rounds must be >= 1";
   Qaoa_obs.Trace.with_span "core.iterative.compile"
-    ~attrs:
-      [
-        ("strategy", Qaoa_obs.Trace.str (Compile.strategy_name strategy));
-        ("objective", Qaoa_obs.Trace.str (objective_name objective));
-      ]
+    ~attrs:[ ("strategy", Qaoa_obs.Trace.str (Compile.strategy_name strategy)) ]
   @@ fun () ->
   let w0 = Qaoa_obs.Clock.wall () in
   let t0 = Sys.time () in
@@ -44,28 +27,26 @@ let compile ?(patience = 5) ?(max_rounds = 50) ?(objective = Depth)
   in
   let first = compile_round 0 in
   let best = ref first in
-  let best_score = ref (score objective device first) in
+  let best_depth = ref (depth first) in
   let rounds = ref 1 in
   let improvements = ref 0 in
   let stale = ref 0 in
   while !stale < patience && !rounds < max_rounds do
     let candidate = compile_round !rounds in
     incr rounds;
-    let s = score objective device candidate in
-    if s < !best_score then begin
+    let d = depth candidate in
+    if d < !best_depth then begin
       best := candidate;
-      best_score := s;
+      best_depth := d;
       incr improvements;
       stale := 0
     end
     else incr stale
   done;
-  let total_cpu_s = Sys.time () -. t0 in
   {
     best = !best;
     rounds = !rounds;
     improvements = !improvements;
-    total_time = total_cpu_s;
     total_wall_s = Qaoa_obs.Clock.wall () -. w0;
-    total_cpu_s;
+    total_cpu_s = Sys.time () -. t0;
   }

@@ -1,6 +1,6 @@
 (** Iterative recompilation (paper Sec. VII, the contemporary works
     [70, 71]): re-compile the QAOA circuit with updated gate orders and
-    keep the best result, stopping when several consecutive rounds bring
+    keep the shallowest result, stopping when several consecutive rounds bring
     no improvement.
 
     The paper cites a 10x-600x compilation-time penalty for this family
@@ -8,17 +8,10 @@
     quality/time trade-off against single-shot IP/IC on our backend (see
     the ablation bench). *)
 
-type objective = Depth | Gate_count | Success_probability
-
-val objective_name : objective -> string
-
 type result = {
   best : Compile.result;
   rounds : int;  (** compilations performed *)
-  improvements : int;  (** rounds that improved the objective *)
-  total_time : float;
-      (** CPU seconds across all rounds (alias of [total_cpu_s], kept
-          for existing consumers) *)
+  improvements : int;  (** rounds that lowered the depth *)
   total_wall_s : float;  (** wall-clock seconds across all rounds *)
   total_cpu_s : float;  (** CPU seconds across all rounds *)
 }
@@ -26,7 +19,6 @@ type result = {
 val compile :
   ?patience:int ->
   ?max_rounds:int ->
-  ?objective:objective ->
   ?base:Compile.options ->
   strategy:Compile.strategy ->
   Qaoa_hardware.Device.t ->
@@ -34,7 +26,6 @@ val compile :
   Ansatz.params ->
   result
 (** Repeatedly invoke {!Compile.compile} with fresh seeds (seed, seed+1,
-    ...), keeping the best circuit under [objective] (default [Depth];
-    [Success_probability] requires device calibration).  Stops after
+    ...), keeping the first circuit of least depth.  Stops after
     [patience] consecutive non-improving rounds (default 5) or
     [max_rounds] total (default 50). *)

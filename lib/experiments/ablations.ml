@@ -17,177 +17,165 @@ module Calibration = Qaoa_hardware.Calibration
 module Topologies = Qaoa_hardware.Topologies
 module Rng = Qaoa_util.Rng
 module Stats = Qaoa_util.Stats
-module Table = Qaoa_util.Table
-
-type row = string * float list
 
 let count scale ~paper =
   match scale with
-  | Figures.Full -> paper
-  | Figures.Default -> max 2 (paper / 4)
-  | Figures.Smoke -> 2
-
-let header ~quiet id title scale =
-  if not quiet then
-    Printf.printf "\n=== ablation/%s: %s  [scale=%s] ===\n" id title
-      (Figures.scale_name scale)
-
-let print_rows ~quiet columns rows =
-  if not quiet then begin
-    let t = Table.create ("setting" :: columns) in
-    List.iter (fun (label, values) -> Table.add_float_row t label values) rows;
-    Table.print t
-  end
+  | Experiment.Full -> paper
+  | Experiment.Default -> max 2 (paper / 4)
+  | Experiment.Smoke -> 2
 
 let params = Workload.default_params
 
-let router_lookahead ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let router_lookahead =
+  Experiment.make Experiment.Ablation "router-lookahead"
+    ~title:"QAIM whole-circuit routing vs lookahead weight, ER(0.5)-20, tokyo"
+    ~columns:[ "mean depth"; "mean swaps" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20100 in
   (* whole-circuit routing (QAIM strategy): IC routes a single layer per
      backend call, so the next-layer lookahead never engages there *)
-  header ~quiet "router-lookahead" "QAIM whole-circuit routing vs lookahead weight, ER(0.5)-20, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Erdos_renyi 0.5) ~n:20
       ~count:(count scale ~paper:20)
   in
-  let rows =
-    List.map
-      (fun w ->
-        let options =
-          {
-            Compile.default_options with
-            router = { Router.default_config with lookahead_weight = w };
-          }
-        in
-        let res =
-          Runner.run ~base_seed:seed ~options ?journal
-            ~experiment:
-              (Printf.sprintf "ablation/router-lookahead/w=%.2f" w)
-            ~device ~strategies:[ Compile.Qaim ] ~params problems
-        in
-        let a = List.hd res in
-        ( Printf.sprintf "lookahead=%.2f" w,
-          [ a.Runner.mean_depth; a.Runner.mean_swaps ] ))
-      [ 0.0; 0.25; 0.5; 1.0 ]
-  in
-  print_rows ~quiet [ "mean depth"; "mean swaps" ] rows;
-  rows
+  List.map
+    (fun w ->
+      let options =
+        {
+          Compile.default_options with
+          router = { Router.default_config with lookahead_weight = w };
+        }
+      in
+      let res =
+        Runner.run ~base_seed:seed ~options ?journal
+          ~experiment:
+            (Printf.sprintf "ablation/router-lookahead/w=%.2f" w)
+          ~device ~strategies:[ Compile.Qaim ] ~params problems
+      in
+      let a = List.hd res in
+      ( Printf.sprintf "lookahead=%.2f" w,
+        [ a.Runner.mean_depth; a.Runner.mean_swaps ] ))
+    [ 0.0; 0.25; 0.5; 1.0 ]
 
-let qaim_strength_order ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let qaim_strength_order =
+  Experiment.make Experiment.Ablation "qaim-strength-order"
+    ~title:"connectivity-strength neighbor order on a 36-qubit grid"
+    ~columns:[ "QAIM/NAIVE depth"; "QAIM/NAIVE gates" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20200 in
-  header ~quiet "qaim-strength-order"
-    "connectivity-strength neighbor order on a 36-qubit grid" scale;
   let device = Topologies.grid_6x6 () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Regular 3) ~n:28
       ~count:(count scale ~paper:20)
   in
-  let rows =
-    List.map
-      (fun order ->
-        let options =
-          {
-            Compile.default_options with
-            qaim = { Qaim.strength_order = order };
-          }
-        in
-        let res =
-          Runner.run ~base_seed:seed ~options ?journal
-            ~experiment:
-              (Printf.sprintf "ablation/qaim-strength-order/order=%d" order)
-            ~device
-            ~strategies:[ Compile.Naive; Compile.Qaim ]
-            ~params problems
-        in
-        let r metric = Runner.ratio res ~num:Compile.Qaim ~den:Compile.Naive metric in
-        ( Printf.sprintf "order=%d" order,
-          [
-            r (fun a -> a.Runner.mean_depth);
-            r (fun a -> a.Runner.mean_gates);
-          ] ))
-      [ 1; 2; 3 ]
-  in
-  print_rows ~quiet [ "QAIM/NAIVE depth"; "QAIM/NAIVE gates" ] rows;
-  rows
+  List.map
+    (fun order ->
+      let options =
+        {
+          Compile.default_options with
+          qaim = { Qaim.strength_order = order };
+        }
+      in
+      let res =
+        Runner.run ~base_seed:seed ~options ?journal
+          ~experiment:
+            (Printf.sprintf "ablation/qaim-strength-order/order=%d" order)
+          ~device
+          ~strategies:[ Compile.Naive; Compile.Qaim ]
+          ~params problems
+      in
+      let r metric = Runner.ratio res ~num:Compile.Qaim ~den:Compile.Naive metric in
+      ( Printf.sprintf "order=%d" order,
+        [
+          r (fun a -> a.Runner.mean_depth);
+          r (fun a -> a.Runner.mean_gates);
+        ] ))
+    [ 1; 2; 3 ]
 
-let peephole ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let peephole =
+  Experiment.make Experiment.Ablation "peephole"
+    ~title:"post-routing CNOT cancellation per strategy, ER(0.5)-20, tokyo"
+    ~columns:[ "gates (off)"; "gates (on)"; "reduction %" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20300 in
-  header ~quiet "peephole" "post-routing CNOT cancellation per strategy, ER(0.5)-20, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Erdos_renyi 0.5) ~n:20
       ~count:(count scale ~paper:20)
   in
   let strategies = [ Compile.Naive; Compile.Qaim; Compile.Ip; Compile.Ic None ] in
-  let rows =
-    List.filter_map
-      (fun strategy ->
-        Sweep.row ?journal
-          ~key:
-            (Printf.sprintf "ablation/peephole/%s"
-               (Compile.strategy_name strategy))
-          ~label:(Compile.strategy_name strategy)
-          (fun () ->
-            let gates ~peephole =
-              Stats.mean
-                (List.mapi
-                   (fun i problem ->
-                     let options =
-                       { Compile.default_options with seed = seed + i; peephole }
-                     in
-                     let r = Compile.compile ~options ~strategy device problem params in
-                     float_of_int r.Compile.metrics.Metrics.gate_count)
-                   problems)
-            in
-            let off = gates ~peephole:false and on = gates ~peephole:true in
-            [ off; on; 100.0 *. (off -. on) /. off ]))
-      strategies
-  in
-  print_rows ~quiet [ "gates (off)"; "gates (on)"; "reduction %" ] rows;
-  rows
+  List.filter_map
+    (fun strategy ->
+      Sweep.row ?journal
+        ~key:
+          (Printf.sprintf "ablation/peephole/%s"
+             (Compile.strategy_name strategy))
+        ~label:(Compile.strategy_name strategy)
+        (fun () ->
+          let gates ~peephole =
+            Stats.mean
+              (List.mapi
+                 (fun i problem ->
+                   let options =
+                     { Compile.default_options with seed = seed + i; peephole }
+                   in
+                   let r = Compile.compile ~options ~strategy device problem params in
+                   float_of_int r.Compile.metrics.Metrics.gate_count)
+                 problems)
+          in
+          let off = gates ~peephole:false and on = gates ~peephole:true in
+          [ off; on; 100.0 *. (off -. on) /. off ]))
+    strategies
 
-let reverse_traversal ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let reverse_traversal =
+  Experiment.make Experiment.Ablation "reverse-traversal"
+    ~title:"mapping refinement iterations, 10-node 3-regular, melbourne"
+    ~columns:[ "mean swaps" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20400 in
-  header ~quiet "reverse-traversal" "mapping refinement iterations, 10-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Regular 3) ~n:10
       ~count:(count scale ~paper:20)
   in
-  let rows =
-    List.filter_map
-      (fun iterations ->
-        Sweep.row ?journal
-          ~key:
-            (Printf.sprintf "ablation/reverse-traversal/iterations=%d"
-               iterations)
-          ~label:(Printf.sprintf "iterations=%d" iterations)
-          (fun () ->
-            let swaps =
-              List.mapi
-                (fun i problem ->
-                  let rng = Rng.create (seed + i) in
-                  let circuit = Ansatz.circuit ~measure:false problem params in
-                  let initial = Naive.initial_mapping rng device problem in
-                  let refined =
-                    Reverse_traversal.refine ~iterations ~device ~initial
-                      circuit
-                  in
-                  float_of_int
-                    (Router.route ~device ~initial:refined circuit)
-                      .Router.swap_count)
-                problems
-            in
-            [ Stats.mean swaps ]))
-      [ 0; 1; 2; 3; 4 ]
-  in
-  print_rows ~quiet [ "mean swaps" ] rows;
-  rows
+  List.filter_map
+    (fun iterations ->
+      Sweep.row ?journal
+        ~key:
+          (Printf.sprintf "ablation/reverse-traversal/iterations=%d"
+             iterations)
+        ~label:(Printf.sprintf "iterations=%d" iterations)
+        (fun () ->
+          let swaps =
+            List.mapi
+              (fun i problem ->
+                let rng = Rng.create (seed + i) in
+                let circuit = Ansatz.circuit ~measure:false problem params in
+                let initial = Naive.initial_mapping rng device problem in
+                let refined =
+                  Reverse_traversal.refine ~iterations ~device ~initial
+                    circuit
+                in
+                float_of_int
+                  (Router.route ~device ~initial:refined circuit)
+                    .Router.swap_count)
+              problems
+          in
+          [ Stats.mean swaps ]))
+    [ 0; 1; 2; 3; 4 ]
 
-let mapper_shootout ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let mapper_shootout =
+  Experiment.make Experiment.Ablation "mapper-shootout"
+    ~title:"initial-mapping policies incl. VQA, 10-node 3-regular, melbourne"
+    ~columns:[ "mean depth"; "mean gates"; "mean success" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20500 in
-  header ~quiet "mapper-shootout" "initial-mapping policies incl. VQA, 10-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let cal = Device.calibration_exn device in
   let problems =
@@ -203,215 +191,208 @@ let mapper_shootout ?(scale = Figures.Default) ?journal ?(quiet = false) () =
       ("VQA", fun rng problem -> Vqa.initial_mapping rng device problem);
     ]
   in
-  let rows =
-    List.filter_map
-      (fun (name, mapper) ->
-        Sweep.row ?journal
-          ~key:(Printf.sprintf "ablation/mapper-shootout/%s" name)
-          ~label:name
-          (fun () ->
-            let stats =
-              List.mapi
-                (fun i problem ->
-                  let rng = Rng.create (seed + i) in
-                  let initial = mapper rng problem in
-                  let circuit =
-                    Ansatz.circuit ~measure:false
-                      ~orders:[ Naive.cphase_order rng problem ]
-                      problem params
-                  in
-                  let r = Router.route ~device ~initial circuit in
-                  let m = Metrics.of_circuit r.Router.circuit in
-                  ( float_of_int m.Metrics.depth,
-                    float_of_int m.Metrics.gate_count,
-                    Qaoa_hardware.Success.of_circuit cal r.Router.circuit ))
-                problems
-            in
-            let pick f = Stats.mean (List.map f stats) in
-            [
-              pick (fun (d, _, _) -> d);
-              pick (fun (_, g, _) -> g);
-              pick (fun (_, _, s) -> s);
-            ]))
-      mappers
-  in
-  print_rows ~quiet [ "mean depth"; "mean gates"; "mean success" ] rows;
-  rows
+  List.filter_map
+    (fun (name, mapper) ->
+      Sweep.row ?journal
+        ~key:(Printf.sprintf "ablation/mapper-shootout/%s" name)
+        ~label:name
+        (fun () ->
+          let stats =
+            List.mapi
+              (fun i problem ->
+                let rng = Rng.create (seed + i) in
+                let initial = mapper rng problem in
+                let circuit =
+                  Ansatz.circuit ~measure:false
+                    ~orders:[ Naive.cphase_order rng problem ]
+                    problem params
+                in
+                let r = Router.route ~device ~initial circuit in
+                let m = Metrics.of_circuit r.Router.circuit in
+                ( float_of_int m.Metrics.depth,
+                  float_of_int m.Metrics.gate_count,
+                  Qaoa_hardware.Success.of_circuit cal r.Router.circuit ))
+              problems
+          in
+          let pick f = Stats.mean (List.map f stats) in
+          [
+            pick (fun (d, _, _) -> d);
+            pick (fun (_, g, _) -> g);
+            pick (fun (_, _, s) -> s);
+          ]))
+    mappers
 
-let iterative_recompilation ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let iterative =
+  Experiment.make Experiment.Ablation "iterative"
+    ~title:"single-shot IC vs iterative recompilation (Sec. VII trade-off)"
+    ~columns:[ "mean depth"; "mean compile time (s)" ]
+    ~notes:[ "Sec. VII quotes ~10x-600x time penalty for iterative flows" ]
+  @@ fun ~scale ~journal ->
   let seed = 20600 in
-  header ~quiet "iterative" "single-shot IC vs iterative recompilation (Sec. VII trade-off)" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Erdos_renyi 0.5) ~n:16
       ~count:(count scale ~paper:12)
   in
   let mean_of f l = Stats.mean (List.map f l) in
-  let rows =
-    List.filter_map Fun.id
-      [
-        Sweep.row ?journal ~key:"ablation/iterative/single-shot"
-          ~label:"IC single-shot"
-          (fun () ->
-            let single =
-              List.mapi
-                (fun i problem ->
-                  let options =
-                    { Compile.default_options with seed = seed + i }
-                  in
-                  let r =
-                    Compile.compile ~options ~strategy:(Compile.Ic None)
-                      device problem params
-                  in
-                  ( float_of_int r.Compile.metrics.Metrics.depth,
-                    r.Compile.compile_cpu_s ))
-                problems
-            in
-            [ mean_of fst single; mean_of snd single ]);
-        Sweep.row ?journal ~key:"ablation/iterative/iterative"
-          ~label:"IC iterative"
-          (fun () ->
-            let iterated =
-              List.mapi
-                (fun i problem ->
-                  let base = { Compile.default_options with seed = seed + i } in
-                  let r =
-                    Iterative.compile ~patience:4 ~max_rounds:16 ~base
-                      ~strategy:(Compile.Ic None) device problem params
-                  in
-                  ( float_of_int r.Iterative.best.Compile.metrics.Metrics.depth,
-                    r.Iterative.total_time ))
-                problems
-            in
-            [ mean_of fst iterated; mean_of snd iterated ]);
-      ]
-  in
-  print_rows ~quiet [ "mean depth"; "mean compile time (s)" ] rows;
-  if not quiet then
-    Printf.printf
-      "  (paper Sec. VII quotes ~10x-600x time penalty for iterative flows)\n";
-  rows
+  List.filter_map Fun.id
+    [
+      Sweep.row ?journal ~key:"ablation/iterative/single-shot"
+        ~label:"IC single-shot"
+        (fun () ->
+          let single =
+            List.mapi
+              (fun i problem ->
+                let options =
+                  { Compile.default_options with seed = seed + i }
+                in
+                let r =
+                  Compile.compile ~options ~strategy:(Compile.Ic None)
+                    device problem params
+                in
+                ( float_of_int r.Compile.metrics.Metrics.depth,
+                  r.Compile.compile_cpu_s ))
+              problems
+          in
+          [ mean_of fst single; mean_of snd single ]);
+      Sweep.row ?journal ~key:"ablation/iterative/iterative"
+        ~label:"IC iterative"
+        (fun () ->
+          let iterated =
+            List.mapi
+              (fun i problem ->
+                let base = { Compile.default_options with seed = seed + i } in
+                let r =
+                  Iterative.compile ~patience:4 ~max_rounds:16 ~base
+                    ~strategy:(Compile.Ic None) device problem params
+                in
+                ( float_of_int r.Iterative.best.Compile.metrics.Metrics.depth,
+                  r.Iterative.total_cpu_s ))
+              problems
+          in
+          [ mean_of fst iterated; mean_of snd iterated ]);
+    ]
 
-let qaoa_levels ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let qaoa_levels =
+  Experiment.make Experiment.Ablation "qaoa-levels"
+    ~title:"IC depth/gates scaling with p, 12-node 3-regular, melbourne"
+    ~columns:[ "mean depth"; "mean gates" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20700 in
-  header ~quiet "qaoa-levels" "IC depth/gates scaling with p, 12-node 3-regular, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Regular 3) ~n:12
       ~count:(count scale ~paper:12)
   in
-  let rows =
-    List.map
-      (fun p ->
-        let prms =
-          { Ansatz.gammas = Array.make p 0.7; betas = Array.make p 0.4 }
-        in
-        let res =
-          Runner.run ~base_seed:seed ?journal
-            ~experiment:(Printf.sprintf "ablation/qaoa-levels/p=%d" p)
-            ~device ~strategies:[ Compile.Ic None ] ~params:prms problems
-        in
-        let a = List.hd res in
-        (Printf.sprintf "p=%d" p, [ a.Runner.mean_depth; a.Runner.mean_gates ]))
-      [ 1; 2; 3 ]
-  in
-  print_rows ~quiet [ "mean depth"; "mean gates" ] rows;
-  rows
+  List.map
+    (fun p ->
+      let prms =
+        { Ansatz.gammas = Array.make p 0.7; betas = Array.make p 0.4 }
+      in
+      let res =
+        Runner.run ~base_seed:seed ?journal
+          ~experiment:(Printf.sprintf "ablation/qaoa-levels/p=%d" p)
+          ~device ~strategies:[ Compile.Ic None ] ~params:prms problems
+      in
+      let a = List.hd res in
+      (Printf.sprintf "p=%d" p, [ a.Runner.mean_depth; a.Runner.mean_gates ]))
+    [ 1; 2; 3 ]
 
-let swap_network_crossover ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let swap_network =
+  Experiment.make Experiment.Ablation "swap-network"
+    ~title:"IC vs odd-even swap network across densities, 24-node ER, 6x6 grid"
+    ~columns:[ "IC depth"; "network depth"; "IC swaps"; "network swaps" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20900 in
-  header ~quiet "swap-network" "IC vs odd-even swap network across densities, 24-node ER, 6x6 grid" scale;
   let device = Topologies.grid_6x6 () in
   let line = Qaoa_core.Swap_network.serpentine_line ~rows:6 ~cols:6 in
-  let rows =
-    List.filter_map
-      (fun p ->
-        Sweep.row ?journal
-          ~key:(Printf.sprintf "ablation/swap-network/p=%.1f" p)
-          ~label:(Printf.sprintf "ER(p=%.1f)" p)
-          (fun () ->
-            let problems =
-              Workload.problems
-                (Rng.create (seed + int_of_float (p *. 100.)))
-                (Workload.Erdos_renyi p) ~n:24 ~count:(count scale ~paper:12)
-            in
-            let stats =
-              List.mapi
-                (fun i problem ->
-                  let options =
-                    { Compile.default_options with seed = seed + i }
-                  in
-                  let ic =
-                    Compile.compile ~options ~strategy:(Compile.Ic None) device
-                      problem params
-                  in
-                  let sn =
-                    Qaoa_core.Swap_network.compile ~line device problem params
-                  in
-                  let sn_metrics = Metrics.of_circuit sn.Router.circuit in
-                  ( float_of_int ic.Compile.metrics.Metrics.depth,
-                    float_of_int sn_metrics.Metrics.depth,
-                    float_of_int ic.Compile.swap_count,
-                    float_of_int sn.Router.swap_count ))
-                problems
-            in
-            let pick f = Stats.mean (List.map f stats) in
-            [
-              pick (fun (a, _, _, _) -> a);
-              pick (fun (_, b, _, _) -> b);
-              pick (fun (_, _, c, _) -> c);
-              pick (fun (_, _, _, d) -> d);
-            ]))
-      [ 0.2; 0.4; 0.6; 0.8 ]
-  in
-  print_rows ~quiet
-    [ "IC depth"; "network depth"; "IC swaps"; "network swaps" ]
-    rows;
-  rows
+  List.filter_map
+    (fun p ->
+      Sweep.row ?journal
+        ~key:(Printf.sprintf "ablation/swap-network/p=%.1f" p)
+        ~label:(Printf.sprintf "ER(p=%.1f)" p)
+        (fun () ->
+          let problems =
+            Workload.problems
+              (Rng.create (seed + int_of_float (p *. 100.)))
+              (Workload.Erdos_renyi p) ~n:24 ~count:(count scale ~paper:12)
+          in
+          let stats =
+            List.mapi
+              (fun i problem ->
+                let options =
+                  { Compile.default_options with seed = seed + i }
+                in
+                let ic =
+                  Compile.compile ~options ~strategy:(Compile.Ic None) device
+                    problem params
+                in
+                let sn =
+                  Qaoa_core.Swap_network.compile ~line device problem params
+                in
+                let sn_metrics = Metrics.of_circuit sn.Router.circuit in
+                ( float_of_int ic.Compile.metrics.Metrics.depth,
+                  float_of_int sn_metrics.Metrics.depth,
+                  float_of_int ic.Compile.swap_count,
+                  float_of_int sn.Router.swap_count ))
+              problems
+          in
+          let pick f = Stats.mean (List.map f stats) in
+          [
+            pick (fun (a, _, _, _) -> a);
+            pick (fun (_, b, _, _) -> b);
+            pick (fun (_, _, c, _) -> c);
+            pick (fun (_, _, _, d) -> d);
+          ]))
+    [ 0.2; 0.4; 0.6; 0.8 ]
 
-let graph_families ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let graph_families =
+  Experiment.make Experiment.Ablation "graph-families"
+    ~title:"QAIM/IC benefit across workload families, 20-node, tokyo"
+    ~columns:[ "QAIM/NAIVE depth"; "IC/NAIVE depth"; "QAIM/NAIVE gates"; "IC/NAIVE gates" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 21200 in
-  header ~quiet "graph-families" "QAIM/IC benefit across workload families, 20-node, tokyo" scale;
   let device = Topologies.ibmq_20_tokyo () in
   let strategies = [ Compile.Naive; Compile.Qaim; Compile.Ic None ] in
-  let rows =
-    List.map
-      (fun kind ->
-        let problems =
-          Workload.problems
-            (Rng.create (seed + Hashtbl.hash (Workload.kind_name kind)))
-            kind ~n:20 ~count:(count scale ~paper:20)
-        in
-        let res =
-          Runner.run ~base_seed:seed ?journal
-            ~experiment:
-              (Printf.sprintf "ablation/graph-families/%s"
-                 (Workload.kind_name kind))
-            ~device ~strategies ~params problems
-        in
-        let r num metric = Runner.ratio res ~num ~den:Compile.Naive metric in
-        ( Workload.kind_name kind,
-          [
-            r Compile.Qaim (fun a -> a.Runner.mean_depth);
-            r (Compile.Ic None) (fun a -> a.Runner.mean_depth);
-            r Compile.Qaim (fun a -> a.Runner.mean_gates);
-            r (Compile.Ic None) (fun a -> a.Runner.mean_gates);
-          ] ))
-      [
-        Workload.Erdos_renyi 0.3;
-        Workload.Regular 3;
-        Workload.Barabasi_albert 2;
-        Workload.Watts_strogatz (4, 0.3);
-      ]
-  in
-  print_rows ~quiet
-    [ "QAIM/NAIVE depth"; "IC/NAIVE depth"; "QAIM/NAIVE gates"; "IC/NAIVE gates" ]
-    rows;
-  rows
+  List.map
+    (fun kind ->
+      let problems =
+        Workload.problems
+          (Rng.create (seed + Hashtbl.hash (Workload.kind_name kind)))
+          kind ~n:20 ~count:(count scale ~paper:20)
+      in
+      let res =
+        Runner.run ~base_seed:seed ?journal
+          ~experiment:
+            (Printf.sprintf "ablation/graph-families/%s"
+               (Workload.kind_name kind))
+          ~device ~strategies ~params problems
+      in
+      let r num metric = Runner.ratio res ~num ~den:Compile.Naive metric in
+      ( Workload.kind_name kind,
+        [
+          r Compile.Qaim (fun a -> a.Runner.mean_depth);
+          r (Compile.Ic None) (fun a -> a.Runner.mean_depth);
+          r Compile.Qaim (fun a -> a.Runner.mean_gates);
+          r (Compile.Ic None) (fun a -> a.Runner.mean_gates);
+        ] ))
+    [
+      Workload.Erdos_renyi 0.3;
+      Workload.Regular 3;
+      Workload.Barabasi_albert 2;
+      Workload.Watts_strogatz (4, 0.3);
+    ]
 
-let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let heavy_hex =
+  Experiment.make Experiment.Ablation "heavy-hex"
+    ~title:"methodologies on the 27-qubit heavy-hex lattice, 20-node 3-regular"
+    ~columns:[ "depth/NAIVE"; "gates/NAIVE" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 21000 in
-  header ~quiet "heavy-hex" "methodologies on the 27-qubit heavy-hex lattice, 20-node 3-regular" scale;
   let device = Topologies.heavy_hex_27 () in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Regular 3) ~n:20
@@ -423,22 +404,22 @@ let heavy_hex_generalization ?(scale = Figures.Default) ?journal ?(quiet = false
       ~device ~strategies ~params problems
   in
   let naive = Runner.find res Compile.Naive in
-  let rows =
-    List.map
-      (fun a ->
-        ( Compile.strategy_name a.Runner.strategy,
-          [
-            Stats.ratio a.Runner.mean_depth naive.Runner.mean_depth;
-            Stats.ratio a.Runner.mean_gates naive.Runner.mean_gates;
-          ] ))
-      res
-  in
-  print_rows ~quiet [ "depth/NAIVE"; "gates/NAIVE" ] rows;
-  rows
+  List.map
+    (fun a ->
+      ( Compile.strategy_name a.Runner.strategy,
+        [
+          Stats.ratio a.Runner.mean_depth naive.Runner.mean_depth;
+          Stats.ratio a.Runner.mean_gates naive.Runner.mean_gates;
+        ] ))
+    res
 
-let crosstalk ?(scale = Figures.Default) ?journal ?(quiet = false) () =
+let crosstalk =
+  Experiment.make Experiment.Ablation "crosstalk"
+    ~title:"sequentializing the k most error-prone couplings, melbourne"
+    ~columns:[ "mean depth"; "mean conflicts" ]
+    ~notes:[]
+  @@ fun ~scale ~journal ->
   let seed = 20800 in
-  header ~quiet "crosstalk" "sequentializing the k most error-prone couplings, melbourne" scale;
   let device = Topologies.ibmq_16_melbourne () in
   let cal = Device.calibration_exn device in
   let worst_k k =
@@ -464,58 +445,35 @@ let crosstalk ?(scale = Figures.Default) ?journal ?(quiet = false) () =
              .Compile.circuit)
          problems)
   in
-  let rows =
-    List.filter_map
-      (fun k ->
-        Sweep.row ?journal
-          ~key:(Printf.sprintf "ablation/crosstalk/k=%d" k)
-          ~label:(Printf.sprintf "k=%d" k)
-          (fun () ->
-            let stats =
-              List.map
-                (fun circuit ->
-                  if k = 0 then (float_of_int (Layering.depth circuit), 0.0)
-                  else begin
-                    let seq, st =
-                      Crosstalk_pass.apply_with_stats
-                        ~high_crosstalk:(worst_k k) circuit
-                    in
-                    ( float_of_int (Layering.depth seq),
-                      float_of_int st.Crosstalk_pass.conflicts )
-                  end)
-                (Lazy.force compiled)
-            in
-            [
-              Stats.mean (List.map fst stats);
-              Stats.mean (List.map snd stats);
-            ]))
-      [ 0; 1; 3; 5 ]
-  in
-  print_rows ~quiet [ "mean depth"; "mean conflicts" ] rows;
-  rows
+  List.filter_map
+    (fun k ->
+      Sweep.row ?journal
+        ~key:(Printf.sprintf "ablation/crosstalk/k=%d" k)
+        ~label:(Printf.sprintf "k=%d" k)
+        (fun () ->
+          let stats =
+            List.map
+              (fun circuit ->
+                if k = 0 then (float_of_int (Layering.depth circuit), 0.0)
+                else begin
+                  let seq, st =
+                    Crosstalk_pass.apply_with_stats
+                      ~high_crosstalk:(worst_k k) circuit
+                  in
+                  ( float_of_int (Layering.depth seq),
+                    float_of_int st.Crosstalk_pass.conflicts )
+                end)
+              (Lazy.force compiled)
+          in
+          [
+            Stats.mean (List.map fst stats);
+            Stats.mean (List.map snd stats);
+          ]))
+    [ 0; 1; 3; 5 ]
 
-let all ?(scale = Figures.Default) ?journal () =
-  let a1 = router_lookahead ~scale ?journal () in
-  let a2 = qaim_strength_order ~scale ?journal () in
-  let a3 = peephole ~scale ?journal () in
-  let a4 = reverse_traversal ~scale ?journal () in
-  let a5 = mapper_shootout ~scale ?journal () in
-  let a6 = iterative_recompilation ~scale ?journal () in
-  let a7 = qaoa_levels ~scale ?journal () in
-  let a8 = swap_network_crossover ~scale ?journal () in
-  let a9 = heavy_hex_generalization ~scale ?journal () in
-  let a10 = crosstalk ~scale ?journal () in
-  let a11 = graph_families ~scale ?journal () in
+let all =
   [
-    ("router-lookahead", a1);
-    ("qaim-strength-order", a2);
-    ("peephole", a3);
-    ("reverse-traversal", a4);
-    ("mapper-shootout", a5);
-    ("iterative", a6);
-    ("qaoa-levels", a7);
-    ("swap-network", a8);
-    ("heavy-hex", a9);
-    ("crosstalk", a10);
-    ("graph-families", a11);
+    router_lookahead; qaim_strength_order; peephole; reverse_traversal;
+    mapper_shootout; iterative; qaoa_levels; swap_network; heavy_hex;
+    crosstalk; graph_families;
   ]

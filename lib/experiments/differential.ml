@@ -196,7 +196,7 @@ let shrink case =
   smaller @ (if case.p > 1 then [ { case with p = 1 } ] else [])
 
 let cases ?(seed = 2026) ?(count = 100) ?(topologies = default_topologies)
-    ?(strategies = default_strategies) ?(min_nodes = 6) ?(max_nodes = 12) () =
+    ?(strategies = default_strategies) ?(max_nodes = 12) () =
   if topologies = [] || strategies = [] then
     invalid_arg "Differential.cases: empty dimension";
   let rng = Rng.create seed in
@@ -207,7 +207,7 @@ let cases ?(seed = 2026) ?(count = 100) ?(topologies = default_topologies)
          let kind = Rng.choice_list rng kinds in
          let raw =
            min
-             (min_nodes + Rng.int rng (max 1 (max_nodes - min_nodes + 1)))
+             (6 + Rng.int rng (max 1 (max_nodes - 5)))
              (Device.num_qubits device - 1)
          in
          let nodes = fix_nodes kind raw in
@@ -217,8 +217,8 @@ let cases ?(seed = 2026) ?(count = 100) ?(topologies = default_topologies)
              { seed = case_seed; nodes; kind; topology; strategy; p = 1 })
            strategies))
 
-let fuzz ?seed ?count ?topologies ?strategies ?min_nodes ?max_nodes
-    ?max_semantic_qubits () =
+let fuzz ?seed ?count ?topologies ?strategies ?max_nodes ?max_semantic_qubits
+    () =
   Fuzz.run ~shrink
     ~run_case:(run_case ?max_semantic_qubits)
-    (cases ?seed ?count ?topologies ?strategies ?min_nodes ?max_nodes ())
+    (cases ?seed ?count ?topologies ?strategies ?max_nodes ())

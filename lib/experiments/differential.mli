@@ -64,7 +64,6 @@ val cases :
   ?count:int ->
   ?topologies:string list ->
   ?strategies:Qaoa_core.Compile.strategy list ->
-  ?min_nodes:int ->
   ?max_nodes:int ->
   unit ->
   case list
@@ -72,14 +71,13 @@ val cases :
     across all [strategies] - so the default sweep yields [7 * count]
     validations.  Graph families are drawn from ER(0.3), ER(0.5),
     3-regular and Barabasi-Albert(2).  Node counts are drawn uniformly from
-    [[min_nodes, max_nodes]] (default [[6, 12]]). *)
+    [[6, max_nodes]] ([max_nodes] defaults to 12). *)
 
 val fuzz :
   ?seed:int ->
   ?count:int ->
   ?topologies:string list ->
   ?strategies:Qaoa_core.Compile.strategy list ->
-  ?min_nodes:int ->
   ?max_nodes:int ->
   ?max_semantic_qubits:int ->
   unit ->

@@ -3,7 +3,7 @@
     RFC-4180-style quoting: fields containing commas, quotes or newlines
     are double-quoted with embedded quotes doubled. *)
 
-val csv_of_rows : columns:string list -> Figures.row list -> string
+val csv_of_rows : columns:string list -> Experiment.row list -> string
 (** Header line ["workload", columns...] then one line per row.  Row
     value lists shorter than [columns] are padded with empty fields;
     longer ones raise [Invalid_argument]. *)
@@ -11,13 +11,13 @@ val csv_of_rows : columns:string list -> Figures.row list -> string
 val escape_field : string -> string
 (** The quoting rule applied to every field. *)
 
-val write_file : path:string -> columns:string list -> Figures.row list -> unit
+val write_file : path:string -> columns:string list -> Experiment.row list -> unit
 (** [csv_of_rows] to a file, atomically
     ({!Qaoa_journal.Atomic_write.write}): readers and crashes see either
     the previous complete file or the new one, never a torn CSV. *)
 
 val export_all :
-  dir:string -> (string * string list * Figures.row list) list -> string list
+  dir:string -> (string * string list * Experiment.row list) list -> string list
 (** [(name, columns, rows)] triples to [dir/name.csv]; [dir] is created
     recursively if missing (and left untouched if it already exists).
     Each file is written atomically.  Returns the written paths. *)

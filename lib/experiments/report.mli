@@ -1,30 +1,27 @@
-(** Markdown report generation: turns figure/ablation rows into an
-    EXPERIMENTS.md-style document, so a bench run leaves a
-    self-describing artifact next to its CSVs. *)
+(** The one path from experiment records to their readers: the printed
+    tables, the CSVs and [report.md] all come from the same
+    {!Experiment.t}, so a title, column name or paper note is never
+    copied. *)
 
-type section = {
-  id : string;  (** e.g. "fig9" *)
-  title : string;
-  columns : string list;
-  rows : Figures.row list;
-  paper_notes : string list;  (** the paper's reference numbers, verbatim *)
-}
+val run :
+  ?journal:Qaoa_journal.Journal.t ->
+  ?export:string ->
+  scale:Experiment.scale ->
+  Experiment.t list ->
+  unit
+(** For each record in order, compute its rows, then print
+    ["=== id: title [scale=s] ==="], its table (a ["workload"] column,
+    then the record's columns) and one ["  paper: "] line per note.
+    With [export = dir], also write [dir/<id>.csv] ([ablation_<id>.csv]
+    for an ablation) as soon as the rows are computed, with header
+    [workload,v0,...] (one [v<i>] per column, see
+    {!Export.csv_of_rows}), and after the last record [dir/report.md]
+    ({!to_markdown}).  [dir] is created by the first write, and every
+    file is written atomically.  [journal] is passed to every
+    record. *)
 
-val section_to_markdown : section -> string
-(** "## id - title", a column-aligned table, then a blockquote of paper
-    notes. *)
-
-val to_markdown : scale:Figures.scale -> section list -> string
-(** Full document with a provenance header (scale, library name). *)
-
-val write : path:string -> scale:Figures.scale -> section list -> unit
-
-val known_sections : (string * (string * string list * string list)) list
-(** Per figure id: (title, column names, paper notes) - the metadata the
-    bench harness combines with measured rows.  Covers fig7..fig12,
-    ring8 and every ablation id. *)
-
-val section_of_rows : scale:Figures.scale -> string -> Figures.row list -> section
-(** Look up [known_sections] metadata for the id (unknown ids get
-    generic headers) and attach the measured rows.  [scale] is recorded
-    in the title. *)
+val to_markdown :
+  scale:Experiment.scale -> (Experiment.t * Experiment.row list) list -> string
+(** A provenance header, then per record a ["## id: title [scale=s]"]
+    heading (the printed one), its table and one ["> paper: "] line per
+    note. *)

@@ -149,16 +149,11 @@ let supervised_cell ?journal ~key f =
     | Supervisor.Completed c -> Some c
     | Supervisor.Quarantined _ -> None)
 
-let count ~paper = function
-  | Figures.Full -> paper
-  | Figures.Default -> max 2 (paper / 6)
-  | Figures.Smoke -> 2
-
 let workloads = [ Workload.Erdos_renyi 0.5; Workload.Regular 6 ]
 let sizes = [ 13; 14; 15 ]
 
-let run ?(scale = Figures.Default) ?journal ?(seed = 13000) ?(quiet = false)
-    ?device ?deadline_s ?(verify = false) ?(retries = 1) () =
+let run ?(scale = Experiment.Default) ?journal ?(seed = 13000) ?device
+    ?deadline_s ?(verify = false) ?(retries = 1) () =
   let base_device =
     match device with
     | Some ({ Device.calibration = Some _; _ } as d) -> d
@@ -167,14 +162,13 @@ let run ?(scale = Figures.Default) ?journal ?(seed = 13000) ?(quiet = false)
       Device.with_random_calibration (Rng.create seed)
         (Topologies.ibmq_20_tokyo ())
   in
-  if not quiet then
-    Printf.printf
-      "\n=== Resilience: fault sweep, fallback compilation, %s  [scale=%s] ===\n"
-      base_device.Device.name (Figures.scale_name scale);
+  Printf.printf
+    "\n=== Resilience: fault sweep, fallback compilation, %s  [scale=%s] ===\n"
+    base_device.Device.name (Experiment.scale_name scale);
   let options =
     { Compile.default_options with seed; verify; deadline_s }
   in
-  let c = count ~paper:20 scale in
+  let c = Figures.count ~paper:20 scale in
   let params = Workload.default_params in
   let rows =
     List.concat_map
@@ -238,30 +232,28 @@ let run ?(scale = Figures.Default) ?journal ?(seed = 13000) ?(quiet = false)
           sizes)
       workloads
   in
-  if not quiet then begin
-    let t =
-      Table.create
+  let t =
+    Table.create
+      [
+        "scenario"; "workload"; "ok"; "fb"; "exh"; "att"; "depth x";
+        "swaps x"; "succ x"; "winner";
+      ]
+  in
+  List.iter
+    (fun r ->
+      Table.add_row t
         [
-          "scenario"; "workload"; "ok"; "fb"; "exh"; "att"; "depth x";
-          "swaps x"; "succ x"; "winner";
-        ]
-    in
-    List.iter
-      (fun r ->
-        Table.add_row t
-          [
-            r.scenario;
-            r.workload;
-            Printf.sprintf "%d/%d" r.compiled r.instances;
-            string_of_int r.fallback_recovered;
-            string_of_int r.exhausted;
-            Table.float_cell ~decimals:1 r.mean_attempts;
-            Table.float_cell r.depth_ratio;
-            Table.float_cell r.swap_ratio;
-            Table.float_cell r.success_ratio;
-            (match r.winners with (name, _) :: _ -> name | [] -> "-");
-          ])
-      rows;
-    Table.print t
-  end;
+          r.scenario;
+          r.workload;
+          Printf.sprintf "%d/%d" r.compiled r.instances;
+          string_of_int r.fallback_recovered;
+          string_of_int r.exhausted;
+          Table.float_cell ~decimals:1 r.mean_attempts;
+          Table.float_cell r.depth_ratio;
+          Table.float_cell r.swap_ratio;
+          Table.float_cell r.success_ratio;
+          (match r.winners with (name, _) :: _ -> name | [] -> "-");
+        ])
+    rows;
+  Table.print t;
   rows

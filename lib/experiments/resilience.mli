@@ -34,10 +34,9 @@ type row = {
 }
 
 val run :
-  ?scale:Figures.scale ->
+  ?scale:Experiment.scale ->
   ?journal:Qaoa_journal.Journal.t ->
   ?seed:int ->
-  ?quiet:bool ->
   ?device:Qaoa_hardware.Device.t ->
   ?deadline_s:float ->
   ?verify:bool ->
@@ -45,7 +44,7 @@ val run :
   unit ->
   row list
 (** Run the {!Qaoa_resilience.Faultspace.default} scenario sweep and
-    print one table row per scenario x workload unless [quiet].
+    print one table row per scenario x workload.
     [device] defaults to tokyo; an uncalibrated device gets a fixed-seed
     synthetic calibration attached (VIC and the success metric need
     one).  Registers smaller than the largest workload would conflate

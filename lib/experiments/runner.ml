@@ -158,3 +158,8 @@ let find aggregates strategy =
 
 let ratio aggregates ~num ~den metric =
   Stats.ratio (metric (find aggregates num)) (metric (find aggregates den))
+
+let ratios aggregates ~den ~nums metrics =
+  List.concat_map
+    (fun metric -> List.map (fun num -> ratio aggregates ~num ~den metric) nums)
+    metrics

@@ -59,3 +59,13 @@ val ratio :
   float
 (** Ratio of a metric between two strategies, e.g.
     [ratio res ~num:Qaim ~den:Naive (fun a -> a.mean_depth)]. *)
+
+val ratios :
+  aggregate list ->
+  den:Qaoa_core.Compile.strategy ->
+  nums:Qaoa_core.Compile.strategy list ->
+  (aggregate -> float) list ->
+  float list
+(** {!ratio} of each metric for each numerator, metric-major:
+    [ratios res ~den:Naive ~nums:[Greedy_v; Qaim] [depth; gates]] is
+    [GreedyV depth; QAIM depth; GreedyV gates; QAIM gates]. *)

@@ -15,24 +15,23 @@ val scenario : ?label:string -> Fault.t list -> scenario
 val baseline : scenario
 (** The healthy device: no faults, labelled ["healthy"]. *)
 
-val dead_qubit_sweep : ?counts:int list -> unit -> scenario list
-(** One scenario per count (default [[1; 2; 3]]). *)
+val dead_qubit_sweep : scenario list
+(** One scenario per count of dead qubits: 1, 2 and 3. *)
 
-val severed_coupling_sweep : ?counts:int list -> unit -> scenario list
-(** One scenario per count (default [[1; 2; 4]]). *)
+val severed_coupling_sweep : scenario list
+(** One scenario per count of severed couplings: 1, 2 and 4. *)
 
-val drift_sweep : ?sigmas:float list -> unit -> scenario list
-(** One scenario per drift sigma (default [[0.1; 0.25; 0.5]]). *)
+val drift_sweep : scenario list
+(** One scenario per drift sigma: 0.1, 0.25 and 0.5. *)
 
-val drop_sweep : ?fractions:float list -> unit -> scenario list
-(** One scenario per dropped-calibration fraction
-    (default [[0.1; 0.2; 0.5]]). *)
+val drop_sweep : scenario list
+(** One scenario per dropped-calibration fraction: 0.1, 0.2 and 0.5. *)
 
 val cross : scenario list -> scenario list -> scenario list
 (** Cartesian product, concatenating fault lists and joining labels
     with ["+"]. *)
 
 val default : scenario list
-(** {!baseline}, every per-axis sweep at defaults, plus the compound
+(** {!baseline}, every per-axis sweep, plus the compound
     stress scenario [dead*2+drop(20%)] the acceptance criterion names
     (two random dead qubits and 20% of calibration entries missing). *)

@@ -1,54 +1,6 @@
 module Metrics_registry = Qaoa_obs.Metrics_registry
 
-(* Above the largest request a client should send: a K256 graph is
-   about 0.3 MB of JSON, and the p = 1 K256 ansatz as a QASM request
-   about 1.8 MB. *)
-let max_line_bytes = 4 * 1024 * 1024
-
-(* Line framing for both ends of the socket.  Each [feed] scans only
-   the bytes just read, so framing is linear in the bytes received.  A
-   line longer than [max_line] is reported once, as soon as it
-   overflows, and then skipped up to its newline; nothing of it is
-   kept. *)
-module Framer = struct
-  type t = {
-    max_line : int;
-    line : Buffer.t;  (** the current line's bytes so far *)
-    mutable skipping : bool;  (** inside an over-long line, reported *)
-  }
-
-  let create ~max_line =
-    { max_line; line = Buffer.create 256; skipping = false }
-
-  let rec newline b pos stop =
-    if pos >= stop || Bytes.unsafe_get b pos = '\n' then pos
-    else newline b (pos + 1) stop
-
-  (* Frame [len] bytes of [b] from [off]: [emit (Some line)] for each
-     complete line, [emit None] once for each over-long one.  A
-     trailing fragment waits for the next feed. *)
-  let feed t b off len emit =
-    let stop = off + len in
-    let rec go pos =
-      if pos < stop then begin
-        let nl = newline b pos stop in
-        if not t.skipping then
-          if Buffer.length t.line + (nl - pos) > t.max_line then begin
-            Buffer.reset t.line;
-            t.skipping <- true;
-            emit None
-          end
-          else Buffer.add_subbytes t.line b pos (nl - pos);
-        if nl < stop then begin
-          if not t.skipping then emit (Some (Buffer.contents t.line));
-          Buffer.clear t.line;
-          t.skipping <- false
-        end;
-        go (nl + 1)
-      end
-    in
-    go off
-end
+module Framer = Serve.Framer
 
 (* One client connection.  All mutation happens on the calling domain
    (produce/consume both run there); workers only ever carry the
@@ -169,10 +121,6 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
   if config.Serve.sort then
     invalid_arg "Daemon: sort is batch-only (a daemon stream has no end)";
   let handler = Serve.make_handler config in
-  let too_long =
-    Printf.sprintf "line longer than %d bytes (discarded up to its newline)"
-      max_line_bytes
-  in
   (* a client that disconnects mid-response must cost us an EPIPE, not
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -213,8 +161,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
     end
   in
   (* Each framed line, or over-long line, takes the next line number;
-     a trailing fragment at EOF is discarded - an unterminated request
-     was never fully sent. *)
+     at EOF an unterminated last line is answered, as in batch mode. *)
   let enqueue c line =
     c.line_no <- c.line_no + 1;
     c.inflight <- c.inflight + 1;
@@ -223,6 +170,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
   let read_conn c =
     match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
+      Framer.finish c.framer (enqueue c);
       c.eof <- true;
       if c.inflight = 0 then drop c
     | n -> Framer.feed c.framer rbuf 0 n (enqueue c)
@@ -262,7 +210,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
               Hashtbl.replace conns cfd
                 {
                   fd = cfd;
-                  framer = Framer.create ~max_line:max_line_bytes;
+                  framer = Framer.create ~max_line:Serve.max_line_bytes;
                   line_no = 0;
                   inflight = 0;
                   eof = false;
@@ -326,10 +274,7 @@ let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
       ignore
         (Pool.stream_poll ~workers:config.Serve.workers
            ~queue_capacity:config.Serve.queue_capacity ~on_complete ~produce
-           ~consume (fun (c, (line_no, line)) ->
-             match line with
-             | Some line -> (c, handler (line_no, line))
-             | None -> (c, Serve.bad_line line_no too_long))));
+           ~consume (fun (c, item) -> (c, handler item))));
   stop_accepting ();
   List.iter drop (Hashtbl.fold (fun _ c acc -> c :: acc) conns []);
   {

@@ -23,11 +23,11 @@
     only the backstop that notices the [drain] flag when no signal
     interrupts the select.
 
-    {b Framing.}  Lines are framed in time linear in the bytes read.
-    A request line may hold up to {!max_line_bytes} bytes; a longer
-    one is answered with one [bad_request], carrying its line number,
-    as soon as it passes the cap, and the rest of it up to its newline
-    is discarded.  The connection and its other lines carry on.
+    {b Framing.}  Each connection is framed exactly as batch input is
+    ({!Serve.Framer}): a request line may hold up to
+    {!Serve.max_line_bytes} bytes, a longer one gets one [bad_request]
+    with its line number and the connection carries on, and at EOF an
+    unterminated last line is still answered.
 
     {b Fault containment.}  A poisoned request line is a structured
     [ok:false] response on its own connection; a client that
@@ -43,11 +43,6 @@
 
     Counters: [serve.connections], plus everything {!Serve} counts;
     the [stats] verb reports the in-flight gauge. *)
-
-val max_line_bytes : int
-(** 4 MiB: above the largest request a client should send (a K256
-    graph is about 0.3 MB of JSON, the p = 1 K256 ansatz as QASM about
-    1.8 MB), and the most a connection buffers. *)
 
 module Client : sig
   (** Line-framed client for the daemon protocol: connect with a

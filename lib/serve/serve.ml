@@ -38,6 +38,64 @@ type stats = {
   cache_stats : Cache.stats option;
 }
 
+(* Above the largest request a client should send: a K256 graph is
+   about 0.3 MB of JSON, and the p = 1 K256 ansatz as a QASM request
+   about 1.8 MB. *)
+let max_line_bytes = 4 * 1024 * 1024
+
+(* Line framing for batch input and both ends of the daemon's socket.
+   Each [feed] scans only the bytes just read, so framing is linear in
+   the bytes received.  A line longer than [max_line] is reported once,
+   as soon as it overflows, and then skipped up to its newline; nothing
+   of it is kept. *)
+module Framer = struct
+  type t = {
+    max_line : int;
+    line : Buffer.t;  (** the current line's bytes so far *)
+    mutable skipping : bool;  (** inside an over-long line, reported *)
+  }
+
+  let create ~max_line =
+    { max_line; line = Buffer.create 256; skipping = false }
+
+  let rec newline b pos stop =
+    if pos >= stop || Bytes.unsafe_get b pos = '\n' then pos
+    else newline b (pos + 1) stop
+
+  (* Frame [len] bytes of [b] from [off]: [emit (Some line)] for each
+     complete line, [emit None] once for each over-long one.  A
+     trailing fragment waits for the next feed. *)
+  let feed t b off len emit =
+    let stop = off + len in
+    let rec go pos =
+      if pos < stop then begin
+        let nl = newline b pos stop in
+        if not t.skipping then
+          if Buffer.length t.line + (nl - pos) > t.max_line then begin
+            Buffer.reset t.line;
+            t.skipping <- true;
+            emit None
+          end
+          else Buffer.add_subbytes t.line b pos (nl - pos);
+        if nl < stop then begin
+          if not t.skipping then emit (Some (Buffer.contents t.line));
+          Buffer.clear t.line;
+          t.skipping <- false
+        end;
+        go (nl + 1)
+      end
+    in
+    go off
+
+  (* End of input: an unterminated last line is still a line.  An
+     over-long one was reported when it passed the cap. *)
+  let finish t emit =
+    if (not t.skipping) && Buffer.length t.line > 0 then
+      emit (Some (Buffer.contents t.line));
+    Buffer.clear t.line;
+    t.skipping <- false
+end
+
 (* One processed line, ready to render. *)
 type outcome = {
   id : string option;  (** [None] = the line never parsed *)
@@ -87,11 +145,13 @@ let bad_request ~t0 ~line_no msg =
        ~extra:[ ("line", Json.Int line_no) ]
        ~kind:"bad_request" msg)
 
-(* A line that never reached the parser counts as a request, as a line
-   of malformed JSON does. *)
-let bad_line line_no msg =
+(* An over-long line never reaches the parser, but counts as a request,
+   as a line of malformed JSON does. *)
+let too_long line_no =
   Metrics_registry.incr "serve.requests";
-  bad_request ~t0:(Clock.wall ()) ~line_no msg
+  bad_request ~t0:(Clock.wall ()) ~line_no
+    (Printf.sprintf "line longer than %d bytes (discarded up to its newline)"
+       max_line_bytes)
 
 (* The full supervised path for one input line: parse it once, answer
    a control verb or validate the same value as a request, answer from
@@ -149,7 +209,10 @@ let make_handler config =
   let devices = Supervise.Devices.create () in
   Supervise.Devices.prewarm devices;
   let sup = Supervise.create config.supervise in
-  handle sup devices config.cache config.persist config.inflight
+  let handle = handle sup devices config.cache config.persist config.inflight in
+  function
+  | line_no, Some line -> handle (line_no, line)
+  | line_no, None -> too_long line_no
 
 let render config outcome =
   let id_json =
@@ -210,13 +273,24 @@ let serve config ~produce ~emit =
   }
 
 let run config ic oc =
-  let line_no = ref 0 in
-  let produce () =
-    match input_line ic with
-    | line ->
-      incr line_no;
-      Some (!line_no, line)
-    | exception End_of_file -> None
+  let framer = Framer.create ~max_line:max_line_bytes in
+  let buf = Bytes.create 4096 in
+  let framed = Queue.create () and line_no = ref 0 and eof = ref false in
+  let emit line =
+    incr line_no;
+    Queue.add (!line_no, line) framed
+  in
+  let rec produce () =
+    match Queue.take_opt framed with
+    | Some item -> Some item
+    | None when !eof -> None
+    | None ->
+      (match input ic buf 0 (Bytes.length buf) with
+      | 0 ->
+        eof := true;
+        Framer.finish framer emit
+      | n -> Framer.feed framer buf 0 n emit);
+      produce ()
   in
   let stats =
     serve config ~produce ~emit:(fun line ->
@@ -235,7 +309,7 @@ let run_lines config lines =
     | l :: rest ->
       remaining := rest;
       incr line_no;
-      Some (!line_no, l)
+      Some (!line_no, if String.length l > max_line_bytes then None else Some l)
   in
   let out = ref [] in
   let stats = serve config ~produce ~emit:(fun line -> out := line :: !out) in

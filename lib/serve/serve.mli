@@ -48,6 +48,14 @@
     produces a structured error response and the exit code is
     unchanged.
 
+    {b Framing.}  Batch input and each daemon connection are framed
+    the same way ({!Framer}), in time linear in the bytes read.  A
+    request line may hold up to {!max_line_bytes} bytes; a longer one
+    takes its line number, is answered with one [bad_request] whose
+    detail names the cap as soon as it passes it, and is discarded up
+    to its newline, while the lines around it carry on.  An
+    unterminated last line is answered like any other.
+
     With [timings] each response additionally carries ["cached"] and
     ["ms"] diagnostics - these are {e not} deterministic; leave
     [timings] off when diffing runs.
@@ -97,12 +105,14 @@ type stats = {
 }
 
 val run : config -> in_channel -> out_channel -> stats
-(** Serve every line of the input channel.  @raise Invalid_argument on
-    a non-positive [workers]/[queue_capacity]. *)
+(** Serve every line of the input channel, an unterminated last line
+    included.  @raise Invalid_argument on a non-positive
+    [workers]/[queue_capacity]. *)
 
 val run_lines : config -> string list -> string list * stats
 (** In-memory variant for tests and the bench harness: request lines
-    in, response lines (no trailing newlines) out. *)
+    in, response lines (no trailing newlines) out.  A line over
+    {!max_line_bytes} is answered as {!run} answers it. *)
 
 val gen_corpus : ?device:string -> seed:int -> count:int -> unit -> string list
 (** Deterministic request corpus for smoke tests and benchmarks:
@@ -111,20 +121,42 @@ val gen_corpus : ?device:string -> seed:int -> count:int -> unit -> string list
     request also asking for verification) against [device] (default
     ["tokyo"]). *)
 
+val max_line_bytes : int
+(** 4 MiB: above the largest request a client should send (a K256
+    graph is about 0.3 MB of JSON, the p = 1 K256 ansatz as QASM about
+    1.8 MB), and the most a batch run or a daemon connection buffers
+    for one line. *)
+
 (**/**)
 
 (** The daemon reuses the per-line machinery directly. *)
+
+(** Line framing, linear in the bytes fed: {!run}'s input, each daemon
+    connection and {!Daemon.Client} all frame with it. *)
+module Framer : sig
+  type t
+
+  val create : max_line:int -> t
+
+  val feed : t -> Bytes.t -> int -> int -> (string option -> unit) -> unit
+  (** [feed t b off len emit] frames [len] bytes of [b] from [off]:
+      [emit (Some line)] for each complete line (without its newline),
+      [emit None] once for each line that passes [max_line], as soon as
+      it does; the rest of that line is discarded up to its newline.
+      A trailing fragment waits for the next feed. *)
+
+  val finish : t -> (string option -> unit) -> unit
+  (** End of input: [emit] an unterminated last line, if any. *)
+end
 
 type outcome
 
 val outcome_error : outcome -> bool
 
-val make_handler : config -> int * string -> outcome
+val make_handler : config -> int * string option -> outcome
 (** One shared device table + supervisor for all calls; safe to call
-    from worker domains.  @raise Invalid_argument as {!run}. *)
-
-val bad_line : int -> string -> outcome
-(** The [bad_request] answer, with this message, for an input line that
-    never reached the parser (the daemon's over-long lines). *)
+    from worker domains.  [(line_no, None)] is a line the framer
+    reported as over {!max_line_bytes}: a [bad_request] naming the cap.
+    @raise Invalid_argument as {!run}. *)
 
 val render : config -> outcome -> string

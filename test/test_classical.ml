@@ -29,7 +29,7 @@ let test_local_search_reaches_local_optimum () =
   let rng = Rng.create 2 in
   let g = Generators.random_regular rng ~n:12 ~d:3 in
   let problem = Problem.of_maxcut g in
-  let bits, cost = Classical.local_search rng ~restarts:3 problem in
+  let bits, cost = Classical.local_search rng problem in
   Alcotest.(check (float 1e-9)) "cost consistent" cost (Problem.cost problem bits);
   (* no single flip improves *)
   for i = 0 to 11 do
@@ -68,9 +68,7 @@ let test_baselines_match_bruteforce_small () =
     let g = Generators.erdos_renyi (Rng.create (100 + seed)) ~n:10 ~p:0.5 in
     let problem = Problem.of_maxcut g in
     let _, optimum = Problem.brute_force_best problem in
-    let _, sa =
-      Classical.simulated_annealing rng ~steps:20000 problem
-    in
+    let _, sa = Classical.simulated_annealing rng problem in
     Alcotest.(check bool)
       (Printf.sprintf "SA %.0f near optimum %.0f" sa optimum)
       true

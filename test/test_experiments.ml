@@ -3,7 +3,10 @@
 
 module Workload = Qaoa_experiments.Workload
 module Runner = Qaoa_experiments.Runner
+module Experiment = Qaoa_experiments.Experiment
 module Figures = Qaoa_experiments.Figures
+module Ablations = Qaoa_experiments.Ablations
+module Export = Qaoa_experiments.Export
 module Problem = Qaoa_core.Problem
 module Compile = Qaoa_core.Compile
 module Topologies = Qaoa_hardware.Topologies
@@ -82,13 +85,47 @@ let test_runner_uncalibrated_success_none () =
     (Option.is_none (Runner.find res Compile.Qaim).Runner.mean_success)
 
 let test_scale_parsing () =
-  Alcotest.(check bool) "smoke" true (Figures.scale_of_string "smoke" = Some Figures.Smoke);
-  Alcotest.(check bool) "full" true (Figures.scale_of_string "FULL" = Some Figures.Full);
-  Alcotest.(check bool) "bad" true (Figures.scale_of_string "huge" = None);
-  Alcotest.(check string) "name" "default" (Figures.scale_name Figures.Default)
+  Alcotest.(check bool) "smoke" true (Experiment.scale_of_string "smoke" = Some Experiment.Smoke);
+  Alcotest.(check bool) "full" true (Experiment.scale_of_string "FULL" = Some Experiment.Full);
+  Alcotest.(check bool) "bad" true (Experiment.scale_of_string "huge" = None);
+  Alcotest.(check string) "name" "default" (Experiment.scale_name Experiment.Default)
 
-(* Smoke-scale figure runs: rows present, values finite and positive
-   where they must be.  These run the full reproduction machinery. *)
+(* Smoke-scale runs of the experiment records: rows present, values
+   finite and positive where they must be.  These run the full
+   reproduction machinery. *)
+
+let experiments = Figures.all @ Ablations.all
+
+(* MD5 of the exported smoke-scale CSV bytes of the records without a
+   time column, pinned so a refactor cannot move a figure. *)
+let pinned_csv_md5 =
+  [
+    ("fig7", "4ee452774096b9d3e14b421d28959541");
+    ("fig8", "60beb560e0c0589b2c9827f30a4a92b2");
+    ("qaoa-levels", "9634afd55e13361fae3fdc31bb23f58b");
+  ]
+
+(* Run one record at smoke scale and check what every record keeps:
+   ids are unique across figures and ablations, each row has one value
+   per named column, and a pinned CSV has its digest. *)
+let smoke id =
+  let ids = List.map (fun e -> e.Experiment.id) experiments in
+  Alcotest.(check int) "ids unique across figures and ablations"
+    (List.length ids) (List.length (List.sort_uniq compare ids));
+  let e = List.find (fun e -> e.Experiment.id = id) experiments in
+  let rows = e.Experiment.run ~scale:Experiment.Smoke ~journal:None in
+  List.iter
+    (fun (label, vs) ->
+      Alcotest.(check int) (label ^ ": one value per column")
+        (List.length e.Experiment.columns) (List.length vs))
+    rows;
+  Option.iter
+    (fun md5 ->
+      let columns = List.mapi (fun i _ -> Printf.sprintf "v%d" i) e.Experiment.columns in
+      Alcotest.(check string) (id ^ " CSV digest") md5
+        (Digest.to_hex (Digest.string (Export.csv_of_rows ~columns rows))))
+    (List.assoc_opt id pinned_csv_md5);
+  rows
 
 let finite_positive rows =
   List.for_all
@@ -96,27 +133,27 @@ let finite_positive rows =
     rows
 
 let test_fig7_smoke () =
-  let rows = Figures.fig7 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig7" in
   Alcotest.(check int) "12 workloads" 12 (List.length rows);
   Alcotest.(check bool) "finite" true (finite_positive rows)
 
 let test_fig8_smoke () =
-  let rows = Figures.fig8 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig8" in
   Alcotest.(check int) "5 sizes" 5 (List.length rows);
   Alcotest.(check bool) "finite" true (finite_positive rows)
 
 let test_fig9_smoke () =
-  let rows = Figures.fig9 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig9" in
   Alcotest.(check int) "12 workloads" 12 (List.length rows);
   Alcotest.(check bool) "finite" true (finite_positive rows)
 
 let test_fig10_smoke () =
-  let rows = Figures.fig10 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig10" in
   Alcotest.(check int) "6 rows" 6 (List.length rows);
   Alcotest.(check bool) "finite" true (finite_positive rows)
 
 let test_fig11a_smoke () =
-  let rows = Figures.fig11a ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig11a" in
   Alcotest.(check int) "5 strategies" 5 (List.length rows);
   (match rows with
   | ("NAIVE", [ d; g; t ]) :: _ ->
@@ -127,7 +164,7 @@ let test_fig11a_smoke () =
   Alcotest.(check bool) "finite" true (finite_positive rows)
 
 let test_fig12_smoke () =
-  let rows = Figures.fig12 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "fig12" in
   Alcotest.(check int) "2 limits at smoke" 2 (List.length rows);
   (* tighter packing limits must not reduce gate order of magnitude *)
   Alcotest.(check bool) "finite" true
@@ -136,7 +173,7 @@ let test_fig12_smoke () =
        rows)
 
 let test_ring8_smoke () =
-  let rows = Figures.fig_ring8 ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "ring8" in
   (match rows with
   | [ ("IC(+QAIM)", [ depth; gates; time ]) ] ->
     Alcotest.(check bool) "depth sane" true (depth > 5.0 && depth < 200.0);
@@ -153,25 +190,21 @@ let test_figures_deterministic () =
         (label, List.filteri (fun i _ -> i < 2) vs))
       rows
   in
-  let a = Figures.fig_ring8 ~scale:Figures.Smoke ~quiet:true () in
-  let b = Figures.fig_ring8 ~scale:Figures.Smoke ~quiet:true () in
+  let a = smoke "ring8" in
+  let b = smoke "ring8" in
   Alcotest.(check bool) "identical" true (structural a = structural b)
 
 (* --- Ablations (smoke scale) --- *)
 
-module Ablations = Qaoa_experiments.Ablations
-
 let test_ablation_reverse_traversal_monotone_ish () =
-  let rows =
-    Ablations.reverse_traversal ~scale:Figures.Smoke ~quiet:true ()
-  in
+  let rows = smoke "reverse-traversal" in
   Alcotest.(check int) "5 settings" 5 (List.length rows);
   (* 3 refinement iterations must not exceed the unrefined swap count *)
   let swaps_at i = List.nth (snd (List.nth rows i)) 0 in
   Alcotest.(check bool) "refined <= unrefined" true (swaps_at 3 <= swaps_at 0)
 
 let test_ablation_peephole_never_hurts () =
-  let rows = Ablations.peephole ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "peephole" in
   List.iter
     (fun (label, vs) ->
       match vs with
@@ -182,7 +215,7 @@ let test_ablation_peephole_never_hurts () =
     rows
 
 let test_ablation_levels_monotone () =
-  let rows = Ablations.qaoa_levels ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "qaoa-levels" in
   match rows with
   | [ (_, [ d1; g1 ]); (_, [ d2; g2 ]); (_, [ d3; g3 ]) ] ->
     Alcotest.(check bool) "depth grows with p" true (d1 < d2 && d2 < d3);
@@ -190,14 +223,14 @@ let test_ablation_levels_monotone () =
   | _ -> Alcotest.fail "expected three p rows"
 
 let test_ablation_crosstalk_overhead_monotone () =
-  let rows = Ablations.crosstalk ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "crosstalk" in
   let depth_at i = List.nth (snd (List.nth rows i)) 0 in
   (* sequentializing more couplings can only add depth *)
   Alcotest.(check bool) "monotone overhead" true
     (depth_at 0 <= depth_at 3 +. 1e-9)
 
 let test_ablation_mapper_shootout_shape () =
-  let rows = Ablations.mapper_shootout ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "mapper-shootout" in
   Alcotest.(check int) "5 mappers" 5 (List.length rows);
   List.iter
     (fun (_, vs) ->
@@ -207,11 +240,10 @@ let test_ablation_mapper_shootout_shape () =
     rows
 
 let test_ablation_graph_families_shape () =
-  let rows = Ablations.graph_families ~scale:Figures.Smoke ~quiet:true () in
+  let rows = smoke "graph-families" in
   Alcotest.(check int) "four families" 4 (List.length rows);
   List.iter
-    (fun (label, vs) ->
-      Alcotest.(check int) (label ^ " four columns") 4 (List.length vs);
+    (fun (_, vs) ->
       List.iter
         (fun v -> Alcotest.(check bool) "finite positive" true (Float.is_finite v && v > 0.0))
         vs)
@@ -234,9 +266,7 @@ let test_workload_new_families () =
     [ Workload.Barabasi_albert 2; Workload.Watts_strogatz (4, 0.3) ]
 
 let test_ablation_iterative_never_worse () =
-  let rows =
-    Ablations.iterative_recompilation ~scale:Figures.Smoke ~quiet:true ()
-  in
+  let rows = smoke "iterative" in
   match rows with
   | [ (_, [ d_single; _ ]); (_, [ d_iter; _ ]) ] ->
     Alcotest.(check bool) "iterated depth <= single" true (d_iter <= d_single)

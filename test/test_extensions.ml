@@ -216,21 +216,6 @@ let test_iterative_improves_or_matches_single () =
   Alcotest.(check bool) "compliant" true
     (Compliance.is_compliant device iterated.Iterative.best.Compile.circuit)
 
-let test_iterative_success_objective () =
-  let device = Topologies.ibmq_16_melbourne () in
-  let problem =
-    Problem.of_maxcut (Generators.random_regular (Rng.create 4) ~n:8 ~d:3)
-  in
-  let params = Ansatz.params_p1 ~gamma:0.7 ~beta:0.4 in
-  let r =
-    Iterative.compile ~patience:2 ~max_rounds:8
-      ~objective:Iterative.Success_probability ~strategy:(Compile.Vic None)
-      device problem params
-  in
-  Alcotest.(check bool) "rounds bounded" true (r.Iterative.rounds <= 8);
-  Alcotest.(check bool) "positive success" true
-    (Compile.success_probability device r.Iterative.best > 0.0)
-
 let test_iterative_validation () =
   let device = Topologies.linear 4 in
   let problem = Problem.of_maxcut (Generators.path 3) in
@@ -255,6 +240,5 @@ let suite =
     ("vqa mapping valid", `Quick, test_vqa_mapping_valid);
     ("vqa requires calibration", `Quick, test_vqa_requires_calibration);
     ("iterative vs single shot", `Quick, test_iterative_improves_or_matches_single);
-    ("iterative success objective", `Quick, test_iterative_success_objective);
     ("iterative validation", `Quick, test_iterative_validation);
   ]

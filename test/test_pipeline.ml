@@ -12,7 +12,9 @@ module Problem = Qaoa_core.Problem
 module Ansatz = Qaoa_core.Ansatz
 module Compile = Qaoa_core.Compile
 module Workload = Qaoa_experiments.Workload
+module Experiment = Qaoa_experiments.Experiment
 module Figures = Qaoa_experiments.Figures
+module Ablations = Qaoa_experiments.Ablations
 module Report = Qaoa_experiments.Report
 module Rng = Qaoa_util.Rng
 
@@ -115,42 +117,104 @@ let prop_peephole_end_to_end =
 
 (* --- report generation --- *)
 
+(* Runs [Report.run] with an export directory and returns the contents
+   of the named files, leaving no directory behind. *)
+let export_files records names =
+  let dir = Filename.temp_file "qaoa_report" "" in
+  Sys.remove dir;
+  Report.run ~export:dir ~scale:Experiment.Smoke records;
+  let read name =
+    In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  in
+  let contents = List.map read names in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
+  Sys.rmdir dir;
+  contents
+
+let contains ~needle s =
+  let nl = String.length needle and sl = String.length s in
+  let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
+  go 0
+
+(* A figure the paper has, from its own record: the section carries the
+   record's heading, every column name and one "> paper:" line per
+   note, with no second copy of that metadata to consult. *)
 let test_report_section_known () =
-  let rows = [ ("x", [ 1.0; 2.0 ]) ] in
-  let s = Report.section_of_rows ~scale:Figures.Smoke "fig10" rows in
-  Alcotest.(check string) "id" "fig10" s.Report.id;
-  Alcotest.(check bool) "paper notes present" true (s.Report.paper_notes <> []);
-  let md = Report.section_to_markdown s in
-  Alcotest.(check bool) "has heading" true
-    (String.length md > 3 && String.sub md 0 3 = "## ");
-  Alcotest.(check bool) "has blockquote" true
-    (List.exists
-       (fun l -> String.length l > 1 && String.sub l 0 1 = ">")
-       (String.split_on_char '\n' md))
+  let fig10 = List.find (fun e -> e.Experiment.id = "fig10") Figures.all in
+  Alcotest.(check bool) "paper notes present" true (fig10.Experiment.notes <> []);
+  let values = List.map (fun _ -> 1.0) fig10.Experiment.columns in
+  let md =
+    Report.to_markdown ~scale:Experiment.Smoke [ (fig10, [ ("x", values) ]) ]
+  in
+  let lines = String.split_on_char '\n' md in
+  Alcotest.(check (list string)) "heading"
+    [ "## fig10: " ^ fig10.Experiment.title ^ " [scale=smoke]" ]
+    (List.filter (String.starts_with ~prefix:"## ") lines);
+  let header =
+    List.find (String.starts_with ~prefix:"| workload ") lines
+  in
+  Alcotest.(check bool) "every column named" true
+    (List.for_all (fun c -> contains ~needle:c header) fig10.Experiment.columns);
+  Alcotest.(check (list string)) "one blockquote per note"
+    (List.map (fun n -> "> paper: " ^ n) fig10.Experiment.notes)
+    (List.filter (String.starts_with ~prefix:">") lines)
 
+(* An id that neither list knows renders the same way: its own columns
+   head the table, a short row is padded, and the CSV names its value
+   columns v0, v1 whatever the printed names. *)
 let test_report_section_unknown () =
-  let s =
-    Report.section_of_rows ~scale:Figures.Smoke "ablation_xyz"
-      [ ("a", [ 1.0 ]); ("b", [ 2.0; 3.0 ]) ]
+  let known = List.map (fun e -> e.Experiment.id) (Figures.all @ Ablations.all) in
+  Alcotest.(check bool) "id is unknown" false (List.mem "xyz" known);
+  let rows = [ ("a", [ 1.0 ]); ("b", [ 2.0; 3.0 ]) ] in
+  let e =
+    Experiment.make Experiment.Ablation "xyz" ~title:"an unlisted study"
+      ~columns:[ "first"; "second" ] ~notes:[]
+      (fun ~scale:_ ~journal:_ -> rows)
   in
-  Alcotest.(check (list string)) "generic columns" [ "v0"; "v1" ] s.Report.columns
+  let md, csv =
+    match export_files [ e ] [ "report.md"; "ablation_xyz.csv" ] with
+    | [ md; csv ] -> (md, csv)
+    | _ -> assert false
+  in
+  let lines = String.split_on_char '\n' md in
+  Alcotest.(check bool) "named columns" true
+    (List.mem "| workload | first | second |" lines);
+  Alcotest.(check bool) "short row padded" true
+    (List.mem "| a        | 1.000 |        |" lines);
+  Alcotest.(check string) "generic CSV columns" "workload,v0,v1\na,1,\nb,2,3\n" csv
 
+(* Two records, one figure and one ablation, through the one report
+   path: the printed heading, named columns and notes reach report.md,
+   and the CSVs keep their file names and v<i> headers. *)
 let test_report_document () =
-  let sections =
-    [
-      Report.section_of_rows ~scale:Figures.Smoke "fig7" [ ("w", [ 0.9 ]) ];
-      Report.section_of_rows ~scale:Figures.Smoke "ring8" [ ("IC", [ 20.0; 50.0; 0.1 ]) ];
-    ]
+  let record id kind columns notes rows =
+    Experiment.make kind id ~title:(id ^ " title") ~columns ~notes
+      (fun ~scale:_ ~journal:_ -> rows)
   in
-  let md = Report.to_markdown ~scale:Figures.Smoke sections in
-  Alcotest.(check bool) "title" true
-    (String.length md > 1 && String.sub md 0 1 = "#");
-  let contains needle =
-    let nl = String.length needle and sl = String.length md in
-    let rec go i = i + nl <= sl && (String.sub md i nl = needle || go (i + 1)) in
-    go 0
+  let fig_rows = [ ("w1", [ 0.5; 0.75 ]) ] and knob_rows = [ ("k=1", [ 3.0 ]) ] in
+  let fig =
+    record "figx" Experiment.Figure [ "depth ratio"; "gate ratio" ]
+      [ "the paper says 0.5" ] fig_rows
   in
-  Alcotest.(check bool) "both sections" true (contains "fig7" && contains "ring8")
+  let knob = record "knob" Experiment.Ablation [ "mean swaps" ] [] knob_rows in
+  let md, fig_csv, knob_csv =
+    match export_files [ fig; knob ] [ "report.md"; "figx.csv"; "ablation_knob.csv" ] with
+    | [ md; fig_csv; knob_csv ] -> (md, fig_csv, knob_csv)
+    | _ -> assert false
+  in
+  Alcotest.(check string) "report.md is to_markdown"
+    (Report.to_markdown ~scale:Experiment.Smoke [ (fig, fig_rows); (knob, knob_rows) ])
+    md;
+  let lines = String.split_on_char '\n' md in
+  Alcotest.(check (list string)) "one heading per record, as printed"
+    [ "## figx: figx title [scale=smoke]"; "## knob: knob title [scale=smoke]" ]
+    (List.filter (String.starts_with ~prefix:"## ") lines);
+  Alcotest.(check bool) "named columns" true
+    (List.mem "| workload | depth ratio | gate ratio |" lines
+    && List.mem "| workload | mean swaps |" lines);
+  Alcotest.(check bool) "notes" true (List.mem "> paper: the paper says 0.5" lines);
+  Alcotest.(check string) "figure CSV" "workload,v0,v1\nw1,0.5,0.75\n" fig_csv;
+  Alcotest.(check string) "ablation CSV" "workload,v0\nk=1,3\n" knob_csv
 
 let suite =
   [

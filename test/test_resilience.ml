@@ -351,8 +351,8 @@ let test_faultspace_default () =
        Faultspace.default);
   let crossed =
     Faultspace.cross
-      (Faultspace.dead_qubit_sweep ~counts:[ 1 ] ())
-      (Faultspace.drop_sweep ~fractions:[ 0.5 ] ())
+      [ List.hd Faultspace.dead_qubit_sweep ]
+      [ List.nth Faultspace.drop_sweep 2 ]
   in
   Alcotest.(check int) "cross is a product" 1 (List.length crossed);
   Alcotest.(check int)

@@ -956,7 +956,7 @@ let test_daemon_client_roundtrip () =
   | _ -> Alcotest.fail "connect to a dead path should time out"
   | exception Daemon.Client.Timeout _ -> ()
 
-(* Lines at and over [Daemon.max_line_bytes]: a line of exactly the cap
+(* Lines at and over [Serve.max_line_bytes]: a line of exactly the cap
    reaches the parser, one byte more is one bad_request in its own
    position, and the connection carries on; an over-long line that
    never ends is answered all the same. *)
@@ -985,7 +985,7 @@ let test_daemon_line_cap () =
     | Some r -> r
     | None -> Alcotest.fail "daemon closed the connection"
   in
-  let cap = Daemon.max_line_bytes in
+  let cap = Serve.max_line_bytes in
   let at_cap = reply (String.make cap 'x') in
   Alcotest.(check bool)
     "a line at the cap is parsed" true
@@ -1028,6 +1028,89 @@ let test_daemon_line_cap () =
     "an unterminated over-long line is answered" true
     (contains_substring ~sub:{|"line":1,|} (Buffer.contents buf)
     && contains_substring ~sub:"longer than" (Buffer.contents buf))
+
+(* [Serve.run] over a channel holding exactly [input]. *)
+let serve_batch ~workers input =
+  let path = Filename.temp_file "qaoa-batch" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc input);
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let out = Filename.temp_file "qaoa-batch" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  Out_channel.with_open_bin out (fun oc ->
+      ignore (Serve.run (config ~workers ~cache:(Cache.create ~capacity:64 ()) ()) ic oc));
+  In_channel.with_open_bin out In_channel.input_all
+
+(* Batch input is framed as a daemon connection is: a line of exactly
+   the cap reaches the parser, one byte more gets the daemon's detail
+   under its own line number, and the requests around it answer as if
+   it were not there, at any worker count. *)
+let test_batch_line_cap () =
+  let cap = Serve.max_line_bytes in
+  let reqs = Serve.gen_corpus ~seed:5 ~count:2 () in
+  let input =
+    String.concat "\n"
+      [ List.nth reqs 0; String.make cap 'x'; String.make (cap + 1) 'x'; List.nth reqs 1 ]
+    ^ "\n"
+  in
+  let out = serve_batch ~workers:1 input in
+  let lines = String.split_on_char '\n' out in
+  Alcotest.(check int) "one response per line" 4 (List.length lines - 1);
+  Alcotest.(check bool) "a line at the cap is parsed" true
+    (contains_substring ~sub:"malformed JSON" (List.nth lines 1)
+    && contains_substring ~sub:{|"line":2,|} (List.nth lines 1));
+  Alcotest.(check string) "one byte over gets the daemon's detail"
+    {|{"id":null,"ok":false,"line":3,"error":{"kind":"bad_request","detail":"line longer than 4194304 bytes (discarded up to its newline)"}}|}
+    (List.nth lines 2);
+  let alone, _ = Serve.run_lines (config ()) reqs in
+  Alcotest.(check (list string)) "neighbours unchanged" alone
+    [ List.nth lines 0; List.nth lines 3 ];
+  Alcotest.(check string) "same bytes at 4 workers" out (serve_batch ~workers:4 input)
+
+(* An unterminated last line is a line, in batch mode and through the
+   daemon alike. *)
+let test_unterminated_last_line () =
+  let input = {|{"op":"ping"}|} ^ "\n" ^ {|{"op":"ping"}|} in
+  let pong = {|{"id":null,"ok":true,"op":"ping"}|} in
+  Alcotest.(check string) "batch answers both"
+    (pong ^ "\n" ^ pong ^ "\n") (serve_batch ~workers:1 input);
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qaoa-test-eof-%d.sock" (Unix.getpid ()))
+  in
+  let drain = Atomic.make 0 in
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Daemon.run
+          ~on_ready:(fun () -> Atomic.set ready true)
+          (config ()) ~socket_path:sock ~drain)
+  in
+  Fun.protect ~finally:(fun () ->
+      Atomic.set drain 143;
+      ignore (Domain.join daemon))
+  @@ fun () ->
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.001
+  done;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  ignore (Unix.write_substring fd input 0 (String.length input));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let buf = Buffer.create 128 and b = Bytes.create 128 in
+  let rec rd () =
+    match Unix.read fd b 0 128 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf b 0 n;
+      rd ()
+  in
+  rd ();
+  Alcotest.(check string) "the daemon answers both"
+    (pong ^ "\n" ^ pong ^ "\n") (Buffer.contents buf)
 
 (* The control verbs through the ordinary serving path: ping is the
    canonical pong, stats balances the taxonomy, junk ops and extra
@@ -1201,6 +1284,8 @@ let suite =
     ("daemon socket roundtrip", `Slow, test_daemon_roundtrip);
     ("daemon client roundtrip", `Slow, test_daemon_client_roundtrip);
     ("daemon line cap", `Slow, test_daemon_line_cap);
+    ("batch line cap", `Slow, test_batch_line_cap);
+    ("unterminated last line", `Quick, test_unterminated_last_line);
     ("control verbs", `Quick, test_control_verbs);
     ("gen_corpus deterministic", `Quick, test_gen_corpus_deterministic);
     ( "cross-domain compile equivalence",

@@ -348,9 +348,8 @@ let test_success_readout () =
     Calibration.create ~single_qubit_error:0.0 ~readout_error:0.1 [ (0, 1, 0.0) ]
   in
   let c = Circuit.of_gates 2 [ Gate.Measure 0; Gate.Measure 1 ] in
-  Alcotest.(check (float 1e-12)) "without readout" 1.0 (Success.of_circuit cal c);
-  Alcotest.(check (float 1e-12)) "with readout" 0.81
-    (Success.of_circuit ~include_readout:true cal c)
+  Alcotest.(check (float 1e-12)) "measurements are not charged" 1.0
+    (Success.of_circuit cal c)
 
 let test_vic_beats_ic_on_success () =
   (* Aggregate over instances: VIC circuits should be at least as

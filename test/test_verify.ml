@@ -325,7 +325,7 @@ let test_compile_verify_flag () =
    returns a detail string on any disagreement. *)
 let test_corpus_50_cases_agree () =
   let cases =
-    Differential.cases ~seed:555 ~count:8 ~min_nodes:6 ~max_nodes:10 ()
+    Differential.cases ~seed:555 ~count:8 ~max_nodes:10 ()
   in
   let cases = List.filteri (fun i _ -> i < 50) cases in
   Alcotest.(check int) "50 cases" 50 (List.length cases);
@@ -342,7 +342,7 @@ let prop_fuzz_corpus_clean =
     QCheck.(int_bound 100_000)
     (fun seed ->
       let stats =
-        Differential.fuzz ~seed ~count:3 ~min_nodes:6 ~max_nodes:9 ()
+        Differential.fuzz ~seed ~count:3 ~max_nodes:9 ()
       in
       stats.Fuzz.failures = [])
 
