@@ -32,30 +32,24 @@ type result = {
 type state = {
   device : Device.t;
   dist : Float_matrix.t;  (** scoring distances (hop or reliability-weighted) *)
-  edges : (int * int) list;  (** coupling edges, computed once per route *)
-  comp : int array;  (** connected-component id per physical qubit *)
-  rng : Rng.t;
+  hops : Float_matrix.t;  (** hop distances, infinite across components *)
+  edges : (int * int) list;  (** coupling edges, memoized per device *)
+  hot : bool array;  (** scratch: physical hosts of pending pairs *)
+  rng : Rng.t Lazy.t;  (** tie-breaks, created at the first tie *)
   mutable mapping : Mapping.t;
   mutable out : Circuit.t;
   mutable swaps : int;
 }
 
-let component_labels device =
-  let comp = Array.make (Device.num_qubits device) (-1) in
-  List.iteri
-    (fun i vs -> List.iter (fun v -> comp.(v) <- i) vs)
-    (Paths.connected_components device.Device.coupling);
-  comp
-
 (* SWAPs only move logical qubits along coupling edges, so component
    membership is invariant across routing: a two-qubit gate whose
-   operands sit in different components can never be satisfied.  Detect
-   it eagerly (per pending gate, once per layer) and fail with a
-   structured exception instead of walking forever or dying on a bare
-   [Not_found] from the path finder. *)
+   operands sit in different components (infinite hop distance) can
+   never be satisfied.  Detect it eagerly (per pending gate, once per
+   layer) and fail with a structured exception instead of walking
+   forever or dying on a bare [Not_found] from the path finder. *)
 let check_pair_routable st (a, b) =
   let pa = Mapping.phys st.mapping a and pb = Mapping.phys st.mapping b in
-  if st.comp.(pa) <> st.comp.(pb) then
+  if Float_matrix.get st.hops pa pb = Float.infinity then
     raise
       (Unroutable
          (Printf.sprintf
@@ -68,35 +62,38 @@ let pair_of_gate g =
     match Gate.qubits g with [ a; b ] -> Some (a, b) | _ -> None
   else None
 
-let two_qubit_targets layer = List.filter_map pair_of_gate layer
+(* The two-qubit gates of a layer, each with its logical pair. *)
+let two_qubit_gates layer =
+  List.filter_map (fun g -> Option.map (fun pr -> (g, pr)) (pair_of_gate g)) layer
 
 let pair_distance st (a, b) =
   Float_matrix.get st.dist
     (Mapping.phys st.mapping a)
     (Mapping.phys st.mapping b)
 
-(* Distance of a logical pair under a hypothetical mapping where physical
-   qubits p and q have been exchanged. *)
-let pair_distance_after_swap st p q (a, b) =
-  let move x = if x = p then q else if x = q then p else x in
-  let pa = move (Mapping.phys st.mapping a)
-  and pb = move (Mapping.phys st.mapping b) in
-  Float_matrix.get st.dist pa pb
+let satisfied st (a, b) =
+  Device.coupled st.device (Mapping.phys st.mapping a) (Mapping.phys st.mapping b)
 
-let total_distance st pairs =
-  List.fold_left (fun acc pr -> acc +. pair_distance st pr) 0.0 pairs
-
-let total_distance_after_swap st p q pairs =
+(* Physical ends of the gates' pairs into [pa] and [pb]; the count. *)
+let read_ends st gates pa pb =
   List.fold_left
-    (fun acc pr -> acc +. pair_distance_after_swap st p q pr)
-    0.0 pairs
+    (fun i (_, (a, b)) ->
+      pa.(i) <- Mapping.phys st.mapping a;
+      pb.(i) <- Mapping.phys st.mapping b;
+      i + 1)
+    0 gates
 
-let gate_satisfied st g =
-  match pair_of_gate g with
-  | Some (a, b) ->
-    Device.coupled st.device (Mapping.phys st.mapping a)
-      (Mapping.phys st.mapping b)
-  | None -> true
+(* Where physical qubit x sits once p and q are exchanged. *)
+let moved p q (x : int) = if x = p then q else if x = q then p else x
+
+(* Summed distance of the first k pairs pa.(i)-pb.(i) after a SWAP of
+   physical p and q (p = q = -1: no SWAP), added in pair order. *)
+let summed_distance dist pa pb k p q =
+  let sum = ref 0.0 in
+  for i = 0 to k - 1 do
+    sum := !sum +. Float_matrix.get dist (moved p q pa.(i)) (moved p q pb.(i))
+  done;
+  !sum
 
 let emit_swap st p q =
   st.out <- Circuit.append st.out (Gate.Swap (p, q));
@@ -106,20 +103,6 @@ let emit_swap st p q =
 
 let emit_gate st g =
   st.out <- Circuit.append st.out (Gate.map_qubits (Mapping.phys st.mapping) g)
-
-(* Candidate swaps: coupling edges with at least one endpoint hosting a
-   logical qubit of a pending two-qubit gate. *)
-let candidate_swaps st pending_pairs =
-  let module S = Set.Make (Int) in
-  let hot =
-    List.fold_left
-      (fun acc (a, b) ->
-        S.add
-          (Mapping.phys st.mapping a)
-          (S.add (Mapping.phys st.mapping b) acc))
-      S.empty pending_pairs
-  in
-  List.filter (fun (p, q) -> S.mem p hot || S.mem q hot) st.edges
 
 (* One step of the closest pending pair along a hop-shortest path:
    strictly reduces that pair's hop distance, guaranteeing progress when
@@ -152,24 +135,67 @@ let walk_step st pending_pairs =
            (Printf.sprintf "no path between physical %d and %d on %s" pa pb
               st.device.Device.name)))
 
+(* The best SWAP for the pending pairs (ends in [pa]/[pb], [np] of
+   them), or [None] when none strictly decreases their summed
+   distance.  Candidates are the coupling edges touching a pending
+   pair's host, taken in edge order; among the improving ones the
+   lowest primary + lookahead-weighted score wins, exact ties broken
+   by seeded coin flips.  Allocates nothing per candidate. *)
+let best_swap config st pa pb np la lb nl =
+  for i = 0 to np - 1 do
+    st.hot.(pa.(i)) <- true;
+    st.hot.(pb.(i)) <- true
+  done;
+  let current = summed_distance st.dist pa pb np (-1) (-1) in
+  let best = ref Float.infinity and best_p = ref (-1) and best_q = ref (-1) in
+  let scored = ref 0 in
+  List.iter
+    (fun (p, q) ->
+      if st.hot.(p) || st.hot.(q) then begin
+        let primary = summed_distance st.dist pa pb np p q in
+        if primary < current -. 1e-12 then begin
+          incr scored;
+          let score =
+            primary
+            +. (config.lookahead_weight *. summed_distance st.dist la lb nl p q)
+          in
+          if
+            !best_p < 0
+            || score < !best -. 1e-12
+            || (Float.abs (score -. !best) <= 1e-12 && Rng.bool (Lazy.force st.rng))
+          then begin
+            best := score;
+            best_p := p;
+            best_q := q
+          end
+        end
+      end)
+    st.edges;
+  for i = 0 to np - 1 do
+    st.hot.(pa.(i)) <- false;
+    st.hot.(pb.(i)) <- false
+  done;
+  Metrics_registry.incr "router.lookahead_candidates_scored" ~by:!scored;
+  if !best_p < 0 then None else Some (!best_p, !best_q)
+
 (* Process one layer: emit every gate as soon as its qubits are coupled,
    choosing swaps that strictly decrease the summed distance of the
    still-pending two-qubit gates (next-layer pairs as a weighted
    tie-break).  Gates of a layer act on disjoint qubits, so emission
    order within the layer is irrelevant to semantics, and the ASAP
    re-layering of the result recovers the parallelism. *)
-let process_layer config st layer lookahead_pairs =
+let process_layer config st layer lookahead =
   if Qaoa_obs.Config.enabled () then
     Metrics_registry.observe "router.layer_size"
       (float_of_int (List.length layer));
   (* 1-qubit gates (and measures/barriers) can go out immediately. *)
-  let one_qubit, pending = List.partition (fun g -> pair_of_gate g = None) layer in
+  let one_qubit, two_qubit = List.partition (fun g -> pair_of_gate g = None) layer in
   List.iter (emit_gate st) one_qubit;
-  List.iter (check_pair_routable st) (two_qubit_targets pending);
-  let pending = ref pending in
+  let pending = ref (two_qubit_gates two_qubit) in
+  List.iter (fun (_, pr) -> check_pair_routable st pr) !pending;
   let flush () =
-    let sat, rest = List.partition (gate_satisfied st) !pending in
-    List.iter (emit_gate st) sat;
+    let sat, rest = List.partition (fun (_, pr) -> satisfied st pr) !pending in
+    List.iter (fun (g, _) -> emit_gate st g) sat;
     pending := rest
   in
   flush ();
@@ -180,55 +206,27 @@ let process_layer config st layer lookahead_pairs =
      walks, which always terminates. *)
   let n = Device.num_qubits st.device in
   let budget = ref (8 * n * (1 + List.length !pending)) in
+  let pa = Array.make (List.length !pending) 0 in
+  let pb = Array.copy pa in
+  let la = Array.make (List.length lookahead) 0 in
+  let lb = Array.copy la in
   while !pending <> [] && !budget > 0 do
     decr budget;
     Qaoa_obs.Deadline.check config.deadline;
-    let pairs = two_qubit_targets !pending in
-    let current = total_distance st pairs in
-    let scored =
-      List.filter_map
-        (fun (p, q) ->
-          let primary = total_distance_after_swap st p q pairs in
-          if primary < current -. 1e-12 then
-            Some ((p, q), primary, total_distance_after_swap st p q lookahead_pairs)
-          else None)
-        (candidate_swaps st pairs)
-    in
-    Metrics_registry.incr "router.lookahead_candidates_scored"
-      ~by:(List.length scored);
-    (match scored with
-    | [] ->
+    let np = read_ends st !pending pa pb and nl = read_ends st lookahead la lb in
+    (match best_swap config st pa pb np la lb nl with
+    | Some (p, q) -> emit_swap st p q
+    | None ->
       Metrics_registry.incr "router.walk_steps";
-      walk_step st pairs
-    | _ ->
-      let score (_, p, l) = p +. (config.lookahead_weight *. l) in
-      let best =
-        List.fold_left
-          (fun acc cand ->
-            match acc with
-            | None -> Some cand
-            | Some b ->
-              let cb = score b and cc = score cand in
-              if cc < cb -. 1e-12 then Some cand
-              else if Float.abs (cc -. cb) <= 1e-12 && Rng.bool st.rng then
-                Some cand
-              else Some b)
-          None scored
-      in
-      (match best with
-      | Some ((p, q), _, _) -> emit_swap st p q
-      | None -> assert false));
+      walk_step st (List.map snd !pending));
     flush ()
   done;
   List.iter
-    (fun g ->
-      (match pair_of_gate g with
-      | Some pr ->
-        while not (gate_satisfied st g) do
-          Qaoa_obs.Deadline.check config.deadline;
-          walk_step st [ pr ]
-        done
-      | None -> ());
+    (fun (g, pr) ->
+      while not (satisfied st pr) do
+        Qaoa_obs.Deadline.check config.deadline;
+        walk_step st [ pr ]
+      done;
       emit_gate st g)
     !pending
 
@@ -258,9 +256,10 @@ let route_layers ?(config = default_config) ~device ~initial ~num_logical
     {
       device;
       dist;
-      edges = Device.coupling_edges device;
-      comp = component_labels device;
-      rng = Rng.create seed;
+      hops = Profile.hop_distances device;
+      edges = Profile.coupling_edges device;
+      hot = Array.make (Device.num_qubits device) false;
+      rng = lazy (Rng.create seed);
       mapping = initial;
       out = Circuit.create (Device.num_qubits device);
       swaps = 0;
@@ -287,10 +286,10 @@ let route_layers ?(config = default_config) ~device ~initial ~num_logical
   let rec process = function
     | [] -> ()
     | layer :: rest ->
-      let lookahead_pairs =
-        match rest with next :: _ -> two_qubit_targets next | [] -> []
+      let lookahead =
+        match rest with next :: _ -> two_qubit_gates next | [] -> []
       in
-      process_layer config st (strip_measures layer) lookahead_pairs;
+      process_layer config st (strip_measures layer) lookahead;
       process rest
   in
   process layers;

@@ -17,14 +17,23 @@
     budget bounds the loop, past which pending gates are routed one at a
     time - so routing always terminates.
 
+    Each SWAP decision reads the physical ends of the pending and
+    lookahead pairs into int arrays, marks their hosts in a bool array
+    and scores the candidates in coupling-edge order, each sum added in
+    pair order, so no candidate allocates and every score is the same
+    float as a list-based scorer's.  The sorted coupling edges and the
+    hop matrix come from {!Qaoa_hardware.Profile}'s per-device memos, so
+    a call does no per-device set-up.
+
     The compiled circuit acts on physical qubit indices; the result carries
     the final logical-to-physical mapping so callers can interpret
     measurement outcomes (or stitch further partial circuits - the IC/VIC
     use case).
 
     Routing holds no module-level mutable state: the tie-break RNG (a
-    fixed seed-17 stream, restarted by every call) and all work queues
-    live in a per-[route] call record, and the shared distance matrices
+    fixed seed-17 stream, restarted by every call and created at its
+    first tie) and all work queues live in a per-[route] call record,
+    and the shared distance matrices and edge lists
     ({!Qaoa_hardware.Profile}) are read-only after construction - so
     concurrent [route] calls from multiple domains are safe and
     deterministic.
@@ -58,8 +67,9 @@ exception Unroutable of string
 (** A two-qubit gate's operands are mapped to disconnected components of
     the coupling graph (e.g. after fault injection severed the only
     bridge), so no SWAP sequence can ever satisfy it.  Raised eagerly
-    when the gate first becomes pending; the message names the logical
-    pair, the physical hosts and the device. *)
+    when the gate first becomes pending, on an infinite entry of the
+    memoized hop matrix; the message names the logical pair, the
+    physical hosts and the device. *)
 
 type result = {
   circuit : Qaoa_circuit.Circuit.t;

@@ -25,10 +25,13 @@ let check_order problem order =
   if norm order <> Problem.cphase_pairs problem then
     invalid_arg "Ansatz: order is not a permutation of the problem's pairs"
 
-let cphase_gate problem ~gamma (i, j) =
+(* exp(-i g * c * Z Z) = Cphase(theta) with theta = 2 g c.  The
+   coefficient table is built once, when applied to a problem and g. *)
+let cphase_gate problem ~gamma =
   let coeff = quad_coeff problem in
-  Gate.Cphase (i, j, 2.0 *. gamma *. coeff (i, j))
+  fun (i, j) -> Gate.Cphase (i, j, 2.0 *. gamma *. coeff (i, j))
 
+(* exp(-i g * h * Z) = RZ(2 g h) *)
 let linear_gates problem ~gamma =
   List.map
     (fun (i, h) -> Gate.Rz (i, 2.0 *. gamma *. h))
@@ -42,15 +45,7 @@ let cost_layer_gates ?order problem ~gamma =
       check_order problem o;
       o
   in
-  let coeff = quad_coeff problem in
-  (* exp(-i g * c * Z Z) = Cphase(theta) with theta = 2 g c;
-     exp(-i g * h * Z)   = RZ(2 g h). *)
-  let cphases =
-    List.map
-      (fun (i, j) -> Gate.Cphase (i, j, 2.0 *. gamma *. coeff (i, j)))
-      pairs
-  in
-  cphases @ linear_gates problem ~gamma
+  List.map (cphase_gate problem ~gamma) pairs @ linear_gates problem ~gamma
 
 let mixer_gates problem ~beta =
   List.init problem.Problem.num_vars (fun q -> Gate.Rx (q, 2.0 *. beta))

@@ -30,8 +30,12 @@ val cost_layer_gates :
 
 val cphase_gate : Problem.t -> gamma:float -> int * int -> Qaoa_circuit.Gate.t
 (** The CPHASE gate of one quadratic term at the given gamma - the unit
-    IC/VIC schedule one at a time.  @raise Invalid_argument if the pair
-    is not a quadratic term of the problem. *)
+    IC/VIC schedule one at a time.  The problem's coefficient table is
+    built once per problem and gamma, when the function is applied to
+    them, so apply it once per level and map the result over the pairs:
+    [List.map (cphase_gate problem ~gamma) pairs].  @raise
+    Invalid_argument if the pair is not a quadratic term of the
+    problem. *)
 
 val linear_gates : Problem.t -> gamma:float -> Qaoa_circuit.Gate.t list
 (** RZ gates of the linear terms of one cost layer (empty for MaxCut). *)

@@ -26,18 +26,18 @@ let form_layer ?packing_limit rng ~dist ~phys remaining =
   (match packing_limit with
   | Some l when l < 1 -> invalid_arg "Ic.form_layer: packing limit < 1"
   | _ -> ());
-  let distance (a, b) = Float_matrix.get dist (phys a) (phys b) in
-  (* Ascending distance, ties random (shuffle + stable sort). *)
+  (* Ascending distance, ties random (shuffle + stable sort); each
+     pair's distance is read once. *)
   let sorted =
-    List.stable_sort
-      (fun x y -> compare (distance x) (distance y))
-      (Rng.shuffle_list rng remaining)
+    Rng.shuffle_list rng remaining
+    |> List.map (fun (a, b) -> (Float_matrix.get dist (phys a) (phys b), (a, b)))
+    |> List.stable_sort (fun (x, _) (y, _) -> Float.compare x y)
   in
   let cap = Option.value ~default:max_int packing_limit in
   let used = Hashtbl.create 16 in
   let layer = ref [] and rest = ref [] and size = ref 0 in
   List.iter
-    (fun (a, b) ->
+    (fun (_, (a, b)) ->
       if
         !size < cap && (not (Hashtbl.mem used a)) && not (Hashtbl.mem used b)
       then begin
@@ -92,6 +92,7 @@ let compile ?(config = default_config) ?(measure = true) rng device ~initial
   route_partial [ List.init num_logical (fun q -> Gate.H q) ];
   for level = 0 to p - 1 do
     let gamma = params.Ansatz.gammas.(level) in
+    let cphase = Ansatz.cphase_gate problem ~gamma in
     let rec cost_layers remaining =
       if remaining <> [] then begin
         Qaoa_obs.Deadline.check config.router.Router.deadline;
@@ -104,8 +105,7 @@ let compile ?(config = default_config) ?(measure = true) rng device ~initial
           Metrics_registry.observe "ic.layer_size"
             (float_of_int (List.length layer))
         end;
-        route_partial
-          [ List.map (Ansatz.cphase_gate problem ~gamma) layer ];
+        route_partial [ List.map cphase layer ];
         cost_layers rest
       end
     in

@@ -44,14 +44,9 @@ let compile ?(measure = true) ~line device problem params =
     | None -> assert false (* the network permutes only occupied slots *)
   in
   let p = Ansatz.levels params in
-  (* a coupled-pair lookup for "emit the CPHASE when this meeting is a
-     problem edge" *)
-  let coupled = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b) -> Hashtbl.replace coupled (min a b, max a b) ())
-    (Problem.cphase_pairs problem);
   for level = 0 to p - 1 do
     let gamma = params.Ansatz.gammas.(level) in
+    let cphase = Ansatz.cphase_gate problem ~gamma in
     if level = 0 then
       for l = 0 to k - 1 do
         emit (Gate.H (Mapping.phys !mapping l))
@@ -63,9 +58,10 @@ let compile ?(measure = true) ~line device problem params =
       while !slot + 1 < k do
         let a = logical_at_slot !slot and b = logical_at_slot (!slot + 1) in
         let pa = positions.(!slot) and pb = positions.(!slot + 1) in
-        if Hashtbl.mem coupled (min a b, max a b) then
-          emit (Ansatz.cphase_gate problem ~gamma (a, b)
-               |> Gate.map_qubits (fun l -> if l = a then pa else pb));
+        (* a meeting that is not a problem edge emits no CPHASE *)
+        (match cphase (a, b) with
+        | g -> emit (Gate.map_qubits (fun l -> if l = a then pa else pb) g)
+        | exception Invalid_argument _ -> ());
         emit (Gate.Swap (pa, pb));
         mapping := Mapping.swap_physical !mapping pa pb;
         incr swaps;

@@ -39,12 +39,3 @@ let csv_of_rows ~columns rows =
 
 let write_file ~path ~columns rows =
   Qaoa_journal.Atomic_write.write_string ~path (csv_of_rows ~columns rows)
-
-let export_all ~dir triples =
-  Qaoa_journal.Atomic_write.mkdir_p dir;
-  List.map
-    (fun (name, columns, rows) ->
-      let path = Filename.concat dir (name ^ ".csv") in
-      write_file ~path ~columns rows;
-      path)
-    triples

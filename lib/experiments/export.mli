@@ -15,9 +15,3 @@ val write_file : path:string -> columns:string list -> Experiment.row list -> un
 (** [csv_of_rows] to a file, atomically
     ({!Qaoa_journal.Atomic_write.write}): readers and crashes see either
     the previous complete file or the new one, never a torn CSV. *)
-
-val export_all :
-  dir:string -> (string * string list * Experiment.row list) list -> string list
-(** [(name, columns, rows)] triples to [dir/name.csv]; [dir] is created
-    recursively if missing (and left untouched if it already exists).
-    Each file is written atomically.  Returns the written paths. *)

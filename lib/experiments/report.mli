@@ -16,8 +16,8 @@ val run :
     for an ablation) as soon as the rows are computed, with header
     [workload,v0,...] (one [v<i>] per column, see
     {!Export.csv_of_rows}), and after the last record [dir/report.md]
-    ({!to_markdown}).  [dir] is created by the first write, and every
-    file is written atomically.  [journal] is passed to every
+    ({!to_markdown}).  [dir] is created (recursively) before the first
+    record runs, and every file is written atomically.  [journal] is passed to every
     record. *)
 
 val to_markdown :

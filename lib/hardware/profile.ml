@@ -1,14 +1,5 @@
-module Graph = Qaoa_graph.Graph
 module Paths = Qaoa_graph.Paths
-
-let connectivity_strength ?(order = 2) device q =
-  let dist = Paths.bfs_distances device.Device.coupling q in
-  Array.fold_left
-    (fun acc d -> if d >= 1 && d <= order then acc + 1 else acc)
-    0 dist
-
-let connectivity_profile ?order device =
-  Array.init (Device.num_qubits device) (connectivity_strength ?order device)
+module Float_matrix = Qaoa_util.Float_matrix
 
 (* The mapping procedures look distances up on every decision; the paper
    prescribes computing the matrix once per device (Floyd-Warshall) and
@@ -46,6 +37,28 @@ let hop_distances device =
   hop_cache device.Device.coupling (fun () ->
       Paths.all_pairs_hops device.Device.coupling)
 
+let edges_cache = memoize ()
+
+let coupling_edges device =
+  edges_cache device.Device.coupling (fun () -> Device.coupling_edges device)
+
+(* Qubits at hop distance 1..order from q; unreachable ones sit at
+   infinity. *)
+let strength hops ~order q =
+  let order = float_of_int order and within = ref 0 in
+  for v = 0 to Float_matrix.size hops - 1 do
+    let d = Float_matrix.get hops q v in
+    if d >= 1.0 && d <= order then incr within
+  done;
+  !within
+
+let connectivity_strength ?(order = 2) device q =
+  strength (hop_distances device) ~order q
+
+let connectivity_profile ?(order = 2) device =
+  let hops = hop_distances device in
+  Array.init (Device.num_qubits device) (strength hops ~order)
+
 let weighted_cache = memoize ()
 
 let weighted_distances device =
@@ -65,7 +78,7 @@ let distance_matrix ~variation_aware device =
   if variation_aware then weighted_distances device else hop_distances device
 
 let precompute device =
-  ignore (hop_distances device : Qaoa_util.Float_matrix.t);
+  ignore (hop_distances device : Float_matrix.t);
   match device.Device.calibration with
-  | Some _ -> ignore (weighted_distances device : Qaoa_util.Float_matrix.t)
+  | Some _ -> ignore (weighted_distances device : Float_matrix.t)
   | None -> ()

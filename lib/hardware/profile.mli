@@ -12,10 +12,15 @@
 
 val connectivity_strength : ?order:int -> Device.t -> int -> int
 (** Unique qubits within hop distance [order] (default 2) of the given
-    qubit, excluding itself. *)
+    qubit, excluding itself; read off {!hop_distances}. *)
 
 val connectivity_profile : ?order:int -> Device.t -> int array
 (** [connectivity_strength] of every qubit. *)
+
+val coupling_edges : Device.t -> (int * int) list
+(** {!Device.coupling_edges} (sorted [(u, v)] with [u < v]), memoized
+    per coupling graph like the distance matrices - the router's SWAP
+    candidates, read on every routing call. *)
 
 val hop_distances : Device.t -> Qaoa_util.Float_matrix.t
 (** All-pairs hop distances of the coupling graph. *)

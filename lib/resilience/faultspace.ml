@@ -21,15 +21,6 @@ let drop_sweep =
     (fun fraction -> scenario [ Fault.Dropped_calibration { fraction } ])
     [ 0.1; 0.2; 0.5 ]
 
-let cross left right =
-  List.concat_map
-    (fun l ->
-      List.map
-        (fun r ->
-          { label = l.label ^ "+" ^ r.label; faults = l.faults @ r.faults })
-        right)
-    left
-
 let default =
   (baseline :: dead_qubit_sweep)
   @ severed_coupling_sweep @ drift_sweep @ drop_sweep

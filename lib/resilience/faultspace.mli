@@ -27,10 +27,6 @@ val drift_sweep : scenario list
 val drop_sweep : scenario list
 (** One scenario per dropped-calibration fraction: 0.1, 0.2 and 0.5. *)
 
-val cross : scenario list -> scenario list -> scenario list
-(** Cartesian product, concatenating fault lists and joining labels
-    with ["+"]. *)
-
 val default : scenario list
 (** {!baseline}, every per-axis sweep, plus the compound
     stress scenario [dead*2+drop(20%)] the acceptance criterion names

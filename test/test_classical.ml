@@ -3,6 +3,8 @@
 module Problem = Qaoa_core.Problem
 module Classical = Qaoa_core.Classical
 module Export = Qaoa_experiments.Export
+module Experiment = Qaoa_experiments.Experiment
+module Report = Qaoa_experiments.Report
 module Generators = Qaoa_graph.Generators
 module Rng = Qaoa_util.Rng
 
@@ -114,18 +116,21 @@ let test_write_and_export_all () =
   let dir = Filename.temp_file "qaoa_export" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let paths =
-    Export.export_all ~dir
-      [ ("t1", [ "a" ], [ ("x", [ 1.0 ]) ]); ("t2", [ "b" ], []) ]
+  let record id columns rows =
+    Experiment.make Experiment.Figure id ~title:id ~columns ~notes:[]
+      (fun ~scale:_ ~journal:_ -> rows)
   in
-  Alcotest.(check int) "two files" 2 (List.length paths);
-  List.iter
-    (fun p -> Alcotest.(check bool) ("exists " ^ p) true (Sys.file_exists p))
-    paths;
-  let ic = open_in (List.hd paths) in
+  Report.run ~export:dir ~scale:Experiment.Smoke
+    [ record "t1" [ "a" ] [ ("x", [ 1.0 ]) ]; record "t2" [ "b" ] [] ];
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check (list string)) "two files and the report"
+    [ "report.md"; "t1.csv"; "t2.csv" ] files;
+  let ic = open_in (Filename.concat dir "t1.csv") in
   let header = input_line ic in
   close_in ic;
-  Alcotest.(check string) "header" "workload,a" header
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir;
+  Alcotest.(check string) "header" "workload,v0" header
 
 let suite =
   [

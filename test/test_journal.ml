@@ -14,6 +14,8 @@ module Persist = Qaoa_serve.Persist
 module Cache = Qaoa_serve.Cache
 module Json = Qaoa_obs.Json
 module Export = Qaoa_experiments.Export
+module Experiment = Qaoa_experiments.Experiment
+module Report = Qaoa_experiments.Report
 
 let temp_dir () =
   let path = Filename.temp_file "qaoa_journal" "" in
@@ -524,13 +526,17 @@ let prop_csv_roundtrip =
              labels data
       | [] -> false)
 
-let test_export_all_recursive_dir () =
+let test_report_export_creates_dirs () =
   with_dir @@ fun dir ->
   let deep = Filename.concat (Filename.concat dir "nested") "csv" in
-  let paths =
-    Export.export_all ~dir:deep [ ("t", [ "a" ], [ ("row", [ 1.0 ]) ]) ]
-  in
-  Alcotest.(check int) "one file" 1 (List.length paths);
+  Report.run ~export:deep ~scale:Experiment.Smoke
+    [
+      Experiment.make Experiment.Figure "t" ~title:"t" ~columns:[ "a" ] ~notes:[]
+        (fun ~scale:_ ~journal:_ -> [ ("row", [ 1.0 ]) ]);
+    ];
+  Alcotest.(check (list string)) "one file and the report"
+    [ "report.md"; "t.csv" ]
+    (List.sort compare (Array.to_list (Sys.readdir deep)));
   Alcotest.(check bool) "file exists under nested dir" true
     (Sys.file_exists (Filename.concat deep "t.csv"))
 
@@ -556,6 +562,6 @@ let suite =
     ("chaos plan parsing", `Quick, test_chaos_plan_parsing);
     ("journaled runner matches direct", `Quick,
      test_runner_journaled_matches_direct);
-    ("export_all creates dirs", `Quick, test_export_all_recursive_dir);
+    ("report export creates dirs", `Quick, test_report_export_creates_dirs);
     QCheck_alcotest.to_alcotest prop_csv_roundtrip;
   ]

@@ -348,16 +348,7 @@ let test_faultspace_default () =
     "includes the acceptance scenario" true
     (List.exists
        (fun sc -> sc.Faultspace.label = "dead*2+drop(20%)")
-       Faultspace.default);
-  let crossed =
-    Faultspace.cross
-      [ List.hd Faultspace.dead_qubit_sweep ]
-      [ List.nth Faultspace.drop_sweep 2 ]
-  in
-  Alcotest.(check int) "cross is a product" 1 (List.length crossed);
-  Alcotest.(check int)
-    "cross concatenates faults" 2
-    (List.length (List.hd crossed).Faultspace.faults)
+       Faultspace.default)
 
 let suite =
   [

@@ -26,6 +26,10 @@ module Compile = Qaoa_core.Compile
 module Success = Qaoa_hardware.Success
 module Arg = Qaoa_core.Arg
 module Crosstalk = Qaoa_core.Crosstalk
+module Swap_network = Qaoa_core.Swap_network
+module Router = Qaoa_backend.Router
+module Qasm = Qaoa_circuit.Qasm
+module Workload = Qaoa_experiments.Workload
 module Rng = Qaoa_util.Rng
 
 let params = Ansatz.params_p1 ~gamma:0.7 ~beta:0.4
@@ -495,6 +499,93 @@ let prop_compile_invariants =
              = List.length (Problem.cphase_pairs problem))
         Compile.all_strategies)
 
+(* MD5 of every policy's compiled circuit (its QASM), swap count and
+   both mappings at p = 1 and p = 2, recorded before IC built its CPHASE
+   coefficients once per level and the router scored SWAPs over arrays:
+   the compiled outputs must not move by a byte.  The inputs are the
+   bench compiles: tokyo ER(0.5) n = 20 (VIC and VQA on its seed-5
+   calibration), the 6x6 grid 15-regular n = 36, melbourne ER(0.5)
+   n = 14, and the swap-network ablation's serpentine line. *)
+let compiled_digests () =
+  let digest circuit swaps initial final =
+    let mapping m = Format.asprintf "%a" Mapping.pp m in
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            [ Qasm.to_string circuit; string_of_int swaps; mapping initial; mapping final ]))
+  in
+  let problem seed kind n = List.hd (Workload.problems (Rng.create seed) kind ~n ~count:1) in
+  let tokyo = Topologies.ibmq_20_tokyo () in
+  let tokyo_cal = Device.with_random_calibration (Rng.create 5) tokyo in
+  let grid = Topologies.grid_6x6 () in
+  let er20 = problem 101 (Workload.Erdos_renyi 0.5) 20 in
+  let compiles =
+    List.map
+      (fun s -> (tokyo, s, er20))
+      Compile.[ Naive; Greedy_v; Greedy_e; Qaim; Ip; Ic None ]
+    @ [
+        (tokyo_cal, Compile.Vic None, er20);
+        (tokyo_cal, Compile.Vqa_alloc, er20);
+        (grid, Compile.Ic (Some 11), problem 104 (Workload.Regular 15) 36);
+        ( Topologies.ibmq_16_melbourne (),
+          Compile.Vic None,
+          problem 102 (Workload.Erdos_renyi 0.5) 14 );
+      ]
+  in
+  let line = Swap_network.serpentine_line ~rows:6 ~cols:6 in
+  let er24 = problem 20950 (Workload.Erdos_renyi 0.5) 24 in
+  List.concat_map
+    (fun (level, params) ->
+      List.map
+        (fun (device, strategy, problem) ->
+          let r = Compile.compile ~strategy device problem params in
+          ( Printf.sprintf "p=%d %s %s" level (Compile.strategy_name strategy)
+              device.Device.name,
+            digest r.Compile.circuit r.Compile.swap_count r.Compile.initial_mapping
+              r.Compile.final_mapping ))
+        compiles
+      @
+      let r = Swap_network.compile ~line grid er24 params in
+      [
+        ( Printf.sprintf "p=%d swap network %s" level grid.Device.name,
+          digest r.Router.circuit r.Router.swap_count
+            (Mapping.of_array ~num_physical:36 (Array.sub (Array.of_list line) 0 24))
+            r.Router.final_mapping );
+      ])
+    [
+      (1, Workload.default_params);
+      (2, { Ansatz.gammas = [| 0.7; 0.3 |]; betas = [| 0.4; 0.9 |] });
+    ]
+
+let test_compiled_outputs_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "compiled digests"
+    [
+      ("p=1 NAIVE ibmq_20_tokyo", "8e1d6c55ef8ecd3f141742fd4d3eb8f2");
+      ("p=1 GreedyV ibmq_20_tokyo", "d02dce893d109ac4ade4aa202638404e");
+      ("p=1 GreedyE ibmq_20_tokyo", "6d89f97513e35afcbb2c224521cdc938");
+      ("p=1 QAIM ibmq_20_tokyo", "800b469b531897006f1a4a6268c7b866");
+      ("p=1 IP ibmq_20_tokyo", "724ed76736caae43837806143dfeb780");
+      ("p=1 IC ibmq_20_tokyo", "054c5b81d52fae9f8647fe451cd296e9");
+      ("p=1 VIC ibmq_20_tokyo", "5503b6c1e4b1a1ed51947ec2dfaba183");
+      ("p=1 VQA ibmq_20_tokyo", "3d7770d5d896aa8fc001f147e9bd31d8");
+      ("p=1 IC(limit=11) grid_6x6", "c7fd749a1c15a7f1035bbbf58d5b60b7");
+      ("p=1 VIC ibmq_16_melbourne", "7d426cc0426962788a92e20b80df5898");
+      ("p=1 swap network grid_6x6", "08d94534f152aa3912deb72999d59a0f");
+      ("p=2 NAIVE ibmq_20_tokyo", "30de3f865ca7bb1dbbf78c15a263352e");
+      ("p=2 GreedyV ibmq_20_tokyo", "608949b5f4806bf9061b5f5a396558b1");
+      ("p=2 GreedyE ibmq_20_tokyo", "f39734ba62362f613f86fad1c4d61618");
+      ("p=2 QAIM ibmq_20_tokyo", "576913a8f904b84b85e0ee7699d44e5c");
+      ("p=2 IP ibmq_20_tokyo", "c76e761313c3675941565e3866df93b0");
+      ("p=2 IC ibmq_20_tokyo", "a60c5a736bc70a4ba64ea243a3215daa");
+      ("p=2 VIC ibmq_20_tokyo", "b741014c5ef67cf803014df57b838924");
+      ("p=2 VQA ibmq_20_tokyo", "b0c8b177e352b1205c2bf1570b7bbf8f");
+      ("p=2 IC(limit=11) grid_6x6", "525de4ec9b3449b977fbc97ad773fcf6");
+      ("p=2 VIC ibmq_16_melbourne", "494db8c3a1414c601a629775f4cd910f");
+      ("p=2 swap network grid_6x6", "f46420e0c468f4276abe04fde1303782");
+    ]
+    (compiled_digests ())
+
 let suite =
   [
     ("mappers valid", `Quick, test_mappers_valid);
@@ -524,5 +615,6 @@ let suite =
     ("crosstalk sequentialization", `Quick, test_crosstalk_sequentialization);
     ("crosstalk no conflict", `Quick, test_crosstalk_no_conflict_unchanged);
     ("crosstalk preserves semantics", `Quick, test_crosstalk_preserves_semantics);
+    ("compiled outputs pinned", `Quick, test_compiled_outputs_pinned);
     QCheck_alcotest.to_alcotest prop_compile_invariants;
   ]
