@@ -5,107 +5,93 @@ module Mapping = Qaoa_backend.Mapping
 module Float_matrix = Qaoa_util.Float_matrix
 module Rng = Qaoa_util.Rng
 
-(* Pick an element of [cands] maximizing [score], breaking ties at
-   random.  @raise Invalid_argument on []. *)
-let argmax_random rng score cands =
-  match cands with
+let argmax_random ?rng score = function
   | [] -> invalid_arg "Greedy_mapper: no candidates"
   | first :: rest ->
     let best, _, _ =
       List.fold_left
-        (fun (bx, bs, nties) x ->
+        (fun ((bx, bs, nties) as best) x ->
           let s = score x in
           if s > bs then (x, s, 1)
           else if s = bs then
-            (* reservoir sampling over ties keeps the draw uniform *)
-            let nties = nties + 1 in
-            if Rng.int rng nties = 0 then (x, bs, nties) else (bx, bs, nties)
-          else (bx, bs, nties))
+            match rng with
+            | None -> best
+            | Some rng ->
+              (* reservoir sampling over ties keeps the draw uniform *)
+              let nties = nties + 1 in
+              if Rng.int rng nties = 0 then (x, bs, nties) else (bx, bs, nties)
+          else best)
         (first, score first, 1)
         rest
     in
     best
 
-let unallocated_qubits device placed =
-  List.filter
-    (fun p -> not (Hashtbl.mem placed p))
-    (List.init (Device.num_qubits device) (fun i -> i))
+let free_qubits free =
+  let rec collect p acc =
+    if p < 0 then acc else collect (p - 1) (if free.(p) then p :: acc else acc)
+  in
+  collect (Array.length free - 1) []
 
-(* Shared skeleton: place logical qubits one at a time in [order]; the
-   position of each is chosen by [choose] given the physical locations of
-   its already-placed logical neighbors. *)
-let place_sequentially device problem order ~first ~choose =
+let place_heaviest_first ?(random_ties = true) rng device problem ~candidates
+    ~score =
+  let ops = Problem.ops_per_qubit problem in
+  let order =
+    List.stable_sort
+      (fun a b -> compare ops.(b) ops.(a))
+      (Rng.shuffle_list rng (List.init problem.Problem.num_vars Fun.id))
+  in
+  let dist = Profile.hop_distances device in
   let pg = Problem.interaction_graph problem in
-  let n = problem.Problem.num_vars in
-  let l2p = Array.make n (-1) in
-  let placed_phys = Hashtbl.create n in
+  let num_physical = Device.num_qubits device in
+  let free = Array.make num_physical true in
+  let l2p = Array.make problem.Problem.num_vars (-1) in
+  let rng = if random_ties then Some rng else None in
   List.iter
     (fun l ->
-      let placed_neighbor_locs =
+      let locs =
         List.filter_map
           (fun nb -> if l2p.(nb) >= 0 then Some l2p.(nb) else None)
           (Graph.neighbors pg l)
       in
-      let free = unallocated_qubits device placed_phys in
-      let p =
-        if Hashtbl.length placed_phys = 0 then first free
-        else choose free placed_neighbor_locs
+      let distance p =
+        List.fold_left (fun acc q -> acc +. Float_matrix.get dist p q) 0.0 locs
       in
+      let p = argmax_random ?rng (score locs distance) (candidates ~free locs) in
       l2p.(l) <- p;
-      Hashtbl.replace placed_phys p ())
+      free.(p) <- false)
     order;
-  Mapping.of_array ~num_physical:(Device.num_qubits device) l2p
-
-let heaviest_first rng problem =
-  let ops = Problem.ops_per_qubit problem in
-  List.stable_sort
-    (fun a b -> compare ops.(b) ops.(a))
-    (Rng.shuffle_list rng (List.init problem.Problem.num_vars (fun i -> i)))
+  Mapping.of_array ~num_physical l2p
 
 let greedy_v rng device problem =
-  let dist = Profile.hop_distances device in
-  let deg p = Graph.degree device.Device.coupling p in
-  let cumulative_distance p locs =
-    List.fold_left (fun acc q -> acc +. Float_matrix.get dist p q) 0.0 locs
-  in
-  place_sequentially device problem (heaviest_first rng problem)
-    ~first:(fun free -> argmax_random rng (fun p -> float_of_int (deg p)) free)
-    ~choose:(fun free neighbor_locs ->
-      if neighbor_locs = [] then
-        argmax_random rng (fun p -> float_of_int (deg p)) free
-      else
-        argmax_random rng (fun p -> -.cumulative_distance p neighbor_locs) free)
+  let deg p = float_of_int (Graph.degree device.Device.coupling p) in
+  place_heaviest_first rng device problem
+    ~candidates:(fun ~free _ -> free_qubits free)
+    ~score:(fun locs distance p -> if locs = [] then deg p else -.distance p)
 
 let greedy_e rng device problem =
   (* All QAOA pairs interact exactly once per level, so the
      heaviest-edge order degenerates to a random edge order. *)
   let dist = Profile.hop_distances device in
-  let deg p = Graph.degree device.Device.coupling p in
+  let coupling = device.Device.coupling in
+  let deg p = Graph.degree coupling p in
   let n = problem.Problem.num_vars in
   let edges = Rng.shuffle_list rng (Problem.cphase_pairs problem) in
   let l2p = Array.make n (-1) in
-  let placed_phys = Hashtbl.create n in
-  let free () = unallocated_qubits device placed_phys in
+  let free = Array.make (Device.num_qubits device) true in
   let place l p =
     l2p.(l) <- p;
-    Hashtbl.replace placed_phys p ()
+    free.(p) <- false
   in
-  let free_neighbors p =
-    List.filter
-      (fun q -> not (Hashtbl.mem placed_phys q))
-      (Graph.neighbors device.Device.coupling p)
-  in
+  let by_degree cands = argmax_random ~rng (fun p -> float_of_int (deg p)) cands in
   let place_one_near anchor l =
     (* Free physical qubit closest to [anchor], preferring couplings. *)
-    match free_neighbors anchor with
+    match List.filter (Array.get free) (Graph.neighbors coupling anchor) with
     | [] ->
-      let p =
-        argmax_random rng
-          (fun p -> -.Float_matrix.get dist p anchor)
-          (free ())
-      in
-      place l p
-    | cands -> place l (argmax_random rng (fun p -> float_of_int (deg p)) cands)
+      place l
+        (argmax_random ~rng
+           (fun p -> -.Float_matrix.get dist p anchor)
+           (free_qubits free))
+    | cands -> place l (by_degree cands)
   in
   List.iter
     (fun (a, b) ->
@@ -113,22 +99,20 @@ let greedy_e rng device problem =
       | true, true -> ()
       | true, false -> place_one_near l2p.(a) b
       | false, true -> place_one_near l2p.(b) a
-      | false, false ->
+      | false, false -> (
         (* Free coupled pair with the largest degree sum. *)
-        let coupled_free =
+        match
           List.filter
-            (fun (p, q) ->
-              not (Hashtbl.mem placed_phys p) && not (Hashtbl.mem placed_phys q))
-            (Device.coupling_edges device)
-        in
-        (match coupled_free with
+            (fun (p, q) -> free.(p) && free.(q))
+            (Profile.coupling_edges device)
+        with
         | [] ->
-          let p = argmax_random rng (fun p -> float_of_int (deg p)) (free ()) in
+          let p = by_degree (free_qubits free) in
           place a p;
           place_one_near p b
-        | _ ->
+        | coupled_free ->
           let p, q =
-            argmax_random rng
+            argmax_random ~rng
               (fun (p, q) -> float_of_int (deg p + deg q))
               coupled_free
           in
@@ -137,7 +121,6 @@ let greedy_e rng device problem =
     edges;
   (* Isolated variables (no quadratic term) still need homes. *)
   for l = 0 to n - 1 do
-    if l2p.(l) < 0 then
-      place l (argmax_random rng (fun p -> float_of_int (deg p)) (free ()))
+    if l2p.(l) < 0 then place l (by_degree (free_qubits free))
   done;
   Mapping.of_array ~num_physical:(Device.num_qubits device) l2p

@@ -18,9 +18,12 @@
       connectivity strength / cumulative distance to placed neighbors,
 
     falling back to the globally strongest free qubit when it has no
-    placed neighbor (or their physical neighborhoods are exhausted).
-    Ties are broken uniformly at random, as in the paper's Example 1
-    (qubit-7 vs qubit-12). *)
+    placed neighbor; when their physical neighborhoods are exhausted,
+    every free qubit is a candidate for the same metric.  Ties are
+    broken uniformly at random, as in the paper's Example 1 (qubit-7 vs
+    qubit-12).  The order, free set and tie-break are those of
+    {!Greedy_mapper.place_heaviest_first}, the loop GreedyV and VQA use
+    too; QAIM supplies the candidates and the metric. *)
 
 type config = {
   strength_order : int;

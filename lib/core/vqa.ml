@@ -1,118 +1,52 @@
 module Graph = Qaoa_graph.Graph
 module Device = Qaoa_hardware.Device
 module Calibration = Qaoa_hardware.Calibration
-module Profile = Qaoa_hardware.Profile
-module Mapping = Qaoa_backend.Mapping
-module Float_matrix = Qaoa_util.Float_matrix
-module Rng = Qaoa_util.Rng
 
-let link_success cal u v =
-  match Calibration.cnot_error_opt cal u v with
-  | Some e -> 1.0 -. e
-  | None -> 0.0
-
-let select_region device ~k =
+(* Each coupling's success rate and each qubit's summed incident rate; a
+   coupling the snapshot does not record is charged
+   [Calibration.unrecorded_error]. *)
+let success_rates device =
   let cal = Device.calibration_exn device in
-  let n = Device.num_qubits device in
-  if k > n then invalid_arg "Vqa.select_region: k exceeds device size";
-  let coupling = device.Device.coupling in
-  let incident_sum q =
-    List.fold_left
-      (fun acc v -> acc +. link_success cal q v)
-      0.0 (Graph.neighbors coupling q)
-  in
-  let seed =
-    List.fold_left
-      (fun best q ->
-        match best with
-        | None -> Some q
-        | Some b -> if incident_sum q > incident_sum b then Some q else best)
-      None
-      (List.init n (fun i -> i))
-  in
-  let region = Hashtbl.create k in
-  (match seed with
-  | Some s -> Hashtbl.replace region s ()
-  | None -> invalid_arg "Vqa.select_region: empty device");
-  while Hashtbl.length region < k do
-    (* outside qubit with the largest reliability into the region,
-       falling back to the best-connected outsider when the frontier is
-       empty (disconnected coupling graphs) *)
-    let gain q =
-      List.fold_left
-        (fun acc v ->
-          if Hashtbl.mem region v then acc +. link_success cal q v else acc)
-        0.0 (Graph.neighbors coupling q)
-    in
-    let outside =
-      List.filter (fun q -> not (Hashtbl.mem region q)) (List.init n (fun i -> i))
-    in
-    let best =
-      List.fold_left
-        (fun best q ->
-          match best with
-          | None -> Some q
-          | Some b ->
-            let gq = gain q and gb = gain b in
-            if gq > gb || (gq = gb && incident_sum q > incident_sum b) then
-              Some q
-            else best)
-        None outside
-    in
-    match best with
-    | Some q -> Hashtbl.replace region q ()
-    | None -> assert false (* k <= n guarantees an outside qubit *)
-  done;
-  List.sort compare (Hashtbl.fold (fun q () acc -> q :: acc) region [])
-
-let initial_mapping rng device problem =
-  let k = problem.Problem.num_vars in
-  let region = select_region device ~k in
-  let in_region = Hashtbl.create k in
-  List.iter (fun q -> Hashtbl.replace in_region q ()) region;
-  let dist = Profile.hop_distances device in
-  let pg = Problem.interaction_graph problem in
-  let ops = Problem.ops_per_qubit problem in
-  let order =
-    List.stable_sort
-      (fun a b -> compare ops.(b) ops.(a))
-      (Rng.shuffle_list rng (List.init k (fun i -> i)))
-  in
-  let cal = Device.calibration_exn device in
-  let l2p = Array.make k (-1) in
-  let taken = Hashtbl.create k in
-  let free () =
-    List.filter (fun q -> not (Hashtbl.mem taken q)) region
-  in
+  let unrecorded = Calibration.unrecorded_error cal in
+  let link u v = 1.0 -. Calibration.cnot_error_or ~default:unrecorded cal u v in
   let incident q =
     List.fold_left
-      (fun acc v -> acc +. link_success cal q v)
+      (fun acc v -> acc +. link q v)
       0.0
       (Graph.neighbors device.Device.coupling q)
   in
-  let argmax score = function
-    | [] -> invalid_arg "Vqa.initial_mapping: no free region qubit"
-    | first :: rest ->
-      List.fold_left
-        (fun best q -> if score q > score best then q else best)
-        first rest
+  (link, Array.init (Device.num_qubits device) incident)
+
+let grow_region (link, incident) device ~k =
+  let n = Device.num_qubits device in
+  if k > n then invalid_arg "Vqa.select_region: k exceeds device size";
+  (* Each step adds the outside qubit with the largest rate into the
+     region: ties go to the larger incident rate, then the lower index,
+     so the first step takes the seed of largest incident rate. *)
+  let by_incident =
+    List.stable_sort
+      (fun a b -> compare incident.(b) incident.(a))
+      (List.init n Fun.id)
   in
-  List.iter
-    (fun l ->
-      let placed_neighbor_locs =
-        List.filter_map
-          (fun nb -> if l2p.(nb) >= 0 then Some l2p.(nb) else None)
-          (Graph.neighbors pg l)
-      in
-      let score q =
-        if placed_neighbor_locs = [] then incident q
-        else
-          -.List.fold_left
-              (fun acc p -> acc +. Float_matrix.get dist q p)
-              0.0 placed_neighbor_locs
-      in
-      let q = argmax score (free ()) in
-      l2p.(l) <- q;
-      Hashtbl.replace taken q ())
-    order;
-  Mapping.of_array ~num_physical:(Device.num_qubits device) l2p
+  let inside = Array.make n false in
+  let gain q =
+    List.fold_left
+      (fun acc v -> if inside.(v) then acc +. link q v else acc)
+      0.0
+      (Graph.neighbors device.Device.coupling q)
+  in
+  for _ = 1 to k do
+    let outside = List.filter (fun q -> not inside.(q)) by_incident in
+    inside.(Greedy_mapper.argmax_random gain outside) <- true
+  done;
+  List.filter (Array.get inside) (List.init n Fun.id)
+
+let select_region device ~k = grow_region (success_rates device) device ~k
+
+let initial_mapping rng device problem =
+  let ((_, incident) as rates) = success_rates device in
+  let region = grow_region rates device ~k:problem.Problem.num_vars in
+  Greedy_mapper.place_heaviest_first ~random_ties:false rng device problem
+    ~candidates:(fun ~free _ -> List.filter (Array.get free) region)
+    ~score:(fun locs distance q ->
+      if locs = [] then incident.(q) else -.distance q)

@@ -12,7 +12,6 @@ type aggregate = {
   mean_cx : float;
   mean_swaps : float;
   mean_time : float;
-  mean_wall_time : float;
   mean_success : float option;
   instances : int;
   quarantined : int;
@@ -26,7 +25,6 @@ type trial = {
   t_cx : float;
   t_swaps : float;
   t_time : float;
-  t_wall : float;
   t_success : float option;
 }
 
@@ -37,7 +35,6 @@ let trial_of_result ~calibrated device r =
     t_cx = float_of_int r.Compile.metrics.Metrics.two_qubit_count;
     t_swaps = float_of_int r.Compile.swap_count;
     t_time = r.Compile.compile_cpu_s;
-    t_wall = r.Compile.compile_wall_s;
     t_success =
       (if calibrated then Some (Compile.success_probability device r)
        else None);
@@ -51,7 +48,6 @@ let encode_trial t =
       ("cx", Json.Float t.t_cx);
       ("swaps", Json.Float t.t_swaps);
       ("time", Json.Float t.t_time);
-      ("wall", Json.Float t.t_wall);
       ( "success",
         match t.t_success with Some s -> Json.Float s | None -> Json.Null );
     ]
@@ -67,7 +63,6 @@ let decode_trial doc =
     t_cx = num "cx";
     t_swaps = num "swaps";
     t_time = num "time";
-    t_wall = num "wall";
     t_success = Option.bind (Json.member "success" doc) Json.to_float;
   }
 
@@ -130,7 +125,6 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
         mean_cx = fmean (fun t -> t.t_cx);
         mean_swaps = fmean (fun t -> t.t_swaps);
         mean_time = fmean (fun t -> t.t_time);
-        mean_wall_time = fmean (fun t -> t.t_wall);
         mean_success =
           (if calibrated then
              Some (fmean (fun t -> Option.value ~default:Float.nan t.t_success))

@@ -18,7 +18,6 @@ type aggregate = {
   mean_cx : float;
   mean_swaps : float;
   mean_time : float;  (** CPU seconds *)
-  mean_wall_time : float;  (** wall-clock seconds *)
   mean_success : float option;  (** None when the device is uncalibrated *)
   instances : int;  (** trials contributing to the means *)
   quarantined : int;

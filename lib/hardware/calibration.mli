@@ -89,6 +89,6 @@ val unrecorded_error : t -> float
 (** The CNOT error charged to a coupling the snapshot records no rate
     for: the worst recorded rate, or the 0.5 clamp ceiling when no
     recorded rate is above 0 (an empty or all-zero snapshot).  One rule
-    for VIC's weighted distances ({!Profile.weighted_distances}), lint
-    rule QL008 and the resilience sweep's success score, so a partial
-    snapshot is never scored better than the data supports. *)
+    for VIC's weighted distances ({!Profile.weighted_distances}), VQA,
+    lint rule QL008 and the resilience sweep's success score, so a
+    partial snapshot is never scored better than the data supports. *)

@@ -179,17 +179,15 @@ let of_line line =
   | Some json -> of_json json
 
 let policy_tag t =
-  (* stable lower-case policy tag; the packing limit is rendered
+  (* the policy's name in Compile's table; the packing limit is rendered
      separately so "ic" round-trips as "ic" *)
-  match t.policy with
-  | Compile.Naive -> "naive"
-  | Compile.Greedy_v -> "greedyv"
-  | Compile.Greedy_e -> "greedye"
-  | Compile.Vqa_alloc -> "vqa"
-  | Compile.Qaim -> "qaim"
-  | Compile.Ip -> "ip"
-  | Compile.Ic _ -> "ic"
-  | Compile.Vic _ -> "vic"
+  let unlimited =
+    match t.policy with
+    | Compile.Ic _ -> Compile.Ic None
+    | Compile.Vic _ -> Compile.Vic None
+    | s -> s
+  in
+  List.assoc unlimited (List.combine Compile.all_strategies Compile.strategy_names)
 
 let packing_limit t =
   match t.policy with

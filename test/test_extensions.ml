@@ -190,6 +190,27 @@ let test_vqa_mapping_valid () =
     (fun p -> Alcotest.(check bool) "in region" true (List.mem p region))
     targets
 
+(* A coupling the snapshot does not record is charged
+   [Calibration.unrecorded_error], as VIC, QL008 and the resilience sweep
+   charge it: dropping melbourne's (0, 14) entry selects the region that
+   writing the worst recorded rate (8.6%) into that entry selects. *)
+let test_vqa_unrecorded_coupling () =
+  let device = Topologies.ibmq_16_melbourne () in
+  let cal = Device.calibration_exn device in
+  let dropped = Calibration.filter_edges (fun u v _ -> (u, v) <> (0, 14)) cal in
+  let unrecorded = Calibration.unrecorded_error dropped in
+  Alcotest.(check (float 1e-12)) "worst recorded rate" 0.0860 unrecorded;
+  let charged =
+    Calibration.map_errors
+      (fun u v e -> if (u, v) = (0, 14) then unrecorded else e)
+      cal
+  in
+  let region c = Vqa.select_region (Device.with_calibration device c) ~k:8 in
+  Alcotest.(check (list int)) "charged entry" [ 0; 1; 2; 3; 11; 12; 13; 14 ]
+    (region charged);
+  Alcotest.(check (list int)) "unrecorded = charged" (region charged)
+    (region dropped)
+
 let test_vqa_requires_calibration () =
   let device = Topologies.ibmq_20_tokyo () in
   Alcotest.check_raises "no calibration"
@@ -238,6 +259,7 @@ let suite =
     ("reverse traversal zero iterations", `Quick, test_reverse_traversal_zero_iterations);
     ("vqa region", `Quick, test_vqa_region);
     ("vqa mapping valid", `Quick, test_vqa_mapping_valid);
+    ("vqa unrecorded coupling", `Quick, test_vqa_unrecorded_coupling);
     ("vqa requires calibration", `Quick, test_vqa_requires_calibration);
     ("iterative vs single shot", `Quick, test_iterative_improves_or_matches_single);
     ("iterative validation", `Quick, test_iterative_validation);

@@ -20,6 +20,7 @@ module Ansatz = Qaoa_core.Ansatz
 module Naive = Qaoa_core.Naive
 module Greedy_mapper = Qaoa_core.Greedy_mapper
 module Qaim = Qaoa_core.Qaim
+module Vqa = Qaoa_core.Vqa
 module Ip = Qaoa_core.Ip
 module Ic = Qaoa_core.Ic
 module Compile = Qaoa_core.Compile
@@ -586,6 +587,92 @@ let test_compiled_outputs_pinned () =
     ]
     (compiled_digests ())
 
+(* MD5 of the initial mappings each mapper gives on the inputs the
+   experiments give it, recorded before GreedyV, QAIM and VQA shared one
+   placement loop: five instances per case, each mapper seeded as its
+   experiment seeds it.  The cases are QAIM at strength orders 1-3 on the
+   6x6 grid with 28-node 3-regular graphs (qaim-strength-order ablation),
+   every mapper on melbourne with 10-node 3-regular graphs
+   (mapper-shootout ablation), QAIM on heavyhex27 with 20-node 3-regular
+   graphs (heavy-hex ablation), and every mapper on problems with an
+   isolated variable. *)
+let mapper_digests () =
+  (* The next draw after each mapping pins how many ties the mapper
+     drew for: QAIM at orders 2 and 3 gives the same grid mappings but
+     leaves the generator in different states for the gate order. *)
+  let case name seed problems mapper =
+    let one i p =
+      let rng = Rng.create (seed + i) in
+      let m = mapper rng p in
+      Format.asprintf "%a %d" Mapping.pp m (Rng.int rng 0x3FFFFFFF)
+    in
+    (name, Digest.to_hex (Digest.string (String.concat "|" (List.mapi one problems))))
+  in
+  let regular seed n = Workload.problems (Rng.create seed) (Workload.Regular 3) ~n ~count:5 in
+  let grid = Topologies.grid_6x6 () in
+  let melbourne = Topologies.ibmq_16_melbourne () in
+  let mappers =
+    [
+      ("NAIVE", Naive.initial_mapping);
+      ("GreedyV", Greedy_mapper.greedy_v);
+      ("GreedyE", Greedy_mapper.greedy_e);
+      ("QAIM", fun rng device p -> Qaim.initial_mapping rng device p);
+      ("VQA", Vqa.initial_mapping);
+    ]
+  in
+  (* a 10-node 3-regular graph plus an eleventh, isolated variable, and
+     a path beside an isolated fifth variable *)
+  let isolated =
+    List.map
+      (fun p ->
+        Problem.of_maxcut
+          (Graph.of_edges 11 (Graph.edges (Problem.interaction_graph p))))
+      (regular 300 10)
+    @ List.init 5 (fun _ ->
+          Problem.of_maxcut (Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3) ]))
+  in
+  List.map
+    (fun order ->
+      let config = { Qaim.strength_order = order } in
+      case (Printf.sprintf "QAIM order=%d grid_6x6" order) 20200 (regular 20200 28)
+        (fun rng p -> Qaim.initial_mapping ~config rng grid p))
+    [ 1; 2; 3 ]
+  @ List.map
+      (fun (name, mapper) ->
+        case (name ^ " ibmq_16_melbourne") 20500 (regular 20500 10)
+          (fun rng p -> mapper rng melbourne p))
+      mappers
+  @ [
+      case "QAIM heavy_hex_27" 21000 (regular 21000 20) (fun rng p ->
+          Qaim.initial_mapping rng (Topologies.heavy_hex_27 ()) p);
+    ]
+  @ List.map
+      (fun (name, mapper) ->
+        case (name ^ " isolated variable") 400 isolated (fun rng p ->
+            mapper rng melbourne p))
+      mappers
+
+let test_mapper_outputs_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "mapping digests"
+    [
+      ("QAIM order=1 grid_6x6", "8a53ffd14ee7db57f543eb1ff48014ab");
+      ("QAIM order=2 grid_6x6", "c413bd536d9a490cd535f7711fe73ad7");
+      ("QAIM order=3 grid_6x6", "ca424ed25a567b6074e934e9a3e2a87c");
+      ("NAIVE ibmq_16_melbourne", "3382d4dc0848b06d7cdee8d74f0f1eb4");
+      ("GreedyV ibmq_16_melbourne", "d1f3ca9b7bb800fc26c59cdf2a33a499");
+      ("GreedyE ibmq_16_melbourne", "d1a4a8566e90fe98b69eb88904e486d4");
+      ("QAIM ibmq_16_melbourne", "c4e57b02eeabdb41d76dfde8cbb6b9b8");
+      ("VQA ibmq_16_melbourne", "f9af989c0192ff0ed0c705dea058aae6");
+      ("QAIM heavy_hex_27", "0406e718a5a4dc7f8b4e2f6edd8648fc");
+      ("NAIVE isolated variable", "e19de6dfe5245df6d44bde632344a4fd");
+      ("GreedyV isolated variable", "5fda5e7aef499d320b9a94e1a1de0bdd");
+      ("GreedyE isolated variable", "2a26d212bdb3dbc86e5b4a6cdb8413d8");
+      ("QAIM isolated variable", "c4e527924931e8a42117205fb70fdbf7");
+      ("VQA isolated variable", "969c3496bb7509e38edc848a4ca45ea3");
+    ]
+    (mapper_digests ())
+
 let suite =
   [
     ("mappers valid", `Quick, test_mappers_valid);
@@ -616,5 +703,6 @@ let suite =
     ("crosstalk no conflict", `Quick, test_crosstalk_no_conflict_unchanged);
     ("crosstalk preserves semantics", `Quick, test_crosstalk_preserves_semantics);
     ("compiled outputs pinned", `Quick, test_compiled_outputs_pinned);
+    ("mapper outputs pinned", `Quick, test_mapper_outputs_pinned);
     QCheck_alcotest.to_alcotest prop_compile_invariants;
   ]
