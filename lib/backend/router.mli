@@ -17,13 +17,27 @@
     budget bounds the loop, past which pending gates are routed one at a
     time - so routing always terminates.
 
-    Each SWAP decision reads the physical ends of the pending and
-    lookahead pairs into int arrays, marks their hosts in a bool array
-    and scores the candidates in coupling-edge order, each sum added in
-    pair order, so no candidate allocates and every score is the same
-    float as a list-based scorer's.  The sorted coupling edges and the
-    hop matrix come from {!Qaoa_hardware.Profile}'s per-device memos, so
-    a call does no per-device set-up.
+    A SWAP is scored by what it changes.  The gates of a layer touch
+    disjoint qubits, so exchanging physical p and q moves at most two
+    pending pairs and two lookahead pairs: the router keeps each
+    layer's pairs as arrays of physical ends, with a per-qubit array
+    naming the pair each qubit hosts, adds the pending and lookahead
+    sums once per decision in pair order, and scores each candidate as
+    those sums plus its change, walking the coupling edges in edge
+    order.  On hop distances (small integers) that is exactly the float
+    the pair-order sum after the SWAP gives, so every comparison and
+    every seed-17 coin flip is the one full re-summation gives; on
+    reliability-weighted distances, whose sums round, a comparison whose
+    margin lies within a rounding bound of its 1e-12 window is redone on
+    pair-order sums, so those decisions are exact too.  A candidate
+    allocates nothing (distance reads are inlined and unboxed).
+
+    The mapping lives in two arrays updated in place by each SWAP, and
+    one {!Mapping.t} is built at the end of the call; a pending pair is
+    satisfied when its hosts sit at hop distance 1.  The sorted coupling
+    edges (as arrays) and the hop matrix come from
+    {!Qaoa_hardware.Profile}'s per-device memos, so a call does no
+    per-device set-up.
 
     The compiled circuit acts on physical qubit indices; the result carries
     the final logical-to-physical mapping so callers can interpret
@@ -87,7 +101,8 @@ val route :
   result
 (** [route ~device ~initial circuit] compiles the logical [circuit].
     @raise Invalid_argument if the mapping's logical count is smaller than
-    the circuit's qubit count or sized for a different device.
+    the circuit's qubit count or sized for a different device, or if a
+    two-qubit gate names one qubit twice.
     @raise Unroutable if a two-qubit gate's operands can never be brought
     together (disconnected coupling components).
     @raise Qaoa_obs.Deadline.Exceeded past [config.deadline]. *)
@@ -100,4 +115,11 @@ val route_layers :
   Qaoa_circuit.Gate.t list list ->
   result
 (** Lower-level entry point taking pre-formed layers (IP and IC build
-    their own layers rather than re-deriving them by ASAP scheduling). *)
+    their own layers rather than re-deriving them by ASAP scheduling).
+    The two-qubit gates of each layer must act on disjoint qubits, as
+    {!Qaoa_circuit.Layering.layers} and IC's [form_layer] guarantee:
+    the scorer relies on it.
+    @raise Invalid_argument if one qubit carries two of a layer's
+    two-qubit gates, or a two-qubit gate names one qubit twice (checked
+    in O(pairs) when the layer is routed, and when it is the next layer
+    looked ahead to), besides {!route}'s cases. *)

@@ -4,14 +4,22 @@ let create n =
   if n < 0 then invalid_arg "Circuit.create: negative qubit count";
   { num_qubits = n; rev_gates = []; len = 0 }
 
-let check_gate t g =
-  List.iter
-    (fun q ->
-      if q < 0 || q >= t.num_qubits then
-        invalid_arg
-          (Printf.sprintf "Circuit: qubit %d out of range (n=%d)" q
-             t.num_qubits))
-    (Gate.qubits g)
+let check_qubit t q =
+  if q < 0 || q >= t.num_qubits then
+    invalid_arg
+      (Printf.sprintf "Circuit: qubit %d out of range (n=%d)" q t.num_qubits)
+
+(* By pattern, in [Gate.qubits] order, without building that list: this
+   runs on every appended gate. *)
+let check_gate t (g : Gate.t) =
+  match g with
+  | Cnot (a, b) | Cphase (a, b, _) | Swap (a, b) ->
+    check_qubit t a;
+    check_qubit t b
+  | H q | X q | Y q | Z q | Rx (q, _) | Ry (q, _) | Rz (q, _) | Phase (q, _)
+  | Measure q ->
+    check_qubit t q
+  | Barrier -> ()
 
 let append t g =
   check_gate t g;

@@ -1,27 +1,37 @@
-(* The one order-tied ASAP pass: each gate lands in layer
+type schedule = { free_at : int array; mutable fence : int; mutable depth : int }
+
+let schedule n = { free_at = Array.make n 0; fence = 0; depth = 0 }
+let scheduled_depth s = s.depth
+
+let finish s layer =
+  if layer >= s.depth then s.depth <- layer + 1;
+  layer
+
+(* The one order-tied ASAP rule: each gate lands in layer
    max(fence, finish time of its qubits); a barrier moves the fence to
-   the current depth.  Calls [f index gate layer] in program order
-   ([layer = -1] for barriers) and returns the depth. *)
+   the current depth.  Matched by pattern, so placing allocates
+   nothing. *)
+let place s (g : Gate.t) =
+  match g with
+  | Barrier ->
+    s.fence <- s.depth;
+    -1
+  | Cnot (a, b) | Cphase (a, b, _) | Swap (a, b) ->
+    let layer = max (max s.fence s.free_at.(a)) s.free_at.(b) in
+    s.free_at.(a) <- layer + 1;
+    s.free_at.(b) <- layer + 1;
+    finish s layer
+  | H q | X q | Y q | Z q | Rx (q, _) | Ry (q, _) | Rz (q, _) | Phase (q, _)
+  | Measure q ->
+    let layer = max s.fence s.free_at.(q) in
+    s.free_at.(q) <- layer + 1;
+    finish s layer
+
+(* Calls [f index gate layer] in program order and returns the depth. *)
 let scan circuit f =
-  let free_at = Array.make (Circuit.num_qubits circuit) 0 in
-  let fence = ref 0 in
-  let depth = ref 0 in
-  List.iteri
-    (fun i g ->
-      match g with
-      | Gate.Barrier ->
-        fence := !depth;
-        f i g (-1)
-      | _ ->
-        let qs = Gate.qubits g in
-        let layer =
-          List.fold_left (fun acc q -> max acc free_at.(q)) !fence qs
-        in
-        List.iter (fun q -> free_at.(q) <- layer + 1) qs;
-        depth := max !depth (layer + 1);
-        f i g layer)
-    (Circuit.gates circuit);
-  !depth
+  let s = schedule (Circuit.num_qubits circuit) in
+  List.iteri (fun i g -> f i g (place s g)) (Circuit.gates circuit);
+  s.depth
 
 let gate_layers circuit =
   let out = Array.make (Circuit.length circuit) (-1) in

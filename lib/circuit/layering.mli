@@ -11,6 +11,22 @@
     The commutation-aware schedules (which may reorder commuting gates)
     live in [Qaoa_analysis.Dataflow], over the commutation DAG. *)
 
+type schedule
+(** An ASAP schedule built gate by gate in program order, for a caller
+    that places gates without building a circuit ({!Metrics}); the views
+    below all run on it. *)
+
+val schedule : int -> schedule
+(** The empty schedule on [n] qubits. *)
+
+val place : schedule -> Gate.t -> int
+(** Place the next gate and return its layer ([-1] for a barrier, which
+    fences every later gate behind the current depth).  Allocates
+    nothing.  @raise Invalid_argument on a qubit outside [0..n-1]. *)
+
+val scheduled_depth : schedule -> int
+(** Layers used by the gates placed so far. *)
+
 val gate_layers : Circuit.t -> int array
 (** Per-gate ASAP layer in program order (index [i] is the [i]-th gate
     of {!Circuit.gates}); barriers get [-1].  The other views below are

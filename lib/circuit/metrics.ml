@@ -5,22 +5,26 @@ type t = {
   measure_count : int;
 }
 
+(* One walk over the circuit: each gate's basis lowering is counted and
+   placed by the ASAP rule as it comes, with no decomposed circuit
+   built. *)
 let of_circuit c =
-  let d = Decompose.circuit c in
+  let s = Layering.schedule (Circuit.num_qubits c) in
   let gate_count = ref 0 in
   let two_qubit_count = ref 0 in
   let measure_count = ref 0 in
-  List.iter
-    (fun g ->
-      match g with
-      | Gate.Barrier -> ()
-      | Gate.Measure _ -> incr measure_count
-      | _ ->
-        incr gate_count;
-        if Gate.is_two_qubit g then incr two_qubit_count)
-    (Circuit.gates d);
+  let count g =
+    ignore (Layering.place s g : int);
+    match g with
+    | Gate.Barrier -> ()
+    | Gate.Measure _ -> incr measure_count
+    | _ ->
+      incr gate_count;
+      if Gate.is_two_qubit g then incr two_qubit_count
+  in
+  List.iter (fun g -> List.iter count (Decompose.gate g)) (Circuit.gates c);
   {
-    depth = Layering.depth d;
+    depth = Layering.scheduled_depth s;
     gate_count = !gate_count;
     two_qubit_count = !two_qubit_count;
     measure_count = !measure_count;

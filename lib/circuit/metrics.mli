@@ -12,8 +12,10 @@ type t = {
 }
 
 val of_circuit : Circuit.t -> t
-(** Decomposes, then measures.  Idempotent on already-decomposed
-    circuits. *)
+(** The metrics of {!Decompose.circuit}[ c], in one walk over [c]: each
+    gate's {!Decompose.gate} lowering is counted and placed by
+    {!Layering.place}'s ASAP rule as it comes, with no decomposed
+    circuit built.  Idempotent on already-decomposed circuits. *)
 
 val counts_by_name : Circuit.t -> (string * int) list
 (** Histogram of gate mnemonics after decomposition, sorted by name. *)

@@ -22,32 +22,69 @@ let default_config =
     router = Router.default_config;
   }
 
+(* The counting-sort bucket of distance [d]: its integer part, and
+   [last] from [last] on (infinity included). *)
+let[@inline] bucket ~last d =
+  if d < 1.0 then 0 else if d < float_of_int last then int_of_float d else last
+
 let form_layer ?packing_limit rng ~dist ~phys remaining =
   (match packing_limit with
   | Some l when l < 1 -> invalid_arg "Ic.form_layer: packing limit < 1"
   | _ -> ());
-  (* Ascending distance, ties random (shuffle + stable sort); each
-     pair's distance is read once. *)
-  let sorted =
-    Rng.shuffle_list rng remaining
-    |> List.map (fun (a, b) -> (Float_matrix.get dist (phys a) (phys b), (a, b)))
-    |> List.stable_sort (fun (x, _) (y, _) -> Float.compare x y)
-  in
+  (* Ascending distance, ties random: shuffle, then a stable sort, each
+     pair's distance read once. *)
+  let pairs = Array.of_list remaining in
+  Rng.shuffle rng pairs;
+  let k = Array.length pairs in
+  let key = Array.make k 0.0 and top = ref 0 in
+  for i = 0 to k - 1 do
+    let a, b = pairs.(i) in
+    key.(i) <- Float_matrix.get dist (phys a) (phys b);
+    top := max !top (max a b)
+  done;
+  (* The sort: count the pairs into buckets by the integer part of their
+     distance, then insertion-sort, moving a pair only past strictly
+     greater distances.  Both steps are stable, so the order is exactly
+     a stable sort's; on hop distances a bucket holds one distance and
+     the insertion step moves nothing. *)
+  let last = Float_matrix.size dist in
+  let start = Array.make (last + 2) 0 in
+  for i = 0 to k - 1 do
+    let b = bucket ~last key.(i) + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  for b = 1 to last + 1 do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let order = Array.make k 0 in
+  for i = 0 to k - 1 do
+    let b = bucket ~last key.(i) in
+    order.(start.(b)) <- i;
+    start.(b) <- start.(b) + 1
+  done;
+  for i = 1 to k - 1 do
+    let x = order.(i) in
+    let j = ref i in
+    while !j > 0 && key.(order.(!j - 1)) > key.(x) do
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- x
+  done;
   let cap = Option.value ~default:max_int packing_limit in
-  let used = Hashtbl.create 16 in
+  let used = Array.make (!top + 1) false in
   let layer = ref [] and rest = ref [] and size = ref 0 in
-  List.iter
-    (fun (_, (a, b)) ->
-      if
-        !size < cap && (not (Hashtbl.mem used a)) && not (Hashtbl.mem used b)
-      then begin
-        Hashtbl.replace used a ();
-        Hashtbl.replace used b ();
-        layer := (a, b) :: !layer;
+  Array.iter
+    (fun i ->
+      let ((a, b) as pair) = pairs.(i) in
+      if !size < cap && (not used.(a)) && not used.(b) then begin
+        used.(a) <- true;
+        used.(b) <- true;
+        layer := pair :: !layer;
         incr size
       end
-      else rest := (a, b) :: !rest)
-    sorted;
+      else rest := pair :: !rest)
+    order;
   (List.rev !layer, List.rev !rest)
 
 let compile ?(config = default_config) ?(measure = true) rng device ~initial

@@ -54,5 +54,15 @@ val form_layer :
   (int * int) list * (int * int) list
 (** One greedy layer formation step: sort the remaining pairs by current
     physical distance and first-fit them into a single layer of qubit
-    bins.  Returns (layer, remaining).  Exposed for tests and for the
-    packing-density experiment. *)
+    bins.  Returns (layer, remaining), both in sorted order.  Exposed
+    for tests and for the packing-density experiment.
+
+    Ties are random: the pairs are shuffled ({!Qaoa_util.Rng.shuffle},
+    the draws of [shuffle_list]), then stably sorted by distance, so
+    equal distances keep the shuffled order.  The sort counts the pairs
+    into buckets by the integer part of their distance (distances from
+    the matrix size up, infinity included, share the last bucket), then
+    insertion-sorts the result, moving a pair only past strictly greater
+    distances: exactly [List.stable_sort]'s order for any distances, in
+    O(pairs) when each bucket holds one distance, as hop distances
+    always do.  Used qubits are marked in a bool array. *)

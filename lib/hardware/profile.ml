@@ -39,8 +39,14 @@ let hop_distances device =
 
 let edges_cache = memoize ()
 
-let coupling_edges device =
-  edges_cache device.Device.coupling (fun () -> Device.coupling_edges device)
+(* The sorted edge list, and its two ends as arrays in the same order. *)
+let edges device =
+  edges_cache device.Device.coupling (fun () ->
+      let l = Device.coupling_edges device in
+      (l, (Array.of_list (List.map fst l), Array.of_list (List.map snd l))))
+
+let coupling_edges device = fst (edges device)
+let coupling_edge_ends device = snd (edges device)
 
 (* Qubits at hop distance 1..order from q; unreachable ones sit at
    infinity. *)

@@ -19,8 +19,12 @@ val connectivity_profile : ?order:int -> Device.t -> int array
 
 val coupling_edges : Device.t -> (int * int) list
 (** {!Device.coupling_edges} (sorted [(u, v)] with [u < v]), memoized
-    per coupling graph like the distance matrices - the router's SWAP
-    candidates, read on every routing call. *)
+    per coupling graph like the distance matrices. *)
+
+val coupling_edge_ends : Device.t -> int array * int array
+(** The same edges as two arrays of ends, [u.(e) < v.(e)], from the
+    same memo - the router's SWAP candidates, walked in this order on
+    every SWAP decision.  Shared; never mutate them. *)
 
 val hop_distances : Device.t -> Qaoa_util.Float_matrix.t
 (** All-pairs hop distances of the coupling graph. *)

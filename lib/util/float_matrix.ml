@@ -2,7 +2,9 @@ type t = { n : int; data : float array }
 
 let create n v = { n; data = Array.make (n * n) v }
 let size t = t.n
-let get t i j = t.data.((i * t.n) + j)
+(* Inlined across modules, so a distance read in a scoring loop boxes no
+   float. *)
+let[@inline] get t i j = t.data.((i * t.n) + j)
 let set t i j v = t.data.((i * t.n) + j) <- v
 
 let init n f =

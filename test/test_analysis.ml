@@ -723,6 +723,46 @@ let prop_build_matches_reference =
         (fun c -> Commute.edges (Commute.build c) = reference_edges c)
         [ random_spliced rng (k + 2) 40; random_long rng (k + 2) ])
 
+(* The ASAP depth as [Layering] computed it before gates were placed by
+   pattern: a fold over [Gate.qubits]. *)
+let reference_depth circuit =
+  let free_at = Array.make (Circuit.num_qubits circuit) 0 in
+  let fence = ref 0 and depth = ref 0 in
+  List.iter
+    (fun g ->
+      match g with
+      | Gate.Barrier -> fence := !depth
+      | _ ->
+        let qs = Gate.qubits g in
+        let layer = List.fold_left (fun acc q -> max acc free_at.(q)) !fence qs in
+        List.iter (fun q -> free_at.(q) <- layer + 1) qs;
+        depth := max !depth (layer + 1))
+    (Circuit.gates circuit);
+  !depth
+
+(* [Metrics.of_circuit] walks the circuit once, lowering and placing as
+   it goes; it must count and schedule exactly the decomposed circuit. *)
+let prop_metrics_one_pass =
+  QCheck.Test.make ~name:"Metrics.of_circuit == decompose + depth + counts"
+    ~count:300 ~long_factor
+    QCheck.(pair (int_bound 1_000_000) (int_bound 8))
+    (fun (seed, k) ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun c ->
+          let d = Decompose.circuit c in
+          let count p = List.length (List.filter p (Circuit.gates d)) in
+          let expected =
+            {
+              Metrics.depth = Layering.depth d;
+              gate_count = count Gate.is_unitary;
+              two_qubit_count = count Gate.is_two_qubit;
+              measure_count = count (function Gate.Measure _ -> true | _ -> false);
+            }
+          in
+          Metrics.of_circuit c = expected && Layering.depth d = reference_depth d)
+        [ random_spliced rng (k + 2) (Rng.int rng 60); random_long rng (k + 2) ])
+
 (* [reach.(i).(j)]: a path i -> ... -> j over [reference_edges]. *)
 let reference_reach circuit =
   let n = Circuit.length circuit in
@@ -1053,6 +1093,7 @@ let suite =
     ("circuit_of_order validation", `Quick, test_circuit_of_order_validation);
     QCheck_alcotest.to_alcotest prop_build_matches_reference;
     QCheck_alcotest.to_alcotest prop_reachable_matches_reference;
+    QCheck_alcotest.to_alcotest prop_metrics_one_pass;
     ("commute build matches reference on compiles", `Quick,
      test_build_matches_reference_on_compiles);
     ("dataflow exports pinned on compiles", `Quick,

@@ -113,6 +113,54 @@ let test_route_rejects_bad_mapping () =
            ~initial:(Mapping.trivial ~num_logical:3 ~num_physical:4)
            c))
 
+(* The scorer counts on a layer's two-qubit gates touching disjoint
+   qubits: a hand-built layer that breaks this is refused, in the layer
+   being routed and in the next one it looks ahead to, as is a gate on
+   one qubit twice.  The layerings the compiler builds never overlap. *)
+let test_route_layers_rejects_overlap () =
+  let device = Topologies.linear 5 in
+  let initial = Mapping.trivial ~num_logical:5 ~num_physical:5 in
+  let route layers =
+    ignore (Router.route_layers ~device ~initial ~num_logical:5 layers : Router.result)
+  in
+  let overlap a b =
+    Invalid_argument
+      (Printf.sprintf "Router: two-qubit gates of one layer overlap at logical (%d, %d)" a b)
+  in
+  Alcotest.check_raises "same layer" (overlap 1 3) (fun () ->
+      route [ [ Gate.H 4; Gate.Cnot (0, 1); Gate.Cphase (1, 3, 0.5) ] ]);
+  Alcotest.check_raises "next layer" (overlap 4 2) (fun () ->
+      route [ [ Gate.Cnot (0, 4) ]; [ Gate.Swap (2, 4); Gate.Cnot (4, 2) ] ]);
+  Alcotest.check_raises "one qubit twice" (overlap 2 2) (fun () ->
+      route [ [ Gate.Cnot (2, 2) ] ]);
+  (* disjoint pairs with one-qubit gates on the same qubits still route *)
+  let r =
+    Router.route_layers ~device ~initial ~num_logical:5
+      [ [ Gate.H 0; Gate.Cnot (0, 4); Gate.Cnot (1, 2); Gate.X 4 ] ]
+  in
+  Alcotest.(check bool) "compliant" true (Compliance.is_compliant device r.Router.circuit)
+
+(* A next-layer pair whose hosts lie in different components has an
+   infinite distance, so every candidate's score is infinite (or NaN):
+   the first improving candidate wins and no tie is drawn, and the next
+   layer raises.  The message, which names where the SWAPs left the
+   pair, was recorded before SWAPs were scored by what they change. *)
+let test_route_lookahead_across_components () =
+  let device =
+    Device.create ~name:"split6"
+      (Qaoa_graph.Graph.of_edges 6 [ (0, 1); (1, 2); (2, 3); (4, 5) ])
+  in
+  let initial = Mapping.trivial ~num_logical:6 ~num_physical:6 in
+  Alcotest.check_raises "unroutable"
+    (Router.Unroutable
+       "two-qubit gate on logical (1, 4): physical hosts 0 and 4 lie in \
+        disconnected components of split6")
+    (fun () ->
+      ignore
+        (Router.route_layers ~device ~initial ~num_logical:6
+           [ [ Gate.Cnot (0, 3) ]; [ Gate.Cnot (1, 4) ] ]
+          : Router.result))
+
 (* --- Router: semantic equivalence ---
 
    The compiled physical circuit, applied to |0...0>, must equal the
@@ -272,6 +320,8 @@ let suite =
     ("route: one swap", `Quick, test_route_one_swap);
     ("route: initial mapping honoured", `Quick, test_route_respects_initial_mapping);
     ("route: bad mapping rejected", `Quick, test_route_rejects_bad_mapping);
+    ("route: overlapping layer rejected", `Quick, test_route_layers_rejects_overlap);
+    ("route: lookahead across components", `Quick, test_route_lookahead_across_components);
     ("route semantics on linear", `Quick, test_semantics_linear);
     ("route semantics with spare qubits", `Quick, test_semantics_ring_with_spare_qubits);
     ("route on tokyo compliant", `Quick, test_route_on_tokyo_compliant);

@@ -272,14 +272,16 @@ let test_unroutable_split_device () =
 let test_deadline_aborts () =
   (* An adversarially deep workload on the 36-qubit grid against a tight
      wall-clock budget: the cooperative checks must abort the compile
-     within twice the budget. *)
+     within twice the budget.  The workload must outlast the budget
+     many times over, so that a faster compiler cannot finish inside
+     it: uncapped, it runs 1.0-1.4 s on a 2-core x86-64 VM. *)
   let device = Topologies.grid_6x6 () in
   let problem =
     List.hd
       (Workload.problems (Rng.create 8) (Workload.Erdos_renyi 0.9) ~n:36
          ~count:1)
   in
-  let p = 40 in
+  let p = 400 in
   let deep =
     { Ansatz.gammas = Array.make p 0.7; betas = Array.make p 0.4 }
   in

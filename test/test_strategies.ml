@@ -209,6 +209,73 @@ let test_ic_form_layer_packing_limit () =
   Alcotest.(check int) "capped at 2" 2 (List.length layer);
   Alcotest.(check int) "one left" 1 (List.length rest)
 
+(* [Ic.form_layer] as it was built before its counting sort: shuffle the
+   list, stable-sort by distance, first-fit with a hash set of used
+   qubits. *)
+let reference_form_layer ?packing_limit rng ~dist ~phys remaining =
+  let sorted =
+    Rng.shuffle_list rng remaining
+    |> List.map (fun (a, b) -> (Qaoa_util.Float_matrix.get dist (phys a) (phys b), (a, b)))
+    |> List.stable_sort (fun (x, _) (y, _) -> Float.compare x y)
+  in
+  let cap = Option.value ~default:max_int packing_limit in
+  let used = Hashtbl.create 16 in
+  let layer = ref [] and rest = ref [] and size = ref 0 in
+  List.iter
+    (fun (_, (a, b)) ->
+      if !size < cap && (not (Hashtbl.mem used a)) && not (Hashtbl.mem used b) then begin
+        Hashtbl.replace used a ();
+        Hashtbl.replace used b ();
+        layer := (a, b) :: !layer;
+        incr size
+      end
+      else rest := (a, b) :: !rest)
+    sorted;
+  (List.rev !layer, List.rev !rest)
+
+(* The same layer, the same leftovers in the same order, and the
+   generator left at the same next draw, on hop matrices (many equal
+   distances), reliability-weighted ones (several distances per
+   integer part), and a matrix with infinite entries and entries past
+   its size, at every packing limit from 1 to 4 and none. *)
+let prop_form_layer_matches_reference =
+  let topologies =
+    [|
+      Topologies.ibmq_20_tokyo ();
+      Topologies.grid_6x6 ();
+      Topologies.ring 8;
+      Topologies.ibmq_16_melbourne ();
+    |]
+  in
+  QCheck.Test.make ~name:"Ic.form_layer == shuffle + stable sort reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let device = topologies.(Rng.int rng (Array.length topologies)) in
+      let n = Device.num_qubits device in
+      let dist =
+        match Rng.int rng 3 with
+        | 0 -> Profile.hop_distances device
+        | 1 ->
+          Profile.weighted_distances
+            (Device.with_random_calibration (Rng.create (Rng.int rng 1000)) device)
+        | _ ->
+          let pick = [| 1.0; 2.0; 2.5; 2.25; 3.0; Float.infinity; 40.0; 0.5 |] in
+          Qaoa_util.Float_matrix.init n (fun i j ->
+              if i = j then 0.0 else pick.(Rng.int rng (Array.length pick)))
+      in
+      let k = 2 + Rng.int rng (n - 1) in
+      let remaining = Graph.edges (Generators.erdos_renyi rng ~n:k ~p:(Rng.float rng 1.0)) in
+      let place = Rng.permutation rng n in
+      let phys q = place.(q) in
+      let packing_limit = match Rng.int rng 5 with 0 -> None | l -> Some l in
+      let run form =
+        let rng = Rng.create seed in
+        let out = form ?packing_limit rng ~dist ~phys remaining in
+        (out, Rng.int rng 0x3FFFFFFF)
+      in
+      run Ic.form_layer = run reference_form_layer)
+
 (* Fig. 6(e): with the variation-aware distances, Op1 = (0,1) (success
    0.90) is chosen over Op2 = (0,5) (success 0.82) for the first layer. *)
 let test_vic_fig6_layer_choice () =
@@ -673,6 +740,70 @@ let test_mapper_outputs_pinned () =
     ]
     (mapper_digests ())
 
+(* MD5 of compiled outputs (as [compiled_digests] digests them) on the
+   inputs where SWAP scoring decides most, recorded before the router
+   scored a SWAP by what it changes and kept its mapping in place: the
+   Sec. VI ring-8 G(n, m = 8) workload under the six calibration-free
+   policies (dense in exact score ties, so in seed-17 coin flips), NAIVE
+   and QAIM on the 6x6 grid (Fig. 12's problems, many pending pairs per
+   layer), and VIC on tokyo's seed-5 calibration over ER(0.3), n = 12-20
+   (reliability-weighted distances, whose sums round). *)
+let router_digests () =
+  let digest (r : Compile.result) =
+    let mapping m = Format.asprintf "%a" Mapping.pp m in
+    String.concat "|"
+      [
+        Qasm.to_string r.Compile.circuit;
+        string_of_int r.Compile.swap_count;
+        mapping r.Compile.initial_mapping;
+        mapping r.Compile.final_mapping;
+      ]
+  in
+  let case name device strategy problems =
+    let one i problem =
+      let options = { Compile.default_options with seed = 4600 + i } in
+      digest (Compile.compile ~options ~strategy device problem Workload.default_params)
+    in
+    ( Printf.sprintf "%s %s" (Compile.strategy_name strategy) name,
+      Digest.to_hex (Digest.string (String.concat "#" (List.mapi one problems))) )
+  in
+  let ring = Topologies.ring 8 in
+  let gnm = Workload.problems (Rng.create 4600) (Workload.Gnm 8) ~n:8 ~count:10 in
+  let grid = Topologies.grid_6x6 () in
+  let grid_problems =
+    List.concat_map
+      (fun kind -> Workload.problems (Rng.create 12000) kind ~n:36 ~count:2)
+      Workload.[ Erdos_renyi 0.5; Regular 15 ]
+  in
+  let tokyo_cal =
+    Device.with_random_calibration (Rng.create 5) (Topologies.ibmq_20_tokyo ())
+  in
+  let er03 =
+    List.init 9 (fun i ->
+        List.hd (Workload.problems (Rng.create (300 + i)) (Workload.Erdos_renyi 0.3) ~n:(12 + i) ~count:1))
+  in
+  List.map
+    (fun s -> case "ring8 G(n,m=8)" ring s gnm)
+    Compile.[ Naive; Greedy_v; Greedy_e; Qaim; Ip; Ic None ]
+  @ List.map (fun s -> case "grid_6x6" grid s grid_problems) Compile.[ Naive; Qaim ]
+  @ [ case "ibmq_20_tokyo ER(0.3) n=12-20" tokyo_cal (Compile.Vic None) er03 ]
+
+let test_router_outputs_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "router digests"
+    [
+      ("NAIVE ring8 G(n,m=8)", "2324c6e0067bb68724382e2740aa2013");
+      ("GreedyV ring8 G(n,m=8)", "aca1290dd2bf6beb35db9a67b55c221e");
+      ("GreedyE ring8 G(n,m=8)", "53f9c34a663b4b6500036f8f32e93655");
+      ("QAIM ring8 G(n,m=8)", "84b028c8ca4ce343cb8fe967e28456a9");
+      ("IP ring8 G(n,m=8)", "3d629a4773d76d0e95386772b87d1ee4");
+      ("IC ring8 G(n,m=8)", "c9cee82db9b1080f2fa161ff16dd646b");
+      ("NAIVE grid_6x6", "6c5e8cce35492daf4c3a06e5e8c2ea91");
+      ("QAIM grid_6x6", "306bab3508d9716a45510fca8fdbee0b");
+      ("VIC ibmq_20_tokyo ER(0.3) n=12-20", "00a2a170ccaabfe1d236cfc5a2bb301e");
+    ]
+    (router_digests ())
+
 let suite =
   [
     ("mappers valid", `Quick, test_mappers_valid);
@@ -687,6 +818,7 @@ let suite =
     ("ic form_layer distance order", `Quick, test_ic_form_layer_prefers_close_pairs);
     ("ic form_layer packing limit", `Quick, test_ic_form_layer_packing_limit);
     ("vic fig.6 layer choice", `Quick, test_vic_fig6_layer_choice);
+    QCheck_alcotest.to_alcotest prop_form_layer_matches_reference;
     ("all strategies correct", `Slow, test_all_strategies_correct_on_melbourne);
     ("strategies deterministic", `Quick, test_strategies_deterministic_under_seed);
     ("ic multilevel", `Quick, test_ic_multilevel);
@@ -704,5 +836,6 @@ let suite =
     ("crosstalk preserves semantics", `Quick, test_crosstalk_preserves_semantics);
     ("compiled outputs pinned", `Quick, test_compiled_outputs_pinned);
     ("mapper outputs pinned", `Quick, test_mapper_outputs_pinned);
+    ("router outputs pinned", `Quick, test_router_outputs_pinned);
     QCheck_alcotest.to_alcotest prop_compile_invariants;
   ]
