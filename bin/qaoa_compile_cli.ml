@@ -13,51 +13,19 @@ module Ansatz = Qaoa_core.Ansatz
 module Metrics = Qaoa_circuit.Metrics
 module Topologies = Qaoa_hardware.Topologies
 module Device = Qaoa_hardware.Device
-module Generators = Qaoa_graph.Generators
+module Workload = Qaoa_experiments.Workload
 module Rng = Qaoa_util.Rng
 open Cmdliner
 
-type kind = Er of float | Regular of int
-
-let parse_kind s =
-  match String.split_on_char ':' s with
-  | [ "er"; p ] -> (
-    match float_of_string_opt p with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok (Er p)
-    | _ -> Error (`Msg "er:<p> expects 0 <= p <= 1"))
-  | [ "regular"; d ] -> (
-    match int_of_string_opt d with
-    | Some d when d >= 1 -> Ok (Regular d)
-    | _ -> Error (`Msg "regular:<d> expects d >= 1"))
-  | _ -> Error (`Msg "expected er:<p> or regular:<d>")
-
 let kind_conv =
   Arg.conv
-    ( parse_kind,
-      fun ppf -> function
-        | Er p -> Format.fprintf ppf "er:%g" p
-        | Regular d -> Format.fprintf ppf "regular:%d" d )
-
-(* Malformed input or a structured compile failure is a one-line
-   diagnostic and exit 2, never a backtrace. *)
-let guard f =
-  try f () with
-  | Compile.Error e ->
-    Printf.eprintf "qaoa-compile: %s\n" (Compile.error_to_string e);
-    2
-  | Invalid_argument msg | Failure msg ->
-    Printf.eprintf "qaoa-compile: %s\n" msg;
-    2
+    ( Workload.kind_of_string,
+      fun ppf k -> Format.pp_print_string ppf (Workload.kind_name k) )
 
 let run () device strategy nodes kind seed p gamma beta packing_limit qasm
     lint analyze =
-  guard @@ fun () ->
-  let rng = Rng.create seed in
-  let graph =
-    match kind with
-    | Er prob -> Generators.erdos_renyi rng ~n:nodes ~p:prob
-    | Regular d -> Generators.random_regular rng ~n:nodes ~d
-  in
+  Qaoa_cli.guard ~tool:"qaoa-compile" @@ fun () ->
+  let graph = Workload.graph (Rng.create seed) kind ~n:nodes in
   let problem = Problem.of_maxcut graph in
   let params =
     {
@@ -148,8 +116,9 @@ let cmd =
   let kind =
     Arg.(
       value
-      & opt kind_conv (Regular 3)
-      & info [ "kind" ] ~docv:"KIND" ~doc:"Graph family: er:<p> or regular:<d>.")
+      & opt kind_conv (Workload.Regular 3)
+      & info [ "kind" ] ~docv:"KIND"
+          ~doc:"Graph family: er:<p>, regular:<d> or ba:<m>.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let p = Arg.(value & opt int 1 & info [ "p" ] ~doc:"QAOA levels.") in

@@ -9,9 +9,6 @@
 
 module Experiment = Qaoa_experiments.Experiment
 module Report = Qaoa_experiments.Report
-module Journal = Qaoa_journal.Journal
-module Chaos = Qaoa_journal.Chaos
-module Signals = Qaoa_journal.Signals
 open Cmdliner
 
 (* figures first, then ablations, as the bench harness runs them *)
@@ -27,32 +24,14 @@ let scale_conv =
       fun ppf s -> Format.pp_print_string ppf (Experiment.scale_name s) )
 
 let run () figure scale journal_dir resume export =
-  try
-    if resume && Option.is_none journal_dir then
-      failwith "--resume requires --journal DIR";
-    Chaos.install_from_env ();
-    let journal =
-      Option.map (fun dir -> Journal.open_ ~resume ~dir ()) journal_dir
-    in
-    if Option.is_some journal then
-      Signals.install ~resume_hint:(Signals.resume_hint_of_argv ());
-    Report.run ?journal ?export ~scale
-      (List.filter (fun e -> figure = "all" || e.Experiment.id = figure)
-         experiments);
-    Option.iter
-      (fun j ->
-        print_endline (Journal.summary j);
-        Journal.close j)
-      journal;
-    0
-  with
-  | Qaoa_core.Compile.Error e ->
-    Printf.eprintf "qaoa-experiments: %s\n"
-      (Qaoa_core.Compile.error_to_string e);
-    2
-  | Invalid_argument msg | Failure msg ->
-    Printf.eprintf "qaoa-experiments: %s\n" msg;
-    2
+  Qaoa_cli.guard ~tool:"qaoa-experiments" @@ fun () ->
+  Qaoa_cli.journaled ~journal_dir ~resume (fun journal ->
+      ignore
+        (Report.run ?journal ?export ~scale
+           (List.filter
+              (fun e -> figure = "all" || e.Experiment.id = figure)
+              experiments)));
+  0
 
 let cmd =
   let figure =

@@ -7,10 +7,9 @@
        --deadline 30 --fail-on-exhausted *)
 
 module Experiment = Qaoa_experiments.Experiment
+module Report = Qaoa_experiments.Report
 module Resilience = Qaoa_experiments.Resilience
 module Differential = Qaoa_experiments.Differential
-module Compile = Qaoa_core.Compile
-module Journal = Qaoa_journal.Journal
 open Cmdliner
 
 let scale_conv =
@@ -31,56 +30,32 @@ let deadline_conv =
 
 let run () scale seed topologies deadline verify retries fail_on_exhausted
     journal_dir resume =
-  try
-    if resume && Option.is_none journal_dir then
-      failwith "--resume requires --journal DIR";
-    Qaoa_journal.Chaos.install_from_env ();
-    let journal =
-      Option.map (fun dir -> Journal.open_ ~resume ~dir ()) journal_dir
-    in
-    if Option.is_some journal then
-      Qaoa_journal.Signals.install
-        ~resume_hint:(Qaoa_journal.Signals.resume_hint_of_argv ());
-    let compiled = ref 0 and total = ref 0 in
-    let recovered = ref 0 and exhausted = ref 0 in
-    List.iter
+  Qaoa_cli.guard ~tool:"qaoa-resilience" @@ fun () ->
+  let experiments =
+    List.map
       (fun name ->
-        let device = Differential.device_of_topology name in
-        let rows =
-          Resilience.run ~scale ?journal ~seed ~device ?deadline_s:deadline
-            ~verify ~retries ()
+        Resilience.experiment ~seed
+          ~device:(Differential.device_of_topology name)
+          ?deadline_s:deadline ~verify ~retries ())
+      topologies
+  in
+  let s =
+    Qaoa_cli.journaled ~journal_dir ~resume (fun journal ->
+        let s =
+          Resilience.summary
+            (List.concat_map snd (Report.run ?journal ~scale experiments))
         in
-        List.iter
-          (fun r ->
-            compiled := !compiled + r.Resilience.compiled;
-            total := !total + r.Resilience.instances;
-            recovered := !recovered + r.Resilience.fallback_recovered;
-            exhausted := !exhausted + r.Resilience.exhausted)
-          rows)
-      topologies;
-    Printf.printf
-      "\nresilience summary: %d/%d compiled, %d recovered by fallback, %d \
-       exhausted\n"
-      !compiled !total !recovered !exhausted;
-    Option.iter
-      (fun j ->
-        print_endline (Journal.summary j);
-        Journal.close j)
-      journal;
-    if fail_on_exhausted && !exhausted > 0 then begin
-      Printf.eprintf
-        "qaoa-resilience: %d instance(s) exhausted the fallback chain\n"
-        !exhausted;
-      1
-    end
-    else 0
-  with
-  | Compile.Error e ->
-    Printf.eprintf "qaoa-resilience: %s\n" (Compile.error_to_string e);
-    2
-  | Invalid_argument msg | Failure msg ->
-    Printf.eprintf "qaoa-resilience: %s\n" msg;
-    2
+        Printf.printf "\nresilience summary: %s\n"
+          (Resilience.summary_to_string s);
+        s)
+  in
+  if fail_on_exhausted && s.Resilience.exhausted > 0 then begin
+    Printf.eprintf
+      "qaoa-resilience: %d instance(s) exhausted the fallback chain\n"
+      s.Resilience.exhausted;
+    1
+  end
+  else 0
 
 let cmd =
   let scale =

@@ -2,7 +2,7 @@
 
    Examples:
      qaoa-serve --gen-corpus 200 --seed 3 > corpus.jsonl
-     qaoa-serve --input corpus.jsonl --workers 4 --sort --output out.jsonl
+     qaoa-serve --input corpus.jsonl --workers 4 --output out.jsonl
      cat corpus.jsonl | qaoa-serve --workers 1 --stats
      qaoa-serve --cache-dir state --input corpus.jsonl >/dev/null
      qaoa-serve --cache-dir state --resume-cache --daemon serve.sock
@@ -62,7 +62,7 @@ let print_stats oc (stats : Serve.stats) persist =
   | None -> ());
   output_char oc '\n'
 
-let run () gen_corpus gen_device input output workers queue sort timings cache
+let run () gen_corpus gen_device input output workers queue timings cache
     cache_dir resume_cache daemon tries deadline stats seed =
   try
     match gen_corpus with
@@ -101,7 +101,6 @@ let run () gen_corpus gen_device input output workers queue sort timings cache
         {
           Serve.workers;
           queue_capacity = queue;
-          sort;
           timings;
           cache = cache_t;
           persist;
@@ -174,14 +173,6 @@ let cmd =
       & info [ "queue" ] ~docv:"N"
           ~doc:"Bounded number of requests in flight at once.")
   in
-  let sort =
-    Arg.(
-      value & flag
-      & info [ "sort" ]
-          ~doc:
-            "Sort responses by request id instead of emitting them in input \
-             order.  Both orders are byte-identical across worker counts.")
-  in
   let timings =
     Arg.(
       value & flag
@@ -252,7 +243,7 @@ let cmd =
   let term =
     Term.(
       const run $ Qaoa_cli.setup $ gen_corpus $ gen_device $ input $ output
-      $ workers $ queue $ sort $ timings $ cache $ cache_dir $ resume_cache
+      $ workers $ queue $ timings $ cache $ cache_dir $ resume_cache
       $ daemon $ tries $ deadline $ stats $ seed)
   in
   Cmd.v

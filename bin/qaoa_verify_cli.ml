@@ -20,35 +20,9 @@ module Rng = Qaoa_util.Rng
 open Cmdliner
 
 let kind_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "er"; p ] -> (
-      match float_of_string_opt p with
-      | Some p when p >= 0.0 && p <= 1.0 -> Ok (Workload.Erdos_renyi p)
-      | _ -> Error (`Msg "er:<p> expects 0 <= p <= 1"))
-    | [ "regular"; d ] -> (
-      match int_of_string_opt d with
-      | Some d when d >= 1 -> Ok (Workload.Regular d)
-      | _ -> Error (`Msg "regular:<d> expects d >= 1"))
-    | [ "ba"; m ] -> (
-      match int_of_string_opt m with
-      | Some m when m >= 1 -> Ok (Workload.Barabasi_albert m)
-      | _ -> Error (`Msg "ba:<m> expects m >= 1"))
-    | _ -> Error (`Msg "expected er:<p>, regular:<d> or ba:<m>")
-  in
-  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Workload.kind_name k))
-
-(* Malformed input or a structured compile failure is a one-line
-   diagnostic and exit 2, never a backtrace (exit 1 is reserved for
-   genuine verification discrepancies). *)
-let guard f =
-  try f () with
-  | Compile.Error e ->
-    Printf.eprintf "qaoa-verify: %s\n" (Compile.error_to_string e);
-    2
-  | Invalid_argument msg | Failure msg ->
-    Printf.eprintf "qaoa-verify: %s\n" msg;
-    2
+  Arg.conv
+    ( Workload.kind_of_string,
+      fun ppf k -> Format.pp_print_string ppf (Workload.kind_name k) )
 
 (* ---------------- check ---------------- *)
 
@@ -68,7 +42,7 @@ let oracle_conv =
           | Check.Phase_poly_only -> "phase-poly") )
 
 let run_check () topology strategies all nodes kind seed p max_semantic oracle =
-  guard @@ fun () ->
+  Qaoa_cli.guard ~tool:"qaoa-verify" @@ fun () ->
   let device = Differential.device_of_topology topology in
   let strategies =
     if all then Differential.default_strategies else strategies
@@ -155,7 +129,7 @@ let check_cmd =
 (* ---------------- fuzz ---------------- *)
 
 let run_fuzz () cases_count seed topologies strategies max_nodes max_semantic =
-  guard @@ fun () ->
+  Qaoa_cli.guard ~tool:"qaoa-verify" @@ fun () ->
   let topologies =
     if topologies = [] then Differential.default_topologies else topologies
   in

@@ -43,7 +43,9 @@ let () =
     record "annealing" (ratio sa);
 
     (* QAOA p=1: expectation ratio (noiseless) and noisy-execution mean *)
-    let params, expectation = Analytic.optimize ~grid:32 g in
+    let params, expectation =
+      Qaoa_core.Optimizer.optimize_p1 ~grid:32 (Analytic.expectation g)
+    in
     record "qaoa p=1 <C>/C*" (expectation /. optimum);
     let compiled =
       Compile.compile ~strategy:(Compile.Vic None) device problem params

@@ -24,7 +24,9 @@ let () =
   Printf.printf "instance: 10-node 3-regular MaxCut, optimum cut = %.0f\n\n" optimum;
 
   (* Parameter setting route 1: the closed-form p=1 expectation. *)
-  let analytic_params, analytic_value = Analytic.optimize ~grid:48 graph in
+  let analytic_params, analytic_value =
+    Optimizer.optimize_p1 ~grid:48 (Analytic.expectation graph)
+  in
   Printf.printf "analytic optimum:  gamma=%.4f beta=%.4f  <C> = %.4f\n"
     analytic_params.Ansatz.gammas.(0) analytic_params.Ansatz.betas.(0)
     analytic_value;

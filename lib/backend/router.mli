@@ -114,8 +114,11 @@ val route_layers :
   num_logical:int ->
   Qaoa_circuit.Gate.t list list ->
   result
-(** Lower-level entry point taking pre-formed layers (IP and IC build
-    their own layers rather than re-deriving them by ASAP scheduling).
+(** Lower-level entry point taking pre-formed layers.  IC (and VIC) is
+    its only strategy caller: it forms each layer against the live
+    mapping.  IP's packed layers are flattened into a gate order and
+    re-layered by {!route}'s ASAP pass, like every other whole-circuit
+    strategy.
     The two-qubit gates of each layer must act on disjoint qubits, as
     {!Qaoa_circuit.Layering.layers} and IC's [form_layer] guarantee:
     the scorer relies on it.

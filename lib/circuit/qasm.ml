@@ -170,7 +170,11 @@ let of_string text =
           in
           let qubit2 () =
             match operand_list with
-            | [ a; b ] -> (parse_qubit line !reg a, parse_qubit line !reg b)
+            | [ a; b ] ->
+              let a = parse_qubit line !reg a and b = parse_qubit line !reg b in
+              if a = b then
+                fail_at line (Printf.sprintf "%s names qubit %d twice" name a);
+              (a, b)
             | _ -> fail_at line ("expected two operands for " ^ name)
           in
           let angle () =

@@ -64,3 +64,31 @@ let apply format out =
   | None, None -> ()
 
 let setup = Term.(const apply $ trace_arg $ trace_file_arg)
+
+let guard ~tool f =
+  try f () with
+  | Compile.Error e ->
+    Printf.eprintf "%s: %s\n" tool (Compile.error_to_string e);
+    2
+  | Invalid_argument msg | Failure msg ->
+    Printf.eprintf "%s: %s\n" tool msg;
+    2
+
+let journaled ~journal_dir ~resume f =
+  let module Journal = Qaoa_journal.Journal in
+  let module Signals = Qaoa_journal.Signals in
+  if resume && Option.is_none journal_dir then
+    failwith "--resume requires --journal DIR";
+  Qaoa_journal.Chaos.install_from_env ();
+  let journal =
+    Option.map (fun dir -> Journal.open_ ~resume ~dir ()) journal_dir
+  in
+  if Option.is_some journal then
+    Signals.install ~resume_hint:(Signals.resume_hint_of_argv ());
+  let v = f journal in
+  Option.iter
+    (fun j ->
+      print_endline (Journal.summary j);
+      Journal.close j)
+    journal;
+  v

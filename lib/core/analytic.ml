@@ -19,24 +19,10 @@ let expectation g ~gamma ~beta =
     (fun u v acc -> acc +. edge_expectation g ~edge:(u, v) ~gamma ~beta)
     g 0.0
 
-let optimize ?(grid = 64) g =
-  let best = ref (0.0, 0.0) and best_val = ref neg_infinity in
-  for i = 0 to grid - 1 do
-    for j = 0 to grid - 1 do
-      let gamma = Float.pi *. float_of_int i /. float_of_int grid in
-      let beta = Float.pi /. 2.0 *. float_of_int j /. float_of_int grid in
-      let v = expectation g ~gamma ~beta in
-      if v > !best_val then begin
-        best := (gamma, beta);
-        best_val := v
-      end
-    done
-  done;
-  let g0, b0 = !best in
-  let objective x = expectation g ~gamma:x.(0) ~beta:x.(1) in
-  let x, v =
-    Optimizer.nelder_mead ~maximize:true ~initial:[| g0; b0 |]
-      ~step:(Float.pi /. (2.0 *. float_of_int grid))
-      objective
-  in
-  (Ansatz.params_p1 ~gamma:x.(0) ~beta:x.(1), v)
+(* [Problem.of_maxcut] with unit weights: every quadratic coefficient is
+   -1/2 and there are no linear terms. *)
+let applies problem =
+  problem.Problem.linear = []
+  && List.for_all
+       (fun (_, _, c) -> Float.abs (c +. 0.5) < 1e-12)
+       problem.Problem.quadratic

@@ -24,9 +24,8 @@ val edge_expectation :
 val expectation : Qaoa_graph.Graph.t -> gamma:float -> beta:float -> float
 (** Sum over all edges: the exact p=1 expectation of the cut size. *)
 
-val optimize :
-  ?grid:int -> Qaoa_graph.Graph.t -> Ansatz.params * float
-(** Best (gamma, beta) at p=1 by dense grid search over
-    (gamma, beta) in [0, pi) x [0, pi/2) (default [grid] = 64 points per
-    axis) refined with Nelder-Mead on the analytic objective.  Returns
-    the parameters and the achieved expectation. *)
+val applies : Problem.t -> bool
+(** Whether a problem is unweighted MaxCut (the {!Problem.of_maxcut}
+    encoding with unit weights), the regime where {!expectation} of its
+    interaction graph is its p=1 expectation.  The p=1 parameter search
+    on the closed form is [Optimizer.optimize_p1 ~grid (expectation g)]. *)

@@ -4,15 +4,6 @@ type t = {
   values : float array array;
 }
 
-(* Unweighted MaxCut: all quadratic coefficients equal -1/2 (the
-   [Problem.of_maxcut] encoding with unit weights) and no linear terms -
-   the regime where the closed form applies. *)
-let is_unweighted_maxcut problem =
-  problem.Problem.linear = []
-  && List.for_all
-       (fun (_, _, c) -> Float.abs (c +. 0.5) < 1e-12)
-       problem.Problem.quadratic
-
 let grid ?(gamma_points = 32) ?(beta_points = 32) problem =
   if gamma_points < 1 || beta_points < 1 then
     invalid_arg "Landscape.grid: need at least one point per axis";
@@ -25,7 +16,7 @@ let grid ?(gamma_points = 32) ?(beta_points = 32) problem =
         Float.pi /. 2.0 *. float_of_int j /. float_of_int beta_points)
   in
   let evaluate =
-    if is_unweighted_maxcut problem then begin
+    if Analytic.applies problem then begin
       let g = Problem.interaction_graph problem in
       fun ~gamma ~beta -> Analytic.expectation g ~gamma ~beta
     end

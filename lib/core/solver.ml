@@ -17,17 +17,11 @@ type outcome = {
   compiled : Compile.result;
 }
 
-(* Unweighted MaxCut (the [Problem.of_maxcut] encoding with unit
-   weights) admits the closed-form p=1 optimization. *)
-let closed_form_applies problem =
-  problem.Problem.linear = []
-  && List.for_all
-       (fun (_, _, c) -> Float.abs (c +. 0.5) < 1e-12)
-       problem.Problem.quadratic
-
 let choose_params rng ~p problem =
-  if p = 1 && closed_form_applies problem then
-    fst (Analytic.optimize ~grid:32 (Problem.interaction_graph problem))
+  if p = 1 && Analytic.applies problem then
+    fst
+      (Optimizer.optimize_p1 ~grid:32
+         (Analytic.expectation (Problem.interaction_graph problem)))
   else if p = 1 then
     fst
       (Optimizer.optimize_p1 ~grid:16 (fun ~gamma ~beta ->

@@ -108,28 +108,18 @@ let peephole =
       ~count:(count scale ~paper:20)
   in
   let strategies = [ Compile.Naive; Compile.Qaim; Compile.Ip; Compile.Ic None ] in
-  List.filter_map
-    (fun strategy ->
-      Sweep.row ?journal
-        ~key:
-          (Printf.sprintf "ablation/peephole/%s"
-             (Compile.strategy_name strategy))
-        ~label:(Compile.strategy_name strategy)
-        (fun () ->
-          let gates ~peephole =
-            Stats.mean
-              (List.mapi
-                 (fun i problem ->
-                   let options =
-                     { Compile.default_options with seed = seed + i; peephole }
-                   in
-                   let r = Compile.compile ~options ~strategy device problem params in
-                   float_of_int r.Compile.metrics.Metrics.gate_count)
-                 problems)
-          in
-          let off = gates ~peephole:false and on = gates ~peephole:true in
-          [ off; on; 100.0 *. (off -. on) /. off ]))
-    strategies
+  let run peephole setting =
+    Runner.run ~base_seed:seed
+      ~options:{ Compile.default_options with peephole }
+      ?journal ~experiment:("ablation/peephole/" ^ setting)
+      ~device ~strategies ~params problems
+  in
+  List.map2
+    (fun off on ->
+      let off_gates = off.Runner.mean_gates and on_gates = on.Runner.mean_gates in
+      ( Compile.strategy_name on.Runner.strategy,
+        [ off_gates; on_gates; 100.0 *. (off_gates -. on_gates) /. off_gates ] ))
+    (run false "off") (run true "on")
 
 let reverse_traversal =
   Experiment.make Experiment.Ablation "reverse-traversal"
@@ -177,50 +167,29 @@ let mapper_shootout =
   @@ fun ~scale ~journal ->
   let seed = 20500 in
   let device = Topologies.ibmq_16_melbourne () in
-  let cal = Device.calibration_exn device in
   let problems =
     Workload.problems (Rng.create seed) (Workload.Regular 3) ~n:10
       ~count:(count scale ~paper:20)
   in
-  let mappers =
-    [
-      ("NAIVE", fun rng problem -> Naive.initial_mapping rng device problem);
-      ("GreedyV", fun rng problem -> Qaoa_core.Greedy_mapper.greedy_v rng device problem);
-      ("GreedyE", fun rng problem -> Qaoa_core.Greedy_mapper.greedy_e rng device problem);
-      ("QAIM", fun rng problem -> Qaim.initial_mapping rng device problem);
-      ("VQA", fun rng problem -> Vqa.initial_mapping rng device problem);
-    ]
-  in
-  List.filter_map
-    (fun (name, mapper) ->
-      Sweep.row ?journal
-        ~key:(Printf.sprintf "ablation/mapper-shootout/%s" name)
-        ~label:name
-        (fun () ->
-          let stats =
-            List.mapi
-              (fun i problem ->
-                let rng = Rng.create (seed + i) in
-                let initial = mapper rng problem in
-                let circuit =
-                  Ansatz.circuit ~measure:false
-                    ~orders:[ Naive.cphase_order rng problem ]
-                    problem params
-                in
-                let r = Router.route ~device ~initial circuit in
-                let m = Metrics.of_circuit r.Router.circuit in
-                ( float_of_int m.Metrics.depth,
-                  float_of_int m.Metrics.gate_count,
-                  Qaoa_hardware.Success.of_circuit cal r.Router.circuit ))
-              problems
-          in
-          let pick f = Stats.mean (List.map f stats) in
-          [
-            pick (fun (d, _, _) -> d);
-            pick (fun (_, g, _) -> g);
-            pick (fun (_, _, s) -> s);
-          ]))
-    mappers
+  (* Compile draws each mapping, CPHASE order and route from
+     [Rng.create (seed + i)], as a hand-written loop would *)
+  List.map
+    (fun a ->
+      ( Compile.strategy_name a.Runner.strategy,
+        [
+          a.Runner.mean_depth;
+          a.Runner.mean_gates;
+          Option.get a.Runner.mean_success;
+        ] ))
+    (Runner.run ~base_seed:seed
+       ~options:{ Compile.default_options with measure = false }
+       ?journal ~experiment:"ablation/mapper-shootout" ~device
+       ~strategies:
+         [
+           Compile.Naive; Compile.Greedy_v; Compile.Greedy_e; Compile.Qaim;
+           Compile.Vqa_alloc;
+         ]
+       ~params problems)
 
 let iterative =
   Experiment.make Experiment.Ablation "iterative"
@@ -234,44 +203,30 @@ let iterative =
     Workload.problems (Rng.create seed) (Workload.Erdos_renyi 0.5) ~n:16
       ~count:(count scale ~paper:12)
   in
-  let mean_of f l = Stats.mean (List.map f l) in
-  List.filter_map Fun.id
-    [
-      Sweep.row ?journal ~key:"ablation/iterative/single-shot"
-        ~label:"IC single-shot"
-        (fun () ->
-          let single =
-            List.mapi
-              (fun i problem ->
-                let options =
-                  { Compile.default_options with seed = seed + i }
-                in
-                let r =
-                  Compile.compile ~options ~strategy:(Compile.Ic None)
-                    device problem params
-                in
-                ( float_of_int r.Compile.metrics.Metrics.depth,
-                  r.Compile.compile_cpu_s ))
-              problems
-          in
-          [ mean_of fst single; mean_of snd single ]);
-      Sweep.row ?journal ~key:"ablation/iterative/iterative"
-        ~label:"IC iterative"
-        (fun () ->
-          let iterated =
-            List.mapi
-              (fun i problem ->
-                let base = { Compile.default_options with seed = seed + i } in
-                let r =
+  let single =
+    List.hd
+      (Runner.run ~base_seed:seed ?journal
+         ~experiment:"ablation/iterative/single-shot" ~device
+         ~strategies:[ Compile.Ic None ] ~params problems)
+  in
+  ("IC single-shot", [ single.Runner.mean_depth; single.Runner.mean_time ])
+  :: Option.to_list
+       (Sweep.row ?journal ~key:"ablation/iterative/iterative"
+          ~label:"IC iterative" (fun () ->
+            let iterated =
+              List.mapi
+                (fun i problem ->
+                  let base = { Compile.default_options with seed = seed + i } in
                   Iterative.compile ~patience:4 ~max_rounds:16 ~base
-                    ~strategy:(Compile.Ic None) device problem params
-                in
-                ( float_of_int r.Iterative.best.Compile.metrics.Metrics.depth,
-                  r.Iterative.total_cpu_s ))
-              problems
-          in
-          [ mean_of fst iterated; mean_of snd iterated ]);
-    ]
+                    ~strategy:(Compile.Ic None) device problem params)
+                problems
+            in
+            let mean f = Stats.mean (List.map f iterated) in
+            [
+              mean (fun r ->
+                  float_of_int r.Iterative.best.Compile.metrics.Metrics.depth);
+              mean (fun r -> r.Iterative.total_cpu_s);
+            ]))
 
 let qaoa_levels =
   Experiment.make Experiment.Ablation "qaoa-levels"
@@ -310,42 +265,39 @@ let swap_network =
   let line = Qaoa_core.Swap_network.serpentine_line ~rows:6 ~cols:6 in
   List.filter_map
     (fun p ->
-      Sweep.row ?journal
-        ~key:(Printf.sprintf "ablation/swap-network/p=%.1f" p)
-        ~label:(Printf.sprintf "ER(p=%.1f)" p)
-        (fun () ->
-          let problems =
-            Workload.problems
-              (Rng.create (seed + int_of_float (p *. 100.)))
-              (Workload.Erdos_renyi p) ~n:24 ~count:(count scale ~paper:12)
-          in
-          let stats =
-            List.mapi
-              (fun i problem ->
-                let options =
-                  { Compile.default_options with seed = seed + i }
-                in
-                let ic =
-                  Compile.compile ~options ~strategy:(Compile.Ic None) device
-                    problem params
-                in
-                let sn =
-                  Qaoa_core.Swap_network.compile ~line device problem params
-                in
-                let sn_metrics = Metrics.of_circuit sn.Router.circuit in
-                ( float_of_int ic.Compile.metrics.Metrics.depth,
-                  float_of_int sn_metrics.Metrics.depth,
-                  float_of_int ic.Compile.swap_count,
-                  float_of_int sn.Router.swap_count ))
-              problems
-          in
-          let pick f = Stats.mean (List.map f stats) in
-          [
-            pick (fun (a, _, _, _) -> a);
-            pick (fun (_, b, _, _) -> b);
-            pick (fun (_, _, c, _) -> c);
-            pick (fun (_, _, _, d) -> d);
-          ]))
+      let knob = Printf.sprintf "ablation/swap-network/p=%.1f" p in
+      let problems =
+        Workload.problems
+          (Rng.create (seed + int_of_float (p *. 100.)))
+          (Workload.Erdos_renyi p) ~n:24 ~count:(count scale ~paper:12)
+      in
+      let ic =
+        List.hd
+          (Runner.run ~base_seed:seed ?journal ~experiment:knob ~device
+             ~strategies:[ Compile.Ic None ] ~params problems)
+      in
+      Option.map
+        (fun (label, network) ->
+          ( label,
+            [
+              ic.Runner.mean_depth; List.nth network 0; ic.Runner.mean_swaps;
+              List.nth network 1;
+            ] ))
+        (Sweep.row ?journal ~key:(knob ^ "/network")
+           ~label:(Printf.sprintf "ER(p=%.1f)" p)
+           (fun () ->
+             let routed =
+               List.map
+                 (fun problem ->
+                   Qaoa_core.Swap_network.compile ~line device problem params)
+                 problems
+             in
+             let mean f = Stats.mean (List.map f routed) in
+             [
+               mean (fun r ->
+                   float_of_int (Metrics.of_circuit r.Router.circuit).Metrics.depth);
+               mean (fun r -> float_of_int r.Router.swap_count);
+             ])))
     [ 0.2; 0.4; 0.6; 0.8 ]
 
 let graph_families =

@@ -242,7 +242,9 @@ let fig11b =
       (List.map
          (fun problem ->
            let g = Problem.interaction_graph problem in
-           let prms, _ = Analytic.optimize ~grid:24 g in
+           let prms, _ =
+             Qaoa_core.Optimizer.optimize_p1 ~grid:24 (Analytic.expectation g)
+           in
            (problem, prms))
          problems)
   in

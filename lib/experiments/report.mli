@@ -8,7 +8,7 @@ val run :
   ?export:string ->
   scale:Experiment.scale ->
   Experiment.t list ->
-  unit
+  (Experiment.t * Experiment.row list) list
 (** For each record in order, compute its rows, then print
     ["=== id: title [scale=s] ==="], its table (a ["workload"] column,
     then the record's columns) and one ["  paper: "] line per note.
@@ -18,7 +18,7 @@ val run :
     {!Export.csv_of_rows}), and after the last record [dir/report.md]
     ({!to_markdown}).  [dir] is created (recursively) before the first
     record runs, and every file is written atomically.  [journal] is passed to every
-    record. *)
+    record.  Returns each record with the rows it printed, in order. *)
 
 val to_markdown :
   scale:Experiment.scale -> (Experiment.t * Experiment.row list) list -> string

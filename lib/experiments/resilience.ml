@@ -7,154 +7,61 @@ module Fault = Qaoa_resilience.Fault
 module Faultspace = Qaoa_resilience.Faultspace
 module Rng = Qaoa_util.Rng
 module Stats = Qaoa_util.Stats
-module Table = Qaoa_util.Table
 module Metrics = Qaoa_circuit.Metrics
-module Json = Qaoa_obs.Json
-module Supervisor = Qaoa_journal.Supervisor
 
-type row = {
-  scenario : string;
-  workload : string;
-  instances : int;
-  compiled : int;
-  fallback_recovered : int;
-  exhausted : int;
-  mean_attempts : float;
-  mean_depth : float;
-  mean_swaps : float;
-  mean_success : float;
-  depth_ratio : float;
-  swap_ratio : float;
-  success_ratio : float;
-  winners : (string * int) list;
-}
+let columns =
+  [
+    "instances"; "compiled"; "recovered"; "exhausted"; "attempts"; "depth x";
+    "swaps x"; "success x";
+  ]
+  @ List.map (fun s -> Compile.strategy_name s ^ " wins") Compile.default_chain
 
-(* Per-workload stats of one scenario, before ratios are attached. *)
-type cell = {
-  c_instances : int;
-  c_compiled : int;
-  c_recovered : int;
-  c_exhausted : int;
-  c_attempts : float;
-  c_depth : float;
-  c_swaps : float;
-  c_success : float;
-  c_winners : (string * int) list;
-}
-
-let tally winners name =
-  let n = Option.value ~default:0 (List.assoc_opt name winners) in
-  (name, n + 1) :: List.remove_assoc name winners
+(* A cell journals the mean depth, swaps and success at these columns;
+   its row shows them relative to the workload's healthy baseline. *)
+let is_ratio_column i = i >= 5 && i <= 7
 
 let compile_cell ~options ~retries device problems params =
   (* Success charges couplings the degraded snapshot no longer records
      the worst recorded rate, so partial calibration never inflates it. *)
   let cal = Device.calibration_exn device in
   let unrecorded = Calibration.unrecorded_error cal in
-  let compiled = ref 0 and recovered = ref 0 and exhausted = ref 0 in
-  let attempts = ref [] and depths = ref [] and swaps = ref [] in
-  let successes = ref [] and winners = ref [] in
-  List.iteri
-    (fun i problem ->
-      let options = { options with Compile.seed = options.Compile.seed + i } in
-      match Compile.compile_with_fallback ~options ~retries device problem params with
-      | Ok fb ->
-        let r = fb.Compile.fallback_result in
-        incr compiled;
-        if List.length fb.Compile.attempts > 1 then incr recovered;
-        attempts := float_of_int (List.length fb.Compile.attempts) :: !attempts;
-        depths := float_of_int r.Compile.metrics.Metrics.depth :: !depths;
-        swaps := float_of_int r.Compile.swap_count :: !swaps;
-        successes :=
-          Success.of_circuit ~unrecorded cal r.Compile.circuit :: !successes;
-        winners := tally !winners (Compile.strategy_name r.Compile.strategy)
-      | Error trail ->
-        incr exhausted;
-        attempts := float_of_int (List.length trail) :: !attempts)
-    problems;
-  let mean xs = if xs = [] then Float.nan else Stats.mean xs in
-  {
-    c_instances = List.length problems;
-    c_compiled = !compiled;
-    c_recovered = !recovered;
-    c_exhausted = !exhausted;
-    c_attempts = mean !attempts;
-    c_depth = mean !depths;
-    c_swaps = mean !swaps;
-    c_success = mean !successes;
-    c_winners =
-      List.sort (fun (_, a) (_, b) -> compare b a) !winners;
-  }
-
-let encode_cell c =
-  Json.Assoc
-    [
-      ("instances", Json.Int c.c_instances);
-      ("compiled", Json.Int c.c_compiled);
-      ("recovered", Json.Int c.c_recovered);
-      ("exhausted", Json.Int c.c_exhausted);
-      ("attempts", Json.Float c.c_attempts);
-      ("depth", Json.Float c.c_depth);
-      ("swaps", Json.Float c.c_swaps);
-      ("success", Json.Float c.c_success);
-      ( "winners",
-        Json.List
-          (List.map
-             (fun (name, n) ->
-               Json.Assoc [ ("name", Json.String name); ("n", Json.Int n) ])
-             c.c_winners) );
-    ]
-
-let decode_cell doc =
-  let num field =
-    Option.value ~default:Float.nan
-      (Option.bind (Json.member field doc) Json.to_float)
+  let outcomes =
+    List.mapi
+      (fun i problem ->
+        let options = { options with Compile.seed = options.Compile.seed + i } in
+        Compile.compile_with_fallback ~options ~retries device problem params)
+      problems
   in
-  let int field = int_of_float (num field) in
-  {
-    c_instances = int "instances";
-    c_compiled = int "compiled";
-    c_recovered = int "recovered";
-    c_exhausted = int "exhausted";
-    c_attempts = num "attempts";
-    c_depth = num "depth";
-    c_swaps = num "swaps";
-    c_success = num "success";
-    c_winners =
-      (match Json.member "winners" doc with
-      | Some (Json.List ws) ->
-        List.filter_map
-          (fun w ->
-            match (Json.member "name" w, Json.member "n" w) with
-            | Some (Json.String name), Some n ->
-              Option.map
-                (fun n -> (name, int_of_float n))
-                (Json.to_float n)
-            | _ -> None)
-          ws
-      | _ -> []);
-  }
-
-(* One journaled unit of work = one (device, workload, scenario) cell;
-   the cell carries no timing, so resumed sweeps reproduce uninterrupted
-   ones bit for bit.  Without a journal the thunk runs directly,
-   preserving the historical contract (exceptions propagate). *)
-let supervised_cell ?journal ~key f =
-  match journal with
-  | None -> Some (f ())
-  | Some journal -> (
-    match
-      Supervisor.trial ~journal ~key ~encode:encode_cell ~decode:decode_cell f
-    with
-    | Supervisor.Completed c -> Some c
-    | Supervisor.Quarantined _ -> None)
+  let won = List.filter_map Result.to_option outcomes in
+  let results = List.map (fun fb -> fb.Compile.fallback_result) won in
+  let count p l = float_of_int (List.length (List.filter p l)) in
+  let mean f l = Stats.mean (List.map f l) in
+  [
+    float_of_int (List.length problems);
+    float_of_int (List.length won);
+    count (fun fb -> List.length fb.Compile.attempts > 1) won;
+    float_of_int (List.length problems - List.length won);
+    mean
+      (fun o ->
+        float_of_int
+          (match o with
+          | Ok fb -> List.length fb.Compile.attempts
+          | Error trail -> List.length trail))
+      outcomes;
+    mean (fun r -> float_of_int r.Compile.metrics.Metrics.depth) results;
+    mean (fun r -> float_of_int r.Compile.swap_count) results;
+    mean (fun r -> Success.of_circuit ~unrecorded cal r.Compile.circuit) results;
+  ]
+  @ List.map
+      (fun s -> count (fun r -> r.Compile.strategy = s) results)
+      Compile.default_chain
 
 let workloads = [ Workload.Erdos_renyi 0.5; Workload.Regular 6 ]
 let sizes = [ 13; 14; 15 ]
 
-let run ?(scale = Experiment.Default) ?journal ?(seed = 13000) ?device
-    ?deadline_s ?(verify = false) ?(retries = 1) () =
-  let base_device =
+let experiment ?(seed = 13000) ?device ?deadline_s ?(verify = false)
+    ?(retries = 1) () =
+  let device =
     match device with
     | Some ({ Device.calibration = Some _; _ } as d) -> d
     | Some d -> Device.with_random_calibration (Rng.create seed) d
@@ -162,98 +69,76 @@ let run ?(scale = Experiment.Default) ?journal ?(seed = 13000) ?device
       Device.with_random_calibration (Rng.create seed)
         (Topologies.ibmq_20_tokyo ())
   in
-  Printf.printf
-    "\n=== Resilience: fault sweep, fallback compilation, %s  [scale=%s] ===\n"
-    base_device.Device.name (Experiment.scale_name scale);
-  let options =
-    { Compile.default_options with seed; verify; deadline_s }
+  let name = device.Device.name in
+  Experiment.make Experiment.Ablation ("resilience-" ^ name)
+    ~title:("fault sweep through the fallback chain, Fig. 10 workloads, " ^ name)
+    ~columns ~notes:[]
+  @@ fun ~scale ~journal ->
+  let options = { Compile.default_options with seed; verify; deadline_s } in
+  let count = Figures.count ~paper:20 scale in
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun n ->
+          let workload = Printf.sprintf "%s n=%d" (Workload.kind_name kind) n in
+          let problems =
+            Workload.problems
+              (Rng.create (seed + n + Hashtbl.hash (Workload.kind_name kind)))
+              kind ~n ~count
+          in
+          (* one journaled cell per (device, workload, scenario); it
+             carries no timing, so a resumed sweep reproduces an
+             uninterrupted one bit for bit *)
+          let cell label degraded =
+            Sweep.row ?journal
+              ~key:(Printf.sprintf "resilience/%s/%s/%s" name workload label)
+              ~label:(label ^ " " ^ workload)
+              (fun () ->
+                compile_cell ~options ~retries (degraded ()) problems
+                  Workload.default_params)
+          in
+          match cell "baseline" (fun () -> device) with
+          | None ->
+            (* quarantined baseline: no anchor for the ratios, so the
+               whole workload is dropped rather than reported skewed *)
+            []
+          | Some (_, base) ->
+            List.filter_map
+              (fun { Faultspace.label; faults } ->
+                let row =
+                  if faults = [] then Some (label ^ " " ^ workload, base)
+                  else
+                    cell label (fun () ->
+                        Fault.apply_all ~seed:(seed + Hashtbl.hash label)
+                          faults device)
+                in
+                Option.map
+                  (fun (label, vs) ->
+                    ( label,
+                      List.mapi
+                        (fun i v ->
+                          if is_ratio_column i then
+                            Stats.ratio v (List.nth base i)
+                          else v)
+                        vs ))
+                  row)
+              Faultspace.default)
+        sizes)
+    workloads
+
+type summary = {
+  instances : int;
+  compiled : int;
+  recovered : int;
+  exhausted : int;
+}
+
+let summary rows =
+  let total i =
+    List.fold_left (fun acc (_, vs) -> acc + int_of_float (List.nth vs i)) 0 rows
   in
-  let c = Figures.count ~paper:20 scale in
-  let params = Workload.default_params in
-  let rows =
-    List.concat_map
-      (fun kind ->
-        List.concat_map
-          (fun n ->
-            let workload = Printf.sprintf "%s n=%d" (Workload.kind_name kind) n in
-            let problems =
-              Workload.problems
-                (Rng.create (seed + n + Hashtbl.hash (Workload.kind_name kind)))
-                kind ~n ~count:c
-            in
-            let cell_key suffix =
-              Printf.sprintf "resilience/%s/%s/%s" base_device.Device.name
-                workload suffix
-            in
-            match
-              supervised_cell ?journal ~key:(cell_key "baseline") (fun () ->
-                  compile_cell ~options ~retries base_device problems params)
-            with
-            | None ->
-              (* quarantined baseline: no anchor for the ratios, so the
-                 whole workload is dropped rather than reported skewed *)
-              []
-            | Some base ->
-              List.filter_map
-                (fun sc ->
-                  let cell =
-                    if sc.Faultspace.faults = [] then Some base
-                    else
-                      supervised_cell ?journal
-                        ~key:(cell_key sc.Faultspace.label)
-                        (fun () ->
-                          compile_cell ~options ~retries
-                            (Fault.apply_all
-                               ~seed:(seed + Hashtbl.hash sc.Faultspace.label)
-                               sc.Faultspace.faults base_device)
-                            problems params)
-                  in
-                  Option.map
-                    (fun cell ->
-                      {
-                        scenario = sc.Faultspace.label;
-                        workload;
-                        instances = cell.c_instances;
-                        compiled = cell.c_compiled;
-                        fallback_recovered = cell.c_recovered;
-                        exhausted = cell.c_exhausted;
-                        mean_attempts = cell.c_attempts;
-                        mean_depth = cell.c_depth;
-                        mean_swaps = cell.c_swaps;
-                        mean_success = cell.c_success;
-                        depth_ratio = Stats.ratio cell.c_depth base.c_depth;
-                        swap_ratio = Stats.ratio cell.c_swaps base.c_swaps;
-                        success_ratio =
-                          Stats.ratio cell.c_success base.c_success;
-                        winners = cell.c_winners;
-                      })
-                    cell)
-                Faultspace.default)
-          sizes)
-      workloads
-  in
-  let t =
-    Table.create
-      [
-        "scenario"; "workload"; "ok"; "fb"; "exh"; "att"; "depth x";
-        "swaps x"; "succ x"; "winner";
-      ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.scenario;
-          r.workload;
-          Printf.sprintf "%d/%d" r.compiled r.instances;
-          string_of_int r.fallback_recovered;
-          string_of_int r.exhausted;
-          Table.float_cell ~decimals:1 r.mean_attempts;
-          Table.float_cell r.depth_ratio;
-          Table.float_cell r.swap_ratio;
-          Table.float_cell r.success_ratio;
-          (match r.winners with (name, _) :: _ -> name | [] -> "-");
-        ])
-    rows;
-  Table.print t;
-  rows
+  { instances = total 0; compiled = total 1; recovered = total 2; exhausted = total 3 }
+
+let summary_to_string s =
+  Printf.sprintf "%d/%d compiled, %d recovered by fallback, %d exhausted"
+    s.compiled s.instances s.recovered s.exhausted

@@ -3,7 +3,6 @@ module Metrics = Qaoa_circuit.Metrics
 module Device = Qaoa_hardware.Device
 module Stats = Qaoa_util.Stats
 module Json = Qaoa_obs.Json
-module Supervisor = Qaoa_journal.Supervisor
 
 type aggregate = {
   strategy : Compile.strategy;
@@ -54,8 +53,9 @@ let encode_trial t =
 
 let decode_trial doc =
   let num field =
-    Option.value ~default:Float.nan
-      (Option.bind (Json.member field doc) Json.to_float)
+    match Option.bind (Json.member field doc) Json.to_float with
+    | Some v -> v
+    | None -> failwith ("no number under " ^ field)
   in
   {
     t_depth = num "depth";
@@ -90,27 +90,17 @@ let run ?(base_seed = 1000) ?(options = Compile.default_options) ?journal
           (Compile.compile ~options ~strategy device problem params)
       in
       let trials =
-        match journal with
-        | None ->
-          (* unjournaled sweeps keep the historical contract: compile
-             directly, let failures propagate to the caller *)
-          List.mapi (fun i problem -> Some (compile_one i problem)) problems
-        | Some journal ->
-          List.mapi
-            (fun i problem ->
-              let key =
-                Printf.sprintf "%s/%s/i%d/s%d"
-                  (Option.get experiment)
-                  (Compile.strategy_name strategy)
-                  i (base_seed + i)
-              in
-              match
-                Supervisor.trial ~journal ~key ~encode:encode_trial
-                  ~decode:decode_trial (fun () -> compile_one i problem)
-              with
-              | Supervisor.Completed t -> Some t
-              | Supervisor.Quarantined _ -> None)
-            problems
+        List.mapi
+          (fun i problem ->
+            Sweep.trial ?journal
+              ~key:
+                (Printf.sprintf "%s/%s/i%d/s%d"
+                   (Option.value ~default:"" experiment)
+                   (Compile.strategy_name strategy)
+                   i (base_seed + i))
+              ~encode:encode_trial ~decode:decode_trial
+              (fun () -> compile_one i problem))
+          problems
       in
       let completed = List.filter_map Fun.id trials in
       let fmean f =

@@ -16,6 +16,22 @@ let kind_name = function
   | Barabasi_albert m -> Printf.sprintf "BA(m=%d)" m
   | Watts_strogatz (k, beta) -> Printf.sprintf "WS(k=%d,b=%.1f)" k beta
 
+let kind_of_string s =
+  match String.split_on_char ':' s with
+  | [ "er"; p ] -> (
+    match float_of_string_opt p with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok (Erdos_renyi p)
+    | _ -> Error (`Msg "er:<p> expects 0 <= p <= 1"))
+  | [ "regular"; d ] -> (
+    match int_of_string_opt d with
+    | Some d when d >= 1 -> Ok (Regular d)
+    | _ -> Error (`Msg "regular:<d> expects d >= 1"))
+  | [ "ba"; m ] -> (
+    match int_of_string_opt m with
+    | Some m when m >= 1 -> Ok (Barabasi_albert m)
+    | _ -> Error (`Msg "ba:<m> expects m >= 1"))
+  | _ -> Error (`Msg "expected er:<p>, regular:<d> or ba:<m>")
+
 let graph rng kind ~n =
   match kind with
   | Erdos_renyi p -> Generators.erdos_renyi rng ~n ~p

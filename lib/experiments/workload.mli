@@ -13,6 +13,12 @@ type graph_kind =
 val kind_name : graph_kind -> string
 (** e.g. "ER(p=0.5)", "6-regular", "G(n,m=8)". *)
 
+val kind_of_string : string -> (graph_kind, [> `Msg of string ]) result
+(** The [--kind] grammar of qaoa-compile, qaoa-solve and qaoa-verify:
+    ["er:<p>"] with 0 <= p <= 1, ["regular:<d>"] with d >= 1, or
+    ["ba:<m>"] with m >= 1.  The error message names the expected form;
+    the result type fits a Cmdliner [Arg.conv] parser. *)
+
 val graph : Qaoa_util.Rng.t -> graph_kind -> n:int -> Qaoa_graph.Graph.t
 (** One random graph of the kind.  Regular kinds with odd [n * d] raise
     [Invalid_argument] (the paper's parameter grid never hits this). *)

@@ -23,34 +23,30 @@ let failure_of_json key doc =
   in
   { f_key = key; f_attempts = attempts; f_errors = errors }
 
-let trial ?journal ~key ~encode ~decode f =
-  let cached =
-    match journal with
-    | None -> None
-    | Some j -> (
-      match Journal.find j key with
-      | Some { Journal.status = Done; payload } ->
-        Metrics.incr "supervisor.trials.cached";
-        Some (Completed (decode payload))
-      | Some { Journal.status = Quarantined; payload } ->
-        Metrics.incr "supervisor.trials.cached_quarantined";
-        Some (Quarantined (failure_of_json key payload))
-      | None -> None)
+let trial ~journal ~key ~encode ~decode f =
+  (* a payload of another shape (a journal written by an older schema)
+     must stop the run, never read back as some default *)
+  let decode payload =
+    try decode payload
+    with Failure msg ->
+      failwith (Printf.sprintf "journal record %S: %s" key msg)
   in
-  match cached with
-  | Some outcome -> outcome
+  match Journal.find journal key with
+  | Some { Journal.status = Done; payload } ->
+    Metrics.incr "supervisor.trials.cached";
+    Completed (decode payload)
+  | Some { Journal.status = Quarantined; payload } ->
+    Metrics.incr "supervisor.trials.cached_quarantined";
+    Quarantined (failure_of_json key payload)
   | None -> (
     match f () with
     | v ->
       Metrics.incr "supervisor.trials.completed";
-      (match journal with
-      | None -> Completed v
-      | Some j ->
-        let payload = encode v in
-        Journal.append j ~key ~status:Journal.Done payload;
-        (* hand back the journal's view of the value so a fresh run and
-           a resumed run aggregate bit-identical inputs *)
-        Completed (decode payload))
+      let payload = encode v in
+      Journal.append journal ~key ~status:Journal.Done payload;
+      (* hand back the journal's view of the value so a fresh run and
+         a resumed run aggregate bit-identical inputs *)
+      Completed (decode payload)
     | exception (Chaos.Injected _ as e) ->
       (* a simulated crash must propagate, never count as a trial
          failure - recovery is exercised by the caller *)
@@ -60,9 +56,6 @@ let trial ?journal ~key ~encode ~decode f =
       let failure =
         { f_key = key; f_attempts = 1; f_errors = [ Printexc.to_string e ] }
       in
-      (match journal with
-      | None -> ()
-      | Some j ->
-        Journal.append j ~key ~status:Journal.Quarantined
-          (failure_to_json failure));
+      Journal.append journal ~key ~status:Journal.Quarantined
+        (failure_to_json failure);
       Quarantined failure)

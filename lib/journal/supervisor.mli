@@ -36,7 +36,7 @@ val failure_of_json : string -> Qaoa_obs.Json.t -> failure
     journal holding multi-attempt quarantines still resumes. *)
 
 val trial :
-  ?journal:Journal.t ->
+  journal:Journal.t ->
   key:string ->
   encode:('a -> Qaoa_obs.Json.t) ->
   decode:(Qaoa_obs.Json.t -> 'a) ->
@@ -44,12 +44,16 @@ val trial :
   'a outcome
 (** Run one supervised trial.
 
-    Without a journal the thunk still runs under quarantine, only
-    nothing is persisted.  With one, a completed trial appends a [Done]
-    record and a quarantined trial a [Quarantined] record (one attempt,
-    the exception's {!Printexc.to_string}), and the value returned for
-    a fresh completion is [decode (encode v)] - the exact value a
-    resumed run will read back, which is what makes
-    interrupted-then-resumed sweeps byte-identical to uninterrupted
-    ones.  A {!Chaos.Injected} simulated crash propagates instead of
-    quarantining. *)
+    A completed trial appends a [Done] record and a quarantined trial a
+    [Quarantined] record (one attempt, the exception's
+    {!Printexc.to_string}), and the value returned for a fresh
+    completion is [decode (encode v)] - the exact value a resumed run
+    will read back, which is what makes interrupted-then-resumed sweeps
+    byte-identical to uninterrupted ones.  A {!Chaos.Injected}
+    simulated crash propagates instead of quarantining.  Work without a
+    journal is not supervised: its caller runs it directly and lets its
+    failures propagate.
+
+    @raise Failure naming [key] when [decode] raises [Failure] on the
+    journaled payload (a record of another shape, as an older schema
+    wrote it). *)

@@ -118,8 +118,6 @@ end
 
 let run ?(on_ready = fun () -> ()) (config : Serve.config) ~socket_path
     ~drain =
-  if config.Serve.sort then
-    invalid_arg "Daemon: sort is batch-only (a daemon stream has no end)";
   let handler = Serve.make_handler config in
   (* a client that disconnects mid-response must cost us an EPIPE, not
      the process *)

@@ -92,7 +92,6 @@ val run :
     frames and renders; the workers keep the default), restored on
     return.
 
-    @raise Invalid_argument if [config.sort] is set (a daemon stream
-    has no end to sort) or on a non-positive [workers] /
+    @raise Invalid_argument on a non-positive [workers] /
     [queue_capacity].
     @raise Unix.Unix_error if the socket cannot be bound. *)

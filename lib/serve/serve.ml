@@ -10,7 +10,6 @@ module Rng = Qaoa_util.Rng
 type config = {
   workers : int;
   queue_capacity : int;
-  sort : bool;
   timings : bool;
   cache : Cache.t option;
   persist : Persist.t option;
@@ -23,7 +22,6 @@ let default_config () =
   {
     workers = Pool.default_workers ();
     queue_capacity = 256;
-    sort = false;
     timings = false;
     cache = Some (Cache.create ~capacity:4096 ());
     persist = None;
@@ -227,8 +225,6 @@ let render config outcome =
   in
   Json.to_string (Json.Assoc (("id", id_json) :: outcome.body @ diagnostics))
 
-let sort_key outcome = (Option.value ~default:"" outcome.id, outcome.line)
-
 let serve config ~produce ~emit =
   let handler = make_handler config in
   (* a delivered SIGINT/SIGTERM stops admission: in-flight requests
@@ -239,33 +235,15 @@ let serve config ~produce ~emit =
     | Some flag -> fun () -> if Atomic.get flag <> 0 then None else produce ()
   in
   let requests = ref 0 and errors = ref 0 in
-  let note outcome =
-    incr requests;
-    if outcome_error outcome then incr errors
-  in
-  (* [sort] needs the full result set before emitting anything, so it
-     accumulates and flushes after the pool drains; the default mode
-     emits immediately in input order. *)
-  let sorted_acc = ref [] in
   let consume _seq outcome =
-    if config.sort then sorted_acc := outcome :: !sorted_acc
-    else begin
-      note outcome;
-      emit (render config outcome)
-    end
+    incr requests;
+    if outcome_error outcome then incr errors;
+    emit (render config outcome)
   in
   let _count =
     Pool.stream ~workers:config.workers ~queue_capacity:config.queue_capacity
       ~produce ~consume handler
   in
-  if config.sort then
-    List.iter
-      (fun outcome ->
-        note outcome;
-        emit (render config outcome))
-      (List.sort
-         (fun a b -> compare (sort_key a) (sort_key b))
-         (List.rev !sorted_acc));
   {
     requests = !requests;
     errors = !errors;

@@ -9,9 +9,7 @@
     no timestamps unless [timings]), so the output stream is
     byte-identical for any worker count and request order.  The one
     exception is an answer under a [supervise] deadline, which depends
-    on the wall clock.  [sort] re-orders responses by request id (line
-    number as tie-break) instead - useful when diffing corpora
-    assembled from shards - and is equally worker-count-independent.
+    on the wall clock.
 
     {b Fault containment.}  A worker exception, structured compile
     error or deadline blowout is contained to its own request as a
@@ -78,7 +76,6 @@
 type config = {
   workers : int;  (** worker domains, >= 1 *)
   queue_capacity : int;  (** bounded in-flight window, >= 1 *)
-  sort : bool;  (** sort responses by (id, line) instead of input order *)
   timings : bool;  (** append non-deterministic [cached]/[ms] fields *)
   cache : Cache.t option;  (** [None] disables the artifact cache *)
   persist : Persist.t option;  (** journal cache insertions to disk *)
@@ -93,10 +90,9 @@ type config = {
 }
 
 val default_config : unit -> config
-(** [Pool.default_workers ()] workers, queue 256, no sorting, no
-    timings, a fresh 4096-entry cache, no persistence,
-    {!Supervise.default_config}, no drain flag, a fresh inflight
-    gauge. *)
+(** [Pool.default_workers ()] workers, queue 256, no timings, a fresh
+    4096-entry cache, no persistence, {!Supervise.default_config}, no
+    drain flag, a fresh inflight gauge. *)
 
 type stats = {
   requests : int;  (** responses emitted, parse errors included *)

@@ -120,8 +120,9 @@ let test_write_and_export_all () =
     Experiment.make Experiment.Figure id ~title:id ~columns ~notes:[]
       (fun ~scale:_ ~journal:_ -> rows)
   in
-  Report.run ~export:dir ~scale:Experiment.Smoke
-    [ record "t1" [ "a" ] [ ("x", [ 1.0 ]) ]; record "t2" [ "b" ] [] ];
+  ignore
+    (Report.run ~export:dir ~scale:Experiment.Smoke
+       [ record "t1" [ "a" ] [ ("x", [ 1.0 ]) ]; record "t2" [ "b" ] [] ]);
   let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check (list string)) "two files and the report"
     [ "report.md"; "t1.csv"; "t2.csv" ] files;

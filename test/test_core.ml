@@ -186,7 +186,7 @@ let prop_analytic_matches_simulator =
 
 let test_analytic_optimize_beats_random () =
   let g = Generators.cycle 6 in
-  let params, value = Analytic.optimize ~grid:32 g in
+  let params, value = Optimizer.optimize_p1 ~grid:32 (Analytic.expectation g) in
   (* p=1 QAOA on a ring achieves expectation 3/4 per edge = 4.5 on C6 *)
   Alcotest.(check bool) "near known optimum" true (value > 4.4);
   let sim = Ansatz.expectation (Problem.of_maxcut g) params in

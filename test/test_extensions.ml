@@ -92,6 +92,18 @@ let test_qasm_parse_errors () =
   expect_failure "qreg q[3];\ncx q[0],q[100000000000000];\n";
   expect_failure "qreg q[3];\nh q[-1];\n"
 
+(* A two-qubit gate names two distinct qubits; one named twice is
+   malformed input, refused where it is read. *)
+let test_qasm_repeated_operand () =
+  List.iter
+    (fun (src, msg) ->
+      Alcotest.check_raises src (Failure msg) (fun () ->
+          ignore (Qasm.of_string src)))
+    [
+      ("qreg q[2];\ncx q[1],q[1];\n", "qasm: line 2: cx names qubit 1 twice");
+      ("qreg q[2];\nswap q[0], q[0];\n", "qasm: line 2: swap names qubit 0 twice");
+    ]
+
 let test_qasm_angle_expressions () =
   let c = Qasm.of_string "qreg q[1];\nrz(3*pi/2) q[0];\nrz(2.5e-1) q[0];\n" in
   match Circuit.gates c with
@@ -253,6 +265,7 @@ let suite =
     ("qasm parse simple", `Quick, test_qasm_parse_simple);
     ("qasm roundtrip semantics", `Quick, test_qasm_roundtrip_semantics);
     ("qasm parse errors", `Quick, test_qasm_parse_errors);
+    ("qasm repeated operand refused", `Quick, test_qasm_repeated_operand);
     ("qasm angle expressions", `Quick, test_qasm_angle_expressions);
     ("reverse circuit", `Quick, test_reverse_circuit);
     ("reverse traversal refines", `Slow, test_reverse_traversal_improves_or_matches);

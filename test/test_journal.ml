@@ -459,6 +459,106 @@ let test_runner_journaled_matches_direct () =
         b.Runner.mean_time)
     journaled replayed
 
+(* --- work without a journal, and payloads of another shape --- *)
+
+let test_sweep_row_unjournaled_propagates () =
+  let module Sweep = Qaoa_experiments.Sweep in
+  Alcotest.check_raises "the thunk's exception reaches the caller"
+    (Failure "boom") (fun () ->
+      ignore (Sweep.row ~key:"k" ~label:"l" (fun () -> failwith "boom")))
+
+(* A journal written under another schema holds an object where a row
+   of floats is expected (or a trial without its fields): resuming it
+   must stop with the key, not read it back as an empty row or nan. *)
+let test_foreign_payload_names_key () =
+  let module Sweep = Qaoa_experiments.Sweep in
+  let module Runner = Qaoa_experiments.Runner in
+  with_dir @@ fun dir ->
+  let j = Journal.open_ ~dir () in
+  let row_key = "resilience/dev/ER(p=0.5) n=13/baseline" in
+  Journal.append j ~key:row_key ~status:Journal.Done
+    (Json.Assoc [ ("instances", Json.Int 2); ("compiled", Json.Int 2) ]);
+  let ran = ref false in
+  Alcotest.check_raises "row payload"
+    (Failure
+       (Printf.sprintf "journal record %S: expected a list of numbers" row_key))
+    (fun () ->
+      ignore
+        (Sweep.row ~journal:j ~key:row_key ~label:"l" (fun () ->
+             ran := true;
+             [ 1.0 ])));
+  Alcotest.(check bool) "cached key not re-run" false !ran;
+  let device = Qaoa_hardware.Topologies.ring 4 in
+  let problem =
+    Qaoa_core.Problem.of_maxcut (Qaoa_graph.Generators.cycle 4)
+  in
+  Journal.append j ~key:"t/NAIVE/i0/s1000" ~status:Journal.Done
+    (Json.Assoc [ ("depth", Json.Float 3.0) ]);
+  (match
+     Runner.run ~journal:j ~experiment:"t" ~device
+       ~strategies:[ Qaoa_core.Compile.Naive ]
+       ~params:Qaoa_experiments.Workload.default_params [ problem ]
+   with
+  | exception Failure msg ->
+    Alcotest.(check bool) ("runner trial payload: " ^ msg) true
+      (String.starts_with ~prefix:"journal record \"t/NAIVE/i0/s1000\": no number under " msg)
+  | _ -> Alcotest.fail "a trial without its fields was read back");
+  Journal.close j
+
+(* The fault sweep is one experiment record: its smoke-scale rows are
+   the same with a fresh journal, without one, and resumed from a
+   journal cut after its first records; the summary is its column
+   sums. *)
+let test_resilience_record_resumes () =
+  let module Resilience = Qaoa_experiments.Resilience in
+  let e = Resilience.experiment () in
+  Alcotest.(check string) "id" "resilience-ibmq_20_tokyo" e.Experiment.id;
+  let run journal = e.Experiment.run ~scale:Experiment.Smoke ~journal in
+  let plain = run None in
+  with_dir @@ fun dir ->
+  let j = Journal.open_ ~dir () in
+  let journaled = run (Some j) in
+  Journal.close j;
+  let check what rows =
+    Alcotest.(check (list (pair string (list (float 0.0))))) what plain rows
+  in
+  check "journaled = unjournaled" journaled;
+  Alcotest.(check int) "6 workloads x 14 scenarios" 84 (List.length plain);
+  List.iter
+    (fun (label, vs) ->
+      Alcotest.(check int) (label ^ ": one value per column")
+        (List.length Resilience.columns) (List.length vs);
+      let wins = List.filteri (fun i _ -> i >= 8) vs in
+      Alcotest.(check (float 0.0)) (label ^ ": wins sum to compiled")
+        (List.nth vs 1) (List.fold_left ( +. ) 0.0 wins))
+    plain;
+  let lines =
+    String.split_on_char '\n'
+      (String.trim (read_file (Filename.concat dir Journal.default_filename)))
+  in
+  let cut = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf cut) @@ fun () ->
+  Out_channel.with_open_bin (Filename.concat cut Journal.default_filename)
+    (fun oc ->
+      List.iteri (fun i l -> if i < 7 then output_string oc (l ^ "\n")) lines);
+  let j = Journal.open_ ~resume:true ~dir:cut () in
+  let resumed = run (Some j) in
+  let appended = (Journal.stats j).Journal.appended in
+  Journal.close j;
+  check "resumed = unjournaled" resumed;
+  Alcotest.(check int) "only the cut cells re-ran" (List.length lines - 7)
+    appended;
+  let sum i =
+    List.fold_left (fun acc (_, vs) -> acc + int_of_float (List.nth vs i)) 0 plain
+  in
+  let s = Resilience.summary plain in
+  Alcotest.(check (list int)) "summary = column sums"
+    [ sum 0; sum 1; sum 2; sum 3 ]
+    [
+      s.Resilience.instances; s.Resilience.compiled; s.Resilience.recovered;
+      s.Resilience.exhausted;
+    ]
+
 (* --- CSV escaping round-trip --- *)
 
 (* Minimal RFC-4180 reader for the exporter's output: rows of fields,
@@ -529,11 +629,13 @@ let prop_csv_roundtrip =
 let test_report_export_creates_dirs () =
   with_dir @@ fun dir ->
   let deep = Filename.concat (Filename.concat dir "nested") "csv" in
-  Report.run ~export:deep ~scale:Experiment.Smoke
-    [
-      Experiment.make Experiment.Figure "t" ~title:"t" ~columns:[ "a" ] ~notes:[]
-        (fun ~scale:_ ~journal:_ -> [ ("row", [ 1.0 ]) ]);
-    ];
+  ignore
+    (Report.run ~export:deep ~scale:Experiment.Smoke
+       [
+         Experiment.make Experiment.Figure "t" ~title:"t" ~columns:[ "a" ]
+           ~notes:[]
+           (fun ~scale:_ ~journal:_ -> [ ("row", [ 1.0 ]) ]);
+       ]);
   Alcotest.(check (list string)) "one file and the report"
     [ "report.md"; "t.csv" ]
     (List.sort compare (Array.to_list (Sys.readdir deep)));
@@ -563,5 +665,10 @@ let suite =
     ("journaled runner matches direct", `Quick,
      test_runner_journaled_matches_direct);
     ("report export creates dirs", `Quick, test_report_export_creates_dirs);
+    ("sweep row without journal propagates", `Quick,
+     test_sweep_row_unjournaled_propagates);
+    ("foreign payload names its key", `Quick, test_foreign_payload_names_key);
+    ("resilience record resumes to the same rows", `Quick,
+     test_resilience_record_resumes);
     QCheck_alcotest.to_alcotest prop_csv_roundtrip;
   ]

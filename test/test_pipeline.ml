@@ -117,19 +117,20 @@ let prop_peephole_end_to_end =
 
 (* --- report generation --- *)
 
-(* Runs [Report.run] with an export directory and returns the contents
-   of the named files, leaving no directory behind. *)
+(* Runs [Report.run] with an export directory and returns the ids and
+   rows it returned, and the contents of the named files, leaving no
+   directory behind. *)
 let export_files records names =
   let dir = Filename.temp_file "qaoa_report" "" in
   Sys.remove dir;
-  Report.run ~export:dir ~scale:Experiment.Smoke records;
+  let results = Report.run ~export:dir ~scale:Experiment.Smoke records in
   let read name =
     In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
   in
   let contents = List.map read names in
   List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
   Sys.rmdir dir;
-  contents
+  (List.map (fun (e, rows) -> (e.Experiment.id, rows)) results, contents)
 
 let contains ~needle s =
   let nl = String.length needle and sl = String.length s in
@@ -173,7 +174,7 @@ let test_report_section_unknown () =
   in
   let md, csv =
     match export_files [ e ] [ "report.md"; "ablation_xyz.csv" ] with
-    | [ md; csv ] -> (md, csv)
+    | _, [ md; csv ] -> (md, csv)
     | _ -> assert false
   in
   let lines = String.split_on_char '\n' md in
@@ -197,11 +198,15 @@ let test_report_document () =
       [ "the paper says 0.5" ] fig_rows
   in
   let knob = record "knob" Experiment.Ablation [ "mean swaps" ] [] knob_rows in
-  let md, fig_csv, knob_csv =
+  let results, (md, fig_csv, knob_csv) =
     match export_files [ fig; knob ] [ "report.md"; "figx.csv"; "ablation_knob.csv" ] with
-    | [ md; fig_csv; knob_csv ] -> (md, fig_csv, knob_csv)
+    | results, [ md; fig_csv; knob_csv ] -> (results, (md, fig_csv, knob_csv))
     | _ -> assert false
   in
+  Alcotest.(check (list (pair string (list (pair string (list (float 0.0)))))))
+    "returns each record's rows, in order"
+    [ ("figx", fig_rows); ("knob", knob_rows) ]
+    results;
   Alcotest.(check string) "report.md is to_markdown"
     (Report.to_markdown ~scale:Experiment.Smoke [ (fig, fig_rows); (knob, knob_rows) ])
     md;

@@ -304,11 +304,10 @@ let test_cache_lookup_taxonomy () =
 
 (* --- the service --------------------------------------------------- *)
 
-let config ?(workers = 1) ?(sort = false) ?cache ?persist ?supervise () =
+let config ?(workers = 1) ?cache ?persist ?supervise () =
   {
     Serve.workers;
     queue_capacity = 16;
-    sort;
     timings = false;
     cache;
     persist;
@@ -319,8 +318,7 @@ let config ?(workers = 1) ?(sort = false) ?cache ?persist ?supervise () =
 
 let corpus = lazy (Serve.gen_corpus ~seed:11 ~count:16 ())
 
-(* The headline guarantee: byte-identical output for any worker count,
-   in both input order and sorted mode. *)
+(* The headline guarantee: byte-identical output for any worker count. *)
 let test_ndomain_determinism () =
   let reference, _ = Serve.run_lines (config ~workers:1 ()) (Lazy.force corpus) in
   List.iter
@@ -330,15 +328,7 @@ let test_ndomain_determinism () =
         (Printf.sprintf "%d workers, input order" workers)
         reference out;
       Alcotest.(check int) "no errors" 0 stats.Serve.errors)
-    [ 2; 4; 8 ];
-  let sorted1, _ = Serve.run_lines (config ~workers:1 ~sort:true ()) (Lazy.force corpus) in
-  List.iter
-    (fun workers ->
-      let out, _ = Serve.run_lines (config ~workers ~sort:true ()) (Lazy.force corpus) in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%d workers, sorted" workers)
-        sorted1 out)
-    [ 4; 8 ]
+    [ 2; 4; 8 ]
 
 (* A cached artifact must be byte-identical to a fresh compile: caching
    can change latency, never bytes. *)
@@ -648,6 +638,21 @@ let test_qasm_mid_circuit_measure_refused () =
         Alcotest.(check int) "taxonomy balances" s.Cache.lookups
           (s.Cache.hits + s.Cache.misses + s.Cache.rejects))
     [ 1; 4 ]
+
+(* A QASM gate naming one qubit twice is malformed input: the request
+   gets a bad_request from the parser, not an internal error from the
+   router. *)
+let test_qasm_repeated_operand_bad_request () =
+  let line =
+    {|{"id":"same","qasm":"OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];","device":"tokyo"}|}
+  in
+  let out, stats = Serve.run_lines (config ()) [ line ] in
+  let answer = parse_response (List.hd out) in
+  Alcotest.(check string) "kind" "bad_request" (kind_of answer);
+  Alcotest.(check bool) "names the gate" true
+    (member_exn "detail" (member_exn "error" answer)
+    = Json.String "qasm: line 3: cx names qubit 1 twice");
+  Alcotest.(check int) "one error" 1 stats.Serve.errors
 
 (* --- persistence --------------------------------------------------- *)
 
@@ -1273,6 +1278,9 @@ let suite =
     ( "qasm route honours the deadline",
       `Quick,
       test_qasm_route_honours_deadline );
+    ( "qasm repeated operand is a bad request",
+      `Quick,
+      test_qasm_repeated_operand_bad_request );
     ( "qasm mid-circuit measure refused",
       `Quick,
       test_qasm_mid_circuit_measure_refused );
